@@ -198,9 +198,10 @@ def constrained_mincut(
         if (net.branches[k].i in S1) != (net.branches[k].j in S1)
     ]
     achieved = sum(abs(float(op.flows[k])) for k in cut_edges)
-    assert abs(achieved - cut_value) <= 1e-9 * max(1.0, cut_value), (
-        "max-flow value disagrees with the returned cut"
-    )
+    if abs(achieved - cut_value) > 1e-9 * max(1.0, cut_value):
+        raise BaselineError(
+            f"max-flow value {cut_value:.12g} disagrees with the returned "
+            f"cut {achieved:.12g}")
     return S1, S2, sorted(cut_edges)
 
 

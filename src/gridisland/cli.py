@@ -61,8 +61,10 @@ class RunConfig:
     def validate(self) -> None:
         if self.r < 1:
             raise IslandingError("island count r must be at least 1")
-        if any(x < 0 for x in self.xi):
-            raise MetricError("trade-off weight must be nonnegative")
+        if not self.xi:
+            raise MetricError("no trade-off weight given")
+        if not all(0 <= x < float("inf") for x in self.xi):
+            raise MetricError("trade-off weight must be finite and nonnegative")
         if not 0 < self.epsilon < 1:
             raise IslandingError("epsilon must lie in (0, 1)")
         if self.method not in ("weak-submodular", "spectral", "both"):
@@ -70,7 +72,21 @@ class RunConfig:
 
 
 def _parse_xi(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        return [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise MetricError(
+            f"trade-off weights must be comma-separated numbers: {text!r}"
+        ) from exc
+
+
+def _parse_refs(text: str) -> list[int]:
+    try:
+        return [int(tok) for tok in text.split(",")]
+    except ValueError as exc:
+        raise SelectionError(
+            f"reference buses must be comma-separated bus ids: {text!r}"
+        ) from exc
 
 
 def _read(path: str) -> str:
@@ -204,7 +220,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--case", required=True)
     p.add_argument("--dyn", help="dynamics JSON for MATPOWER-table cases")
     p.add_argument("--r", type=int, default=3)
-    p.add_argument("--xi", type=_parse_xi, default=[1e-6],
+    p.add_argument("--xi", default="1e-6",
                    help="trade-off weight, or comma-separated sweep list")
     p.add_argument("--epsilon", type=float, default=1e-3)
     p.add_argument("--method", default="weak-submodular",
@@ -232,9 +248,9 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             config = RunConfig(
-                case=args.case, dyn=args.dyn, r=args.r, xi=args.xi,
-                epsilon=args.epsilon, method=args.method,
-                refs=[int(t) for t in args.refs.split(",")] if args.refs else None,
+                case=args.case, dyn=args.dyn, r=args.r,
+                xi=_parse_xi(args.xi), epsilon=args.epsilon, method=args.method,
+                refs=_parse_refs(args.refs) if args.refs else None,
                 out=args.out, dump_model=args.dump_model, fmt=args.fmt,
             )
             text = _render(run(config), config.fmt)

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .netcase import OperatingPoint, PowerNetwork
 
@@ -108,7 +107,7 @@ def slow_modes(M: np.ndarray, K: np.ndarray, r: int) -> tuple[np.ndarray, np.nda
         raise ModelError(f"need 1 <= r <= {n}, got r={r}")
     d = np.sqrt(np.diag(M))
     Ks = K / np.outer(d, d)
-    vals, vecs = scipy.linalg.eigh(0.5 * (Ks + Ks.T))
+    vals, vecs = np.linalg.eigh(0.5 * (Ks + Ks.T))
     order = sorted(range(n), key=lambda k: (abs(vals[k]), vals[k], k))
     pick = order[:r]
     U = vecs[:, pick] / d[:, None]

@@ -96,7 +96,8 @@ class PartitionSet:
             br = self.net.branches[e]
             parent.union(self.net.bus_pos[br.i], self.net.bus_pos[br.j])
         ref_roots = [parent.find(self.net.bus_pos[b]) for b in self.ref_buses]
-        assert len(set(ref_roots)) == len(ref_roots), "references share an island"
+        if len(set(ref_roots)) != len(ref_roots):
+            raise IslandingError("two reference generators share an island")
         lookup = {rt: k for k, rt in enumerate(ref_roots)}
         labels = np.empty(self.net.m, dtype=int)
         for pos in range(self.net.m):
@@ -136,32 +137,50 @@ class IslandingSolution:
         }
 
 
+def _root_labels(labels: np.ndarray, ref_pos: np.ndarray) -> np.ndarray:
+    """Component labels of the augmented graph: every component holding a
+    reference is joined to the virtual root, labelled -1."""
+    anchored = np.zeros(len(labels), dtype=bool)
+    anchored[labels[ref_pos]] = True
+    return np.where(anchored[labels], -1, labels)
+
+
 def greedy_select(
     ctx: MetricContext, net: PowerNetwork, ref_buses
 ) -> tuple[PartitionSet, IncrementalEvaluator, list[float]]:
     """Stage 1: pick the maximal independent set, steepest J-descent first.
 
-    Every round evaluates the J-decrease of all remaining candidates; the
-    argmax edge is added if it keeps the augmented graph acyclic and is
-    removed from the ground set either way (a rejected edge closes a
-    cycle with the final set too, so dropping it permanently is safe).
+    Every round drops the lines that would close a cycle in the augmented
+    graph (they would close one with the final set too, so dropping them
+    permanently is safe) and adds the remaining line of largest
+    J-decrease.  Tie rule: among lines with exactly equal J-decrease, the
+    one with the larger imbalance decrease f(S) - f(S + {e}) wins (at
+    xi = 0 this is the order a vanishing positive xi gives), then the
+    lowest canonical line index.  Lines that make the same merge have
+    bitwise-equal decreases, so the rule needs no tolerance.
     """
     ref_buses = tuple(ref_buses)
     if len(set(ref_buses)) != len(ref_buses):
         raise IslandingError("reference buses must be distinct")
     P = PartitionSet(net, ref_buses)
     ev = IncrementalEvaluator(ctx)
-    omega = list(range(net.l))
+    ei, ej = ctx.ends
+    ref_pos = np.array([net.bus_pos[b] for b in ref_buses], dtype=np.intp)
+    omega = np.arange(net.l)
     target = net.m - len(ref_buses)
     trace = [ev.J()]
-    while omega and len(P.S) < target:
+    while len(P.S) < target:
+        root = _root_labels(ev.labels, ref_pos)
+        omega = omega[root[ei[omega]] != root[ej[omega]]]
+        if not len(omega):
+            break
         gains = ev.gains(omega)
-        e = omega[int(np.argmax(gains))]  # argmax keeps canonical tie-break
-        if P.feasible(e):
-            P.add(e)
-            ev.add(e)
-            trace.append(ev.J())
-        omega.remove(e)
+        tied = np.flatnonzero(gains == gains.max())
+        k = tied[int(np.argmax(ev.f_gains(omega[tied])))]
+        e = int(omega[k])
+        P.add(e)
+        ev.add(e)
+        trace.append(ev.J())
     if len(P.S) != target:
         raise IslandingError("graph disconnected: no spanning basis exists")
     return P, ev, trace
@@ -176,12 +195,16 @@ def local_search(
 ) -> tuple[PartitionSet, IncrementalEvaluator, list[float], int]:
     """Stage 2: first-improvement edge swaps until no (1 - eps) cut exists.
 
-    A swap (v out, e in) is feasible when e reconnects the two components
-    created by removing v, keeping the augmented graph a spanning tree.
+    A swap (v out, e in) is feasible when e joins two components of the
+    augmented graph of S minus v; for a maximal S, when e joins the piece
+    that removing v cut off from its reference to another island.  The
+    component labels come from the evaluator fork for S minus v.
     """
     if epsilon <= 0:
         raise IslandingError("epsilon must be positive")
     net = P.net
+    ei, ej = ctx.ends
+    ref_pos = np.array([net.bus_pos[b] for b in P.ref_buses], dtype=np.intp)
     trace = []
     swaps = 0
     current = ev.J()
@@ -193,39 +216,27 @@ def local_search(
         if max_rounds is not None and swaps >= max_rounds:
             break
         improved = False
-        in_set = sorted(P.S)
-        out_set = [e for e in range(net.l) if e not in set(P.S)]
-        for v in in_set:
+        kept = set(P.S)
+        out_set = np.array([e for e in range(net.l) if e not in kept],
+                           dtype=np.intp)
+        for v in sorted(P.S):
             sub = ev.fork_without(v)
-            # component labels of (S \ {v}) + virtual edges
-            uf = UnionFind(net.m + 1)
-            for b in P.ref_buses:
-                uf.union(net.m, net.bus_pos[b])
-            for e in P.S:
-                if e != v:
-                    br = net.branches[e]
-                    uf.union(net.bus_pos[br.i], net.bus_pos[br.j])
-            feas = []
-            for e in out_set:
-                br = net.branches[e]
-                if uf.find(net.bus_pos[br.i]) != uf.find(net.bus_pos[br.j]):
-                    feas.append(e)
-            if not feas:
+            root = _root_labels(sub.labels, ref_pos)
+            feas = out_set[root[ei[out_set]] != root[ej[out_set]]]
+            if not len(feas):
                 continue
-            base = sub.J()
-            gains = sub.gains(feas)
-            for e, gain in zip(feas, gains):
-                if base - gain < (1 - epsilon) * current:
-                    new_S = [x for x in P.S if x != v] + [e]
-                    P = PartitionSet(net, P.ref_buses, S=new_S)
-                    sub.add(e)
-                    ev = sub
-                    current = ev.J()
-                    trace.append(current)
-                    swaps += 1
-                    improved = True
-                    break
-            if improved:
+            better = np.flatnonzero(
+                sub.J() - sub.gains(feas) < (1 - epsilon) * current)
+            if len(better):
+                e = int(feas[better[0]])
+                new_S = [x for x in P.S if x != v] + [e]
+                P = PartitionSet(net, P.ref_buses, S=new_S)
+                sub.add(e)
+                ev = sub
+                current = ev.J()
+                trace.append(current)
+                swaps += 1
+                improved = True
                 break
     return P, ev, trace, swaps
 
@@ -255,13 +266,9 @@ def extract_solution(
     S = sorted(P.S)
     # lines to trip: only the edges crossing island boundaries; dropped
     # intra-island edges are redundant paths, not cuts
-    cut = tuple(
-        net.branches[e].name
-        for e in range(net.l)
-        if e not in set(S)
-        and labels[net.bus_pos[net.branches[e].i]]
-        != labels[net.bus_pos[net.branches[e].j]]
-    )
+    ei, ej = ctx.ends
+    crossing = labels[ei] != labels[ej]
+    cut = tuple(net.branches[e].name for e in np.flatnonzero(crossing))
     f_val = f(ctx, S)
     return IslandingSolution(
         S=tuple(S),
@@ -335,7 +342,7 @@ def check_greedy_bound(
 
 def local_search_iteration_cap(ctx: MetricContext, epsilon: float) -> float:
     """Iteration budget (log J(E) - log J(empty)) / log(1 - eps)."""
-    J_full = J(ctx, range(ctx.A.shape[1]))
+    J_full = J(ctx, range(ctx.net.l))
     J_empty = J(ctx, [])
     if J_full <= 0:
         return float("inf")

@@ -44,7 +44,7 @@ from gridisland.refsel import (
     select_references_pivoting,
 )
 
-from conftest import DATA, load_case, pipeline, random_network
+from casekit import DATA, load_case, pipeline, random_network
 
 CHOSEN_XI = 1e-6
 

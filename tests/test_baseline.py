@@ -16,7 +16,7 @@ from gridisland.baseline import (
 )
 from gridisland.netcase import OperatingPoint, dc_power_flow, parse_case
 
-from conftest import pipeline, random_network
+from casekit import pipeline, random_network
 
 
 def test_coupling_weights_symmetric_nonnegative(pipe39, case39):
@@ -111,6 +111,24 @@ def test_mincut_rejects_bad_constraint_sets(case39):
         constrained_mincut(case39, op, {1, 2}, {2, 3})
     with pytest.raises(BaselineError, match="nonempty"):
         constrained_mincut(case39, op, set(), {2})
+
+
+def test_mincut_flow_mismatch_is_a_typed_error(monkeypatch):
+    # a max-flow value that disagrees with the cut it induces must raise
+    # BaselineError, which the CLI reports, even under python -O
+    import gridisland.baseline as baseline
+
+    real = baseline.shortest_augmenting_path
+
+    def off_by_one(G, s, t):
+        R = real(G, s, t)
+        R.graph["flow_value"] += 1.0
+        return R
+
+    monkeypatch.setattr(baseline, "shortest_augmenting_path", off_by_one)
+    net = line_net([1, 2, 3, 4], [1, 4])
+    with pytest.raises(BaselineError, match="disagrees"):
+        constrained_mincut(net, dc_power_flow(net), {1, 2}, {3, 4})
 
 
 @settings(max_examples=15, deadline=None)

@@ -121,6 +121,23 @@ def test_refs_override_rejects_non_generator_bus(capsys):
     assert json.loads(err)["error"] == "SelectionError"
 
 
+@pytest.mark.parametrize("refs", ["39,x", "39,,34", "39.5,34,38"])
+def test_refs_override_rejects_non_integer(refs, capsys):
+    code, out, err = run_cli(
+        ["run", "--case", CASE39, "--refs", refs], capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "SelectionError"
+
+
+@pytest.mark.parametrize("xi", [",", " , ", "nan", "1e-6,inf", "1e-6,abc"])
+def test_xi_list_must_hold_finite_weights(xi, capsys):
+    code, out, err = run_cli(["run", "--case", CASE39, "--xi", xi], capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "MetricError"
+
+
 def test_dump_model(capsys):
     code, out, _ = run_cli(
         ["run", "--case", CASE39, "--dump-model", "--xi", "0"], capsys)
@@ -150,7 +167,7 @@ def test_invalid_config_rejected():
 
 def test_reported_metrics_revalidate(capsys):
     # every reported metric must recompute from the reported kept set
-    from conftest import load_case, pipeline
+    from casekit import load_case, pipeline
     from gridisland.metrics import J, f
 
     code, out, _ = run_cli(

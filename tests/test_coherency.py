@@ -16,7 +16,7 @@ from gridisland.coherency import (
 )
 from gridisland.netcase import dc_power_flow, parse_case
 
-from conftest import random_network
+from casekit import random_network
 
 
 def two_gen_net(x=0.2):

@@ -1,4 +1,6 @@
 import itertools
+import json
+import os
 
 import numpy as np
 import pytest
@@ -16,9 +18,9 @@ from gridisland.islanding import (
     solve,
 )
 from gridisland.metrics import IncrementalEvaluator, J
-from gridisland.netcase import incidence_matrix
+from gridisland.netcase import incidence_matrix, parse_case
 
-from conftest import pipeline, random_network
+from casekit import DATA, pipeline, random_case_doc, random_network
 
 
 def assert_structural(net, sol, r):
@@ -291,3 +293,62 @@ def test_extract_requires_maximal_set(pipe39, case39):
     P = PartitionSet(case39, (39, 34, 38), S=[])
     with pytest.raises(IslandingError, match="reference"):
         extract_solution(ctx, P, model)
+
+
+def test_island_of_rejects_references_sharing_an_island():
+    # a kept set mutated past the PartitionSet checks must still raise a
+    # typed error, which the CLI reports, even under python -O
+    net = path_net(3, [1, 3])
+    P = PartitionSet(net, (1, 3))
+    P.S.extend([0, 1])
+    with pytest.raises(IslandingError, match="share an island"):
+        P.island_of()
+
+
+def shuffled_case_doc(rng, doc):
+    """doc with buses and lines in a random order and random lines reversed.
+
+    Parallel lines keep their relative order, which the parser uses to
+    tell them apart; generator order is kept too.
+    """
+    branches = doc["branches"]
+
+    def pair(k):
+        return frozenset((branches[k]["from"], branches[k]["to"]))
+
+    slots = {}
+    for k in range(len(branches)):
+        slots.setdefault(pair(k), []).append(k)
+    slots = {p: iter(ks) for p, ks in slots.items()}
+    order = [next(slots[pair(int(k))]) for k in rng.permutation(len(branches))]
+    lines = [dict(branches[k]) for k in order]
+    for br in lines:
+        if rng.integers(0, 2):
+            br["from"], br["to"] = br["to"], br["from"]
+    return dict(doc, branches=lines,
+                buses=[doc["buses"][k] for k in rng.permutation(len(doc["buses"]))])
+
+
+def assert_same_solution(rng, doc):
+    reports = []
+    for d in (doc, shuffled_case_doc(rng, doc)):
+        net = parse_case(json.dumps(d))
+        op, model, ctx = pipeline(net, r=3)
+        reports.append(json.dumps(solve(ctx, net, model).as_dict(),
+                                  sort_keys=True))
+    assert reports[0] == reports[1]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10**6))
+def test_solve_ignores_file_order_and_line_direction(seed):
+    rng = np.random.default_rng(seed)
+    assert_same_solution(rng, random_case_doc(
+        rng, m=int(rng.integers(6, 20)), extra_edges=int(rng.integers(0, 8))))
+
+
+@pytest.mark.parametrize("name", ["case39.json", "case118.json"])
+def test_solve_ignores_file_order_bundled_cases(name):
+    with open(os.path.join(DATA, name)) as fh:
+        doc = json.load(fh)
+    assert_same_solution(np.random.default_rng(1), doc)

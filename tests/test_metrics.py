@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -12,7 +13,6 @@ from gridisland.metrics import (
     H_i_constrained,
     IncrementalEvaluator,
     J,
-    MetricContext,
     MetricError,
     build_context,
     f,
@@ -20,14 +20,14 @@ from gridisland.metrics import (
     h_i,
     island_labels,
     noncoherency,
+    component_labels,
     lambda_min_C,
     lambda_min_sparse,
-    orthonormal_span,
-    subspace_distance_sq,
     submodularity_ratio_bound,
 )
 
-from conftest import pipeline, random_network
+from casekit import pipeline, random_network
+from dense_oracle import dense_J, orthonormal_span, subspace_distance_sq
 
 
 def random_basis_forest(rng, net, ctx):
@@ -232,6 +232,47 @@ def test_incremental_evaluator_matches_fresh_solves(seed):
         assert ev.J() == pytest.approx(J(ctx, S), abs=1e-6)  # original intact
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6))
+def test_closed_form_evaluator_matches_dense_oracle(seed):
+    # random kept sets that close cycles; every state is checked against
+    # the Gram-Schmidt projection of the targets onto span(A(S))
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, m=int(rng.integers(4, 11)),
+                         extra_edges=int(rng.integers(1, 6)))
+    xi = float(rng.choice([0.0, 1e-7, 1e-6, 1e-5]))
+    op, model, ctx = pipeline(net, r=3, xi=xi)
+    tol = 1e-9 * max(1.0, dense_J(ctx, []))
+    everything = list(range(net.l))
+
+    def check(ev, S):
+        want = dense_J(ctx, S)
+        assert ev.S == S
+        assert ev.J() == pytest.approx(want, abs=tol)
+        for e, g in zip(everything, ev.gains(everything)):
+            assert g == pytest.approx(want - dense_J(ctx, S + [e]), abs=tol)
+            if e in S:
+                assert g == 0.0
+        np.testing.assert_array_equal(ev.labels, component_labels(ctx, S))
+
+    ev = IncrementalEvaluator(ctx)
+    S = []
+    check(ev, S)
+    for e in rng.permutation(net.l)[: int(rng.integers(1, net.l + 1))]:
+        ev.add(int(e))
+        S.append(int(e))
+        check(ev, S)
+    for v in sorted(set(S)):
+        forked = ev.fork_without(v)
+        kept = [x for x in S if x != v]
+        check(forked, kept)
+        e = int(rng.integers(0, net.l))
+        forked.add(e)
+        check(forked, kept + [e])
+        check(forked.fork_without(e), [x for x in kept if x != e])
+    check(ev, S)   # forks leave the original intact
+
+
 def test_sparse_eigenvalue_matches_dense_at_full_size(pipe39):
     rng = np.random.default_rng(3)
     net = random_network(rng, m=5, extra_edges=1)
@@ -299,11 +340,8 @@ def test_objective_linear_in_trade_off_weight(pipe39, case39):
 def test_constrained_imbalance_inactive_box_equals_relaxation(pipe39, case39):
     # balloon the limits so the box constraint can never bind
     op, model, ctx = pipe39
-    big = MetricContext(
-        net=ctx.net, A=ctx.A, b0=ctx.b0, c=ctx.c, xi=ctx.xi,
-        d_max=np.full(case39.m, 1e9), g_max=np.full(case39.m, 1e9),
-        refs=ctx.refs, C=ctx.C,
-    )
+    big = dataclasses.replace(
+        ctx, d_max=np.full(case39.m, 1e9), g_max=np.full(case39.m, 1e9))
     rng = np.random.default_rng(5)
     S = random_basis_forest(rng, case39, big)
     assert F(big, S) == pytest.approx(f(big, S), abs=1e-6 * max(1.0, f(big, S)))

@@ -12,7 +12,7 @@ from gridisland.netcase import (
     serialize_case,
 )
 
-from conftest import random_network
+from casekit import random_network
 
 TINY = {
     "base_mva": 100.0,
