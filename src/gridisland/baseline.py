@@ -1,12 +1,18 @@
-"""Two-step spectral-clustering islanding baseline.
+"""Two-step islanding baseline.
 
-Step one groups generators by minimizing the dynamic coupling cut on the
-reduced generator network; step two splits the buses with a min-cut whose
-capacities are the absolute line flows, constrained to keep each
-generator group on its own side.  Recursion continues until r islands.
+A reconstruction of Ding et al.'s two-step spectral clustering; the
+method keeps the name ``spectral`` so reports stay comparable.  Step one
+groups generators by the exact global minimum cut of the dynamic coupling
+weights on the reduced generator network (Stoer and Wagner's algorithm);
+step two splits the buses with a min-cut whose capacities are the
+absolute line flows, constrained to keep each generator group on its own
+side.  Recursion continues until r islands.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 import networkx as nx
@@ -14,10 +20,8 @@ from networkx.algorithms.flow import shortest_augmenting_path
 
 from .coherency import CoherencyModel
 from .islanding import IslandingSolution
-from .metrics import MetricContext
+from .metrics import J, MetricContext, f, noncoherency
 from .netcase import OperatingPoint, PowerNetwork
-
-EXHAUSTIVE_LIMIT = 22  # vectorized bipartition enumeration up to this size
 
 
 class BaselineError(Exception):
@@ -30,18 +34,14 @@ def coupling_weights(net: PowerNetwork, model: CoherencyModel) -> np.ndarray:
     w_ij = |V_i V_j B_ij cos(delta_i - delta_j)| * (1/M_i + 1/M_j), using
     the machine inertia in seconds.
     """
-    n = net.n
     V = np.array([g.v for g in net.gens])
     Minv = np.array([1.0 / g.inertia for g in net.gens])
-    W = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                dpd = abs(
-                    V[i] * V[j] * model.B_red[i, j]
-                    * np.cos(model.delta[i] - model.delta[j])
-                )
-                W[i, j] = dpd * (Minv[i] + Minv[j])
+    dpd = np.abs(
+        np.outer(V, V) * model.B_red
+        * np.cos(model.delta[:, None] - model.delta[None, :])
+    )
+    W = dpd * (Minv[:, None] + Minv[None, :])
+    np.fill_diagonal(W, 0.0)
     return 0.5 * (W + W.T)
 
 
@@ -49,87 +49,57 @@ def _cut_value(W: np.ndarray, mask: np.ndarray) -> float:
     return float(W[np.ix_(mask, ~mask)].sum())
 
 
-def _fiedler_sweep(W: np.ndarray) -> tuple[np.ndarray, float]:
-    n = W.shape[0]
-    deg = W.sum(axis=1)
-    d = np.where(deg > 0, deg, 1.0)
-    Lap = np.diag(deg) - W
-    Lnorm = Lap / np.sqrt(np.outer(d, d))
-    vals, vecs = np.linalg.eigh(0.5 * (Lnorm + Lnorm.T))
-    fiedler = vecs[:, 1] if n > 1 else vecs[:, 0]
-    order = np.argsort(fiedler, kind="stable")
-    best_mask, best_val = None, np.inf
-    for cut in range(1, n):
-        mask = np.zeros(n, dtype=bool)
-        mask[order[:cut]] = True
-        val = _cut_value(W, mask)
-        if val < best_val:
-            best_val, best_mask = val, mask
-    return best_mask, best_val
-
-
-def _exhaustive_bipartition(W: np.ndarray) -> tuple[np.ndarray, float]:
-    n = W.shape[0]
-    # fix node 0 on side one; enumerate the rest as bit masks
-    count = 1 << (n - 1)
-    codes = np.arange(count, dtype=np.int64)
-    masks = np.zeros((count, n), dtype=bool)
-    for b in range(n - 1):
-        masks[:, b + 1] = (codes >> b) & 1
-    masks = masks[1:]  # drop the empty second side
-    side1 = ~masks
-    vals = np.einsum("ki,ij,kj->k", side1.astype(float), W, masks.astype(float))
-    best = int(np.argmin(vals))
-    return masks[best], float(vals[best])
-
-
 def generator_bipartition(W: np.ndarray, nodes=None) -> tuple[list[int], list[int], float]:
     """Split a generator set across the minimum dynamic-coupling cut.
 
-    Exact enumeration when the set is small (it always is for the bundled
-    cases); Fiedler-vector threshold sweep on the normalized Laplacian
-    otherwise.  Returns the two groups and the cut value.
+    The minimum over all bipartitions is the global min cut, found exactly
+    by Stoer and Wagner's maximum-adjacency algorithm on a dense copy of
+    the nonnegative symmetric W.  A disconnected W gives a zero cut.  Ties
+    break deterministically: each phase starts at the lowest live index,
+    the most tightly connected vertex is added next with ties to the lowest
+    index, and a later phase replaces the best cut only if its cut is
+    strictly smaller.  The side holding the smallest label comes first.
+    Returns the two groups and the cut value.
     """
     n = W.shape[0]
     if nodes is None:
         nodes = list(range(n))
     if n < 2:
         raise BaselineError("need at least two generators to bipartition")
-    comps = _components(W)
-    if len(comps) > 1:
-        mask = np.zeros(n, dtype=bool)
-        mask[comps[0]] = True
-        val = 0.0
-    elif n <= EXHAUSTIVE_LIMIT:
-        mask, val = _exhaustive_bipartition(W)
-    else:
-        mask, val = _fiedler_sweep(W)
+    if not (W >= 0).all():
+        raise BaselineError("coupling weights must be nonnegative")
+    A = np.array(W, dtype=float)
+    live = np.ones(n, dtype=bool)
+    members = [[k] for k in range(n)]
+    best_val, best_side = np.inf, None
+    for phase in range(n - 1):
+        added = ~live
+        start = int(np.argmax(live))
+        added[start] = True
+        conn = A[start].copy()
+        prev = last = start
+        for _ in range(n - 1 - phase):
+            nxt = int(np.argmax(np.where(added, -np.inf, conn)))
+            phase_cut = conn[nxt]
+            added[nxt] = True
+            conn += A[nxt]
+            prev, last = last, nxt
+        if phase_cut < best_val:
+            best_val, best_side = phase_cut, list(members[last])
+        # merge the last vertex of the phase into the one added before it
+        A[prev] += A[last]
+        A[:, prev] += A[:, last]
+        A[prev, prev] = 0.0
+        live[last] = False
+        members[prev] += members[last]
+    mask = np.zeros(n, dtype=bool)
+    mask[best_side] = True
     t1 = [nodes[k] for k in range(n) if not mask[k]]
     t2 = [nodes[k] for k in range(n) if mask[k]]
     # deterministic orientation: side containing the smallest label first
     if min(t2) < min(t1):
         t1, t2 = t2, t1
-    return t1, t2, val
-
-
-def _components(W: np.ndarray) -> list[list[int]]:
-    n = W.shape[0]
-    seen = [False] * n
-    comps = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        stack, comp = [s], []
-        seen[s] = True
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in range(n):
-                if W[u, v] > 0 and not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        comps.append(sorted(comp))
-    return comps
+    return t1, t2, _cut_value(W, mask)
 
 
 def constrained_mincut(
@@ -205,6 +175,33 @@ def constrained_mincut(
     return S1, S2, sorted(cut_edges)
 
 
+@dataclass(frozen=True)
+class TwoStepPartition:
+    """The xi-independent result of the two-step baseline."""
+
+    kept: tuple[int, ...]
+    cutset: tuple[str, ...]
+    islands: tuple[tuple[int, ...], ...]
+    groups: tuple[tuple[int, ...], ...]
+    L_g: np.ndarray
+    H_bar: float
+
+    def evaluate(self, ctx: MetricContext) -> IslandingSolution:
+        """The baseline's solution with J and f under ctx's trade-off weight."""
+        return IslandingSolution(
+            S=self.kept,
+            cutset=self.cutset,
+            islands=self.islands,
+            groups=self.groups,
+            L_g=self.L_g,
+            J_value=J(ctx, self.kept),
+            sqrt_f_mw=float(np.sqrt(f(ctx, self.kept))),
+            H_bar=self.H_bar,
+            trace=(),
+            method="spectral",
+        )
+
+
 def two_step_islanding(
     net: PowerNetwork,
     op: OperatingPoint,
@@ -212,12 +209,22 @@ def two_step_islanding(
     ctx: MetricContext,
     r: int,
 ) -> IslandingSolution:
-    """Recursive bipartition until r islands, then metric evaluation.
+    """Recursive bipartition until r islands, then metric evaluation."""
+    return two_step_partition(net, op, model, r).evaluate(ctx)
+
+
+def two_step_partition(
+    net: PowerNetwork,
+    op: OperatingPoint,
+    model: CoherencyModel,
+    r: int,
+) -> TwoStepPartition:
+    """Recursive bipartition until r islands.
 
     When more than one subsystem could be split next, the one whose
     internal coupling cut is cheapest is split first; this
     weakest-coupling-first order is a deterministic reconstruction of the
-    published recursion.
+    published recursion.  Nothing here depends on the trade-off weight xi.
     """
     if r < 2:
         raise BaselineError("the spectral baseline needs r >= 2")
@@ -227,7 +234,7 @@ def two_step_islanding(
     subsystems: list[tuple[set[int], list[int]]] = [
         (all_buses, list(range(net.n)))
     ]
-    removed: list[int] = []
+    removed: set[int] = set()
     while len(subsystems) < r:
         best = None
         for idx, (buses, gens) in enumerate(subsystems):
@@ -243,36 +250,19 @@ def two_step_islanding(
         buses, gens = subsystems.pop(idx)
         sub_edges = [
             k for k, br in enumerate(net.branches)
-            if br.i in buses and br.j in buses and k not in set(removed)
+            if br.i in buses and br.j in buses and k not in removed
         ]
         b1 = {net.gens[i].bus for i in t1}
         b2 = {net.gens[i].bus for i in t2}
         S1, S2, cut = constrained_mincut(
             net, op, b1, b2, buses=buses, edges=sub_edges
         )
-        removed.extend(cut)
+        removed.update(cut)
         subsystems.append((S1, t1))
         subsystems.append((S2, t2))
-    kept = [k for k in range(net.l) if k not in set(removed)]
-    return _build_solution(net, model, ctx, subsystems, kept, removed)
 
-
-def _build_solution(
-    net: PowerNetwork,
-    model: CoherencyModel,
-    ctx: MetricContext,
-    subsystems,
-    kept: list[int],
-    removed: list[int],
-) -> IslandingSolution:
-    from .metrics import J, f, noncoherency
-
-    r = len(subsystems)
     # islands in a deterministic order: by smallest contained bus id
-    subsystems = sorted(subsystems, key=lambda sg: min(sg[0]))
-    islands = tuple(tuple(sorted(buses)) for buses, _ in subsystems)
-    groups = tuple(tuple(sorted(gens)) for _, gens in subsystems)
-
+    subsystems.sort(key=lambda sg: min(sg[0]))
     # assign each island to a coherency column: the reference it contains,
     # falling back to the assignment minimizing ||L - L_g|| if ambiguous
     ref_of_island = [None] * r
@@ -284,36 +274,30 @@ def _build_solution(
         ref_of_island = _best_assignment(model, subsystems)
     L_g = np.zeros((net.n, r))
     for k, (_, gens) in enumerate(subsystems):
-        for i in gens:
-            L_g[i, ref_of_island[k]] = 1.0
+        L_g[gens, ref_of_island[k]] = 1.0
 
-    f_val = f(ctx, kept)
-    return IslandingSolution(
-        S=tuple(sorted(kept)),
+    return TwoStepPartition(
+        kept=tuple(k for k in range(net.l) if k not in removed),
         cutset=tuple(net.branches[e].name for e in sorted(removed)),
-        islands=islands,
-        groups=groups,
+        islands=tuple(tuple(sorted(buses)) for buses, _ in subsystems),
+        groups=tuple(tuple(sorted(gens)) for _, gens in subsystems),
         L_g=L_g,
-        J_value=J(ctx, kept),
-        sqrt_f_mw=float(np.sqrt(f_val)),
         H_bar=noncoherency(model.L, L_g),
-        trace=(),
-        method="spectral",
     )
 
 
 def _best_assignment(model: CoherencyModel, subsystems) -> list[int]:
-    from itertools import permutations
+    """Island-to-column permutation minimizing sum ||L_i - e_col||^2.
 
+    C[k, j] sums ||L_i - e_j||^2 over island k's generators; the first
+    permutation in lexicographic order with the least total wins.
+    """
     r = len(subsystems)
+    dist = ((model.L[:, None, :] - np.eye(r)[None, :, :]) ** 2).sum(axis=2)
+    C = [dist[gens].sum(axis=0).tolist() for _, gens in subsystems]
     best_perm, best_cost = None, np.inf
     for perm in permutations(range(r)):
-        cost = 0.0
-        for k, (_, gens) in enumerate(subsystems):
-            for i in gens:
-                row = model.L[i].copy()
-                row[perm[k]] -= 1.0
-                cost += float(row @ row)
+        cost = sum(C[k][j] for k, j in enumerate(perm))
         if cost < best_cost:
             best_cost, best_perm = cost, list(perm)
     return best_perm

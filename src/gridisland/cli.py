@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baseline import BaselineError, two_step_islanding
+from .baseline import BaselineError, two_step_partition
 from .coherency import (
     ModelError,
     build_K,
@@ -80,6 +80,15 @@ def _parse_xi(text: str) -> list[float]:
         ) from exc
 
 
+def _parse_scalar(text: str, kind: type, flag: str, error: type[Exception]):
+    """kind(text), or the CLI's typed error naming the flag."""
+    try:
+        return kind(text)
+    except ValueError as exc:
+        what = "an integer" if kind is int else "a number"
+        raise error(f"{flag} must be {what}: {text!r}") from exc
+
+
 def _parse_refs(text: str) -> list[int]:
     try:
         return [int(tok) for tok in text.split(",")]
@@ -134,6 +143,7 @@ def run(config: RunConfig) -> dict:
     model = build_model(net, op, config.r, refs)
 
     runs = []
+    split = None  # the baseline's partition is xi-independent
     for xi in config.xi:
         ctx = build_context(net, op, model, xi)
         methods = {}
@@ -142,7 +152,9 @@ def run(config: RunConfig) -> dict:
                 ctx, net, model, epsilon=config.epsilon
             ).as_dict()
         if config.method in ("spectral", "both"):
-            sol = two_step_islanding(net, op, model, ctx, config.r).as_dict()
+            if split is None:
+                split = two_step_partition(net, op, model, config.r)
+            sol = split.evaluate(ctx).as_dict()
             sol["recursion_order"] = "weakest-coupling-first"  # reconstruction
             methods["spectral"] = sol
         runs.append({"xi": xi, "methods": methods})
@@ -219,10 +231,10 @@ def _render(report: dict, fmt: str) -> str:
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--case", required=True)
     p.add_argument("--dyn", help="dynamics JSON for MATPOWER-table cases")
-    p.add_argument("--r", type=int, default=3)
+    p.add_argument("--r", default="3")
     p.add_argument("--xi", default="1e-6",
                    help="trade-off weight, or comma-separated sweep list")
-    p.add_argument("--epsilon", type=float, default=1e-3)
+    p.add_argument("--epsilon", default="1e-3")
     p.add_argument("--method", default="weak-submodular",
                    choices=["weak-submodular", "spectral", "both"])
     p.add_argument("--refs", help="override reference buses, e.g. 39,34,38")
@@ -239,7 +251,7 @@ def main(argv=None) -> int:
     rp = sub.add_parser("refsel", help="report reference generator choices")
     rp.add_argument("--case", required=True)
     rp.add_argument("--dyn")
-    rp.add_argument("--r", type=int, default=3)
+    rp.add_argument("--r", default="3")
     rp.add_argument("--out")
     cp = sub.add_parser("compare", help="render a report as a table")
     cp.add_argument("report")
@@ -248,27 +260,32 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             config = RunConfig(
-                case=args.case, dyn=args.dyn, r=args.r,
-                xi=_parse_xi(args.xi), epsilon=args.epsilon, method=args.method,
+                case=args.case, dyn=args.dyn,
+                r=_parse_scalar(args.r, int, "--r", IslandingError),
+                xi=_parse_xi(args.xi),
+                epsilon=_parse_scalar(args.epsilon, float, "--epsilon",
+                                      IslandingError),
+                method=args.method,
                 refs=_parse_refs(args.refs) if args.refs else None,
                 out=args.out, dump_model=args.dump_model, fmt=args.fmt,
             )
             text = _render(run(config), config.fmt)
             out_path = config.out
         elif args.command == "refsel":
+            r = _parse_scalar(args.r, int, "--r", SelectionError)
             net = parse_case(_read(args.case),
                              _read(args.dyn) if args.dyn else None)
             op = dc_power_flow(net)
             _, U = slow_modes(
                 inertia_matrix(net),
-                build_K(net, op, kron_reduce(net, op)), args.r,
+                build_K(net, op, kron_reduce(net, op)), r,
             )
             gen_bus = [g.bus for g in net.gens]
             doc = {
                 "greedy": [gen_bus[i]
-                           for i in select_references_greedy(U, args.r).refs],
+                           for i in select_references_greedy(U, r).refs],
                 "pivoting": [gen_bus[i]
-                             for i in select_references_pivoting(U, args.r).refs],
+                             for i in select_references_pivoting(U, r).refs],
             }
             text = json.dumps(_round_floats(doc), indent=2, sort_keys=True) + "\n"
             out_path = args.out

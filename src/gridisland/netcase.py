@@ -17,6 +17,7 @@ dynamics then come from a companion JSON document mapping bus id to
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -112,17 +113,27 @@ class OperatingPoint:
     g0_balanced: np.ndarray  # MW generation after slack balancing
 
 
+def _finite(*values: float) -> bool:
+    return all(math.isfinite(v) for v in values)
+
+
 def _validate(net: PowerNetwork) -> PowerNetwork:
+    if not _finite(net.base_mva, net.base_freq):
+        raise CaseError("base MVA and base frequency must be finite")
     seen = set()
     for b in net.buses:
         if b.id in seen:
             raise CaseError(f"duplicate bus id {b.id}")
         seen.add(b.id)
+        if not _finite(b.d0, b.d_max, b.g0, b.g_max):
+            raise CaseError(f"non-finite load/generation at bus {b.id}")
         if b.d0 < 0 or b.d_max < 0 or b.g0 < 0 or b.g_max < 0:
             raise CaseError(f"negative load/generation limit at bus {b.id}")
     for br in net.branches:
         if br.i not in seen or br.j not in seen:
             raise CaseError(f"branch {br.name} references unknown bus")
+        if not _finite(br.x):
+            raise CaseError(f"branch {br.name} has non-finite reactance")
         if br.x <= 0:
             raise CaseError(f"branch {br.name} has nonpositive reactance")
         if br.i == br.j:
@@ -130,6 +141,8 @@ def _validate(net: PowerNetwork) -> PowerNetwork:
     for g in net.gens:
         if g.bus not in seen:
             raise CaseError(f"generator at unknown bus {g.bus}")
+        if not _finite(g.pg, g.pg_max, g.inertia, g.xd_prime, g.v):
+            raise CaseError(f"generator at bus {g.bus} has a non-finite field")
         if g.xd_prime <= 0:
             raise CaseError(f"generator at bus {g.bus} has nonpositive xd'")
         if g.inertia <= 0:
@@ -201,7 +214,7 @@ def _from_native(doc: dict) -> PowerNetwork:
         branches = _canonical_branches(
             [(int(b["from"]), int(b["to"]), float(b["x_pu"])) for b in doc["branches"]]
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CaseError(f"malformed case document: {exc}") from exc
     return _validate(
         PowerNetwork(buses, branches, gens, base_mva, base_freq, slack)
@@ -222,7 +235,14 @@ def _parse_matpower(case_text: str, dyn_text: str) -> PowerNetwork:
             line = line.split("%")[0].strip().rstrip(";")
             if not line:
                 continue
-            rows.append([float(tok) for tok in line.split()])
+            try:
+                row = [float(tok) for tok in line.split()]
+            except ValueError as exc:
+                raise CaseError(f"mpc.{match.group('name')}: {exc}") from exc
+            if not _finite(*row):
+                raise CaseError(
+                    f"mpc.{match.group('name')} has a non-finite entry")
+            rows.append(row)
         tables[match.group("name")] = rows
     missing = {"bus", "gen", "branch"} - tables.keys()
     if missing:

@@ -1,5 +1,6 @@
 import itertools
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from gridisland.baseline import (
     BaselineError,
-    _exhaustive_bipartition,
-    _fiedler_sweep,
+    _best_assignment,
     constrained_mincut,
     coupling_weights,
     generator_bipartition,
@@ -71,17 +71,132 @@ def test_bipartition_achieves_exhaustive_minimum(seed):
     assert val == pytest.approx(best, abs=1e-9)
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10**6))
-def test_fiedler_sweep_upper_bounds_exhaustive(seed):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(3, 9))
-    W = rng.uniform(0.0, 1.0, size=(n, n))
+def brute_force_cuts(W):
+    """Every bipartition with node 0 on the first side, and its cut value."""
+    n = W.shape[0]
+    cuts = []
+    for bits in itertools.product([False, True], repeat=n - 1):
+        mask = np.array((False,) + bits)
+        if mask.any():
+            cuts.append((mask, float(W[np.ix_(~mask, mask)].sum())))
+    return cuts
+
+
+@st.composite
+def coupling_graphs(draw):
+    # nonnegative symmetric weights with exact zeros; a block label per
+    # node zeroes every weight between blocks, so W is often disconnected
+    n = draw(st.integers(2, 10))
+    blocks = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    W = np.zeros((n, n))
+    for i, j in itertools.combinations(range(n), 2):
+        if blocks[i] == blocks[j]:
+            W[i, j] = W[j, i] = draw(
+                st.one_of(st.just(0.0), st.floats(0.01, 10.0)))
+    return W
+
+
+@settings(max_examples=150, deadline=None)
+@given(coupling_graphs())
+def test_stoer_wagner_equals_brute_force(W):
+    t1, t2, val = generator_bipartition(W)
+    cuts = brute_force_cuts(W)
+    best = min(v for _, v in cuts)
+    assert val == pytest.approx(best, abs=1e-9)
+    assert sorted(t1 + t2) == list(range(W.shape[0])) and t1 and t2
+    assert 0 in t1
+    optimal = [mask for mask, v in cuts if v <= best + 1e-9]
+    if len(optimal) == 1:
+        assert t2 == list(np.flatnonzero(optimal[0]))
+
+
+def test_tied_minima_follow_the_documented_rule():
+    # every single-node cut of an equal-weight triangle costs 2; phases
+    # start at node 0 and add the lowest index among equals, so the first
+    # phase ends at node 2, and the later equal cut does not replace it
+    W = np.ones((3, 3)) - np.eye(3)
+    assert generator_bipartition(W) == ([0, 1], [2], 2.0)
+
+
+def test_planted_40_generator_blocks():
+    # two dense 20-generator blocks joined by small weights, shuffled;
+    # above the size where exhaustive enumeration was feasible
+    rng = np.random.default_rng(40)
+    n = 40
+    side = np.zeros(n, dtype=bool)
+    side[rng.permutation(n)[:20]] = True
+    same = side[:, None] == side[None, :]
+    W = np.where(same, rng.uniform(1.0, 2.0, (n, n)),
+                 rng.uniform(0.0, 0.01, (n, n)))
     W = np.triu(W, 1)
     W = W + W.T
-    _, sweep_val = _fiedler_sweep(W)
-    _, exact_val = _exhaustive_bipartition(W)
-    assert exact_val <= sweep_val + 1e-9
+    t1, t2, val = generator_bipartition(W)
+    first = list(np.flatnonzero(side == side[0]))
+    assert (t1, t2) == (first, list(np.flatnonzero(side != side[0])))
+    assert val == pytest.approx(W[np.ix_(side, ~side)].sum(), rel=1e-12)
+
+
+def test_bipartition_rejects_negative_weights():
+    W = np.array([[0.0, -1.0], [-1.0, 0.0]])
+    with pytest.raises(BaselineError, match="nonnegative"):
+        generator_bipartition(W)
+
+
+def test_coupling_weights_match_elementwise_formula(pipe118, case118):
+    _, model, _ = pipe118
+    V = [g.v for g in case118.gens]
+    Minv = [1.0 / g.inertia for g in case118.gens]
+    n = case118.n
+    ref = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                ref[i, j] = abs(
+                    V[i] * V[j] * model.B_red[i, j]
+                    * np.cos(model.delta[i] - model.delta[j])
+                ) * (Minv[i] + Minv[j])
+    # same arithmetic; the tolerance allows an array cos that differs from
+    # the scalar one in the last bit
+    np.testing.assert_allclose(
+        coupling_weights(case118, model), 0.5 * (ref + ref.T),
+        rtol=1e-15, atol=0.0)
+
+
+def reference_assignment(L, subsystems):
+    # the permutation loop with per-row costs that the r x r matrix replaces
+    r = len(subsystems)
+    best_perm, best_cost = None, np.inf
+    for perm in itertools.permutations(range(r)):
+        cost = 0.0
+        for k, (_, gens) in enumerate(subsystems):
+            for i in gens:
+                row = L[i].copy()
+                row[perm[k]] -= 1.0
+                cost += float(row @ row)
+        if cost < best_cost:
+            best_cost, best_perm = cost, list(perm)
+    return best_perm
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_best_assignment_matches_per_row_loop(seed):
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(2, 6))
+    n = int(rng.integers(r, 12))
+    owner = np.concatenate([np.arange(r), rng.integers(0, r, n - r)])
+    subsystems = [(set(), list(np.flatnonzero(owner == k))) for k in range(r)]
+    L = rng.normal(size=(n, r))
+    model = SimpleNamespace(L=L)
+    assert _best_assignment(model, subsystems) == reference_assignment(
+        L, subsystems)
+
+
+def test_best_assignment_ties_go_to_first_permutation():
+    # L = 0 costs every permutation the same
+    subsystems = [(set(), [0]), (set(), [1, 2]), (set(), [3])]
+    model = SimpleNamespace(L=np.zeros((4, 3)))
+    assert _best_assignment(model, subsystems) == [0, 1, 2]
 
 
 def line_net(ids, gen_buses):

@@ -138,6 +138,38 @@ def test_xi_list_must_hold_finite_weights(xi, capsys):
     assert json.loads(err)["error"] == "MetricError"
 
 
+@pytest.mark.parametrize("args", [
+    ["run", "--case", CASE39, "--r", "x"],
+    ["run", "--case", CASE39, "--r", "2.5"],
+    ["run", "--case", CASE39, "--epsilon", "abc"],
+    ["refsel", "--case", CASE39, "--r", "x"],
+])
+def test_non_numeric_flags_are_json_errors(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert args[-2] in json.loads(err)["message"]
+
+
+def test_sweep_computes_baseline_partition_once(monkeypatch, capsys):
+    import gridisland.cli as cli
+
+    calls = []
+    real = cli.two_step_partition
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "two_step_partition", counted)
+    args = ["run", "--case", CASE39, "--method", "spectral"]
+    code, out, _ = run_cli(args + ["--xi", "0,1e-6,1e-5"], capsys)
+    assert code == 0 and len(calls) == 1
+    for entry in json.loads(out)["runs"]:
+        code, single, _ = run_cli(args + ["--xi", repr(entry["xi"])], capsys)
+        assert code == 0 and json.loads(single)["runs"] == [entry]
+
+
 def test_dump_model(capsys):
     code, out, _ = run_cli(
         ["run", "--case", CASE39, "--dump-model", "--xi", "0"], capsys)

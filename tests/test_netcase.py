@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from gridisland.netcase import (
     serialize_case,
 )
 
-from casekit import random_network
+from casekit import DATA, random_network
 
 TINY = {
     "base_mva": 100.0,
@@ -64,6 +65,52 @@ def test_validation_errors(mutate, fragment):
     mutate(doc)
     with pytest.raises(CaseError, match=fragment):
         parse_case(json.dumps(doc))
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: d["branches"][1].update(x_pu=float("nan")),
+    lambda d: d["buses"][2].update(pd_max_mw=float("nan")),
+    lambda d: d["gens"][0].update(vm_pu=float("nan")),
+])
+def test_nan_field_rejected(mutate):
+    doc = json.loads(json.dumps(TINY))
+    mutate(doc)
+    with pytest.raises(CaseError, match="non-finite"):
+        parse_case(json.dumps(doc))
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: d["gens"][0].update(inertia_s=float("inf")),
+    lambda d: d["buses"][1].update(pd_mw=float("-inf")),
+    lambda d: d.update(base_mva=float("inf")),
+    lambda d: d["buses"][1].update(id=float("inf")),
+])
+def test_infinite_field_rejected(mutate):
+    doc = json.loads(json.dumps(TINY))
+    mutate(doc)
+    with pytest.raises(CaseError):
+        parse_case(json.dumps(doc))
+
+
+@pytest.mark.parametrize("old, new", [(" 2 1 60", " 2 1 nan"),
+                                      (" 0.2 0.0", " inf 0.0"),
+                                      (" 2 1 60", " 2 1 x")])
+def test_matpower_rejects_non_finite_or_non_numeric(old, new):
+    with pytest.raises(CaseError, match="mpc"):
+        parse_case(MPC.replace(old, new), DYN)
+
+
+def test_nan_reactance_is_a_json_error(tmp_path, capsys):
+    from gridisland.cli import main
+
+    with open(os.path.join(DATA, "case39.json")) as fh:
+        doc = json.load(fh)
+    doc["branches"][0]["x_pu"] = float("nan")
+    path = tmp_path / "case39_nan.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--case", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert json.loads(err)["error"] == "CaseError"
 
 
 def test_syntax_error_reports_line():
