@@ -106,6 +106,14 @@ def _read(path: str) -> str:
         raise CaseError(f"cannot read {path}: {exc}") from exc
 
 
+def _references(case: str, dyn: str | None, r: int):
+    """Parse, DC power flow, and both reference selections from the slow modes."""
+    net = parse_case(_read(case), _read(dyn) if dyn else None)
+    op = dc_power_flow(net)
+    _, U = slow_modes(inertia_matrix(net), build_K(net, op, kron_reduce(net, op)), r)
+    return net, op, select_references_greedy(U, r), select_references_pivoting(U, r)
+
+
 def _round_floats(obj, digits: int = 12):
     """Round every float so reports are stable across BLAS minutiae."""
     if isinstance(obj, float):
@@ -119,16 +127,8 @@ def _round_floats(obj, digits: int = 12):
 
 def run(config: RunConfig) -> dict:
     config.validate()
-    net = parse_case(_read(config.case),
-                     _read(config.dyn) if config.dyn else None)
-    op = dc_power_flow(net)
-
     # model and references are xi-independent
-    _, U = slow_modes(
-        inertia_matrix(net), build_K(net, op, kron_reduce(net, op)), config.r
-    )
-    greedy = select_references_greedy(U, config.r)
-    pivot = select_references_pivoting(U, config.r)
+    net, op, greedy, pivot = _references(config.case, config.dyn, config.r)
     gen_bus = [g.bus for g in net.gens]
     if config.refs is not None:
         refs = []
@@ -185,21 +185,21 @@ def run(config: RunConfig) -> dict:
 
 def compare(report: dict) -> str:
     """Aligned Method | J | sqrt(f) MW | H_bar table across methods."""
-    rows = []
-    for entry in report.get("runs", []):
-        for name, sol in sorted(entry.get("methods", {}).items()):
-            try:
-                rows.append((name, entry["xi"], sol["J"],
-                             sol["sqrt_f_mw"], sol["H_bar"]))
-            except KeyError as exc:
-                raise MetricError(f"report is missing metric {exc}") from exc
+    try:
+        rows = [
+            f"{name:<16} {entry['xi']:>10.3g} {sol['J']:>10.4f} "
+            f"{sol['sqrt_f_mw']:>12.1f} {sol['H_bar']:>10.4f}"
+            for entry in report.get("runs", [])
+            for name, sol in sorted(entry.get("methods", {}).items())
+        ]
+    except KeyError as exc:
+        raise MetricError(f"report is missing metric {exc}") from exc
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+        raise MetricError(f"malformed report: {exc}") from exc
     if len(rows) < 2:
         raise MetricError("comparison needs at least two method results")
     head = f"{'Method':<16} {'xi':>10} {'J':>10} {'sqrt_f_MW':>12} {'H_bar':>10}"
-    lines = [head, "-" * len(head)]
-    for name, xi, jv, sf, hb in rows:
-        lines.append(f"{name:<16} {xi:>10.3g} {jv:>10.4f} {sf:>12.1f} {hb:>10.4f}")
-    return "\n".join(lines) + "\n"
+    return "\n".join([head, "-" * len(head)] + rows) + "\n"
 
 
 def _to_csv(report: dict) -> str:
@@ -273,24 +273,18 @@ def main(argv=None) -> int:
             out_path = config.out
         elif args.command == "refsel":
             r = _parse_scalar(args.r, int, "--r", SelectionError)
-            net = parse_case(_read(args.case),
-                             _read(args.dyn) if args.dyn else None)
-            op = dc_power_flow(net)
-            _, U = slow_modes(
-                inertia_matrix(net),
-                build_K(net, op, kron_reduce(net, op)), r,
-            )
+            net, _, greedy, pivot = _references(args.case, args.dyn, r)
             gen_bus = [g.bus for g in net.gens]
-            doc = {
-                "greedy": [gen_bus[i]
-                           for i in select_references_greedy(U, r).refs],
-                "pivoting": [gen_bus[i]
-                             for i in select_references_pivoting(U, r).refs],
-            }
+            doc = {"greedy": [gen_bus[i] for i in greedy.refs],
+                   "pivoting": [gen_bus[i] for i in pivot.refs]}
             text = json.dumps(_round_floats(doc), indent=2, sort_keys=True) + "\n"
             out_path = args.out
         else:
-            text = compare(json.loads(_read(args.report)))
+            try:
+                report = json.loads(_read(args.report))
+            except ValueError as exc:
+                raise MetricError(f"report is not JSON: {exc}") from exc
+            text = compare(report)
             out_path = None
     except KNOWN_ERRORS as exc:
         err = {"error": type(exc).__name__, "message": str(exc)}

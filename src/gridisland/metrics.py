@@ -41,14 +41,13 @@ xi of order 1e-7..1e-5 put the two objectives on comparable scales.
 from __future__ import annotations
 
 import copy
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .coherency import CoherencyModel
-from .netcase import OperatingPoint, PowerNetwork, incidence_matrix
+from .netcase import OperatingPoint, PowerNetwork
 
 
 class MetricError(Exception):
@@ -64,16 +63,6 @@ class MetricContext:
     d_max: np.ndarray      # MW
     g_max: np.ndarray      # MW
     refs: tuple[int, ...]  # generator indices
-
-    @cached_property
-    def A(self) -> np.ndarray:
-        """Full m x l incidence matrix, canonical order (dense, on demand)."""
-        return incidence_matrix(self.net)
-
-    @cached_property
-    def C(self) -> np.ndarray:
-        """A^T A / (2n), whose smallest eigenvalue bounds the submodularity ratio."""
-        return self.A.T @ self.A / (2 * self.net.n)
 
     @cached_property
     def targets(self) -> np.ndarray:
@@ -316,34 +305,22 @@ def F(ctx: MetricContext, S) -> float:
 
 
 def island_labels(ctx: MetricContext, S) -> np.ndarray | None:
-    """Bus -> island index if S induces a valid r-island partition, else None."""
-    net = ctx.net
-    parent = list(range(net.m))
+    """Bus -> island index if S induces a valid r-island partition, else None.
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for e in S:
-        br = net.branches[e]
-        ra, rb = find(net.bus_pos[br.i]), find(net.bus_pos[br.j])
-        if ra == rb:
-            return None  # cycle: not a forest
-        parent[ra] = rb
-    gen_pos = net.gen_positions()
-    ref_roots = [find(gen_pos[i]) for i in ctx.refs]
-    if len(set(ref_roots)) != len(ref_roots):
-        return None  # two references share an island
-    root_to_island = {rt: k for k, rt in enumerate(ref_roots)}
-    labels = np.empty(net.m, dtype=int)
-    for b in range(net.m):
-        rt = find(b)
-        if rt not in root_to_island:
-            return None  # component without a reference
-        labels[b] = root_to_island[rt]
-    return labels
+    S is a forest exactly when m minus its number of components is |S|.
+    The partition is valid when every component holds exactly one
+    reference; island k holds the k-th reference of ctx.refs.
+    """
+    S = list(S)
+    labels = component_labels(ctx, S)
+    n_parts = np.count_nonzero(labels == np.arange(ctx.net.m))
+    ref_roots = labels[ctx.net.gen_positions()[list(ctx.refs)]]
+    if (ctx.net.m - n_parts != len(S) or n_parts != len(ref_roots)
+            or len(set(ref_roots.tolist())) != len(ref_roots)):
+        return None
+    island = np.empty(ctx.net.m, dtype=int)
+    island[ref_roots] = np.arange(len(ref_roots))
+    return island[labels]
 
 
 def H_i_constrained(ctx: MetricContext, S, i: int, model: CoherencyModel) -> float:
@@ -393,35 +370,3 @@ def noncoherency(L: np.ndarray, L_g: np.ndarray) -> float:
         raise MetricError("shape mismatch between L and L_g")
     return float(np.linalg.norm(L - L_g, "fro") ** 2)
 
-
-def lambda_min_C(ctx: MetricContext) -> float:
-    vals = np.linalg.eigvalsh(0.5 * (ctx.C + ctx.C.T))
-    return float(vals[0])
-
-
-def lambda_min_sparse(ctx: MetricContext, s: int, limit: int = 200000) -> float:
-    """Smallest s-sparse eigenvalue of C by exhaustive column enumeration."""
-    l = ctx.C.shape[0]
-    from math import comb
-
-    if comb(l, s) > limit:
-        raise MetricError(
-            f"C({l},{s}) subsets exceed the exhaustive sweep limit; "
-            "use the dense smallest eigenvalue instead"
-        )
-    best = np.inf
-    for cols in itertools.combinations(range(l), s):
-        sub = ctx.C[np.ix_(cols, cols)]
-        best = min(best, float(np.linalg.eigvalsh(sub)[0]))
-    return best
-
-
-def submodularity_ratio_bound(ctx: MetricContext, k: int, U_size: int = 0) -> float:
-    """Lower bound on the submodularity ratio of J: lambda_min of C.
-
-    For small k + U_size the sharper sparse eigenvalue is available via
-    lambda_min_sparse; this returns the always-valid dense bound.
-    """
-    if k < 1:
-        raise MetricError("k must be at least 1")
-    return lambda_min_C(ctx)

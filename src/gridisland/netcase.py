@@ -118,8 +118,9 @@ def _finite(*values: float) -> bool:
 
 
 def _validate(net: PowerNetwork) -> PowerNetwork:
-    if not _finite(net.base_mva, net.base_freq):
-        raise CaseError("base MVA and base frequency must be finite")
+    if not (_finite(net.base_mva, net.base_freq)
+            and net.base_mva > 0 and net.base_freq > 0):
+        raise CaseError("base MVA and base frequency must be finite and positive")
     seen = set()
     for b in net.buses:
         if b.id in seen:
@@ -145,8 +146,9 @@ def _validate(net: PowerNetwork) -> PowerNetwork:
             raise CaseError(f"generator at bus {g.bus} has a non-finite field")
         if g.xd_prime <= 0:
             raise CaseError(f"generator at bus {g.bus} has nonpositive xd'")
-        if g.inertia <= 0:
-            raise CaseError(f"generator at bus {g.bus} has nonpositive inertia")
+        if g.inertia <= 0 or g.v <= 0:
+            raise CaseError(
+                f"generator at bus {g.bus} has nonpositive inertia or voltage")
     if net.slack_bus not in seen:
         raise CaseError(f"slack bus {net.slack_bus} is not a known bus")
     if not _connected(net):
@@ -225,11 +227,13 @@ _MPC_TABLE = re.compile(
     r"mpc\.(?P<name>bus|gen|branch)\s*=\s*\[(?P<body>.*?)\]\s*;", re.S
 )
 _MPC_BASE = re.compile(r"mpc\.baseMVA\s*=\s*([0-9.eE+-]+)\s*;")
+_MPC_COLUMNS = {"bus": 3, "gen": 2, "branch": 4}  # columns the importer reads
 
 
 def _parse_matpower(case_text: str, dyn_text: str) -> PowerNetwork:
     tables: dict[str, list[list[float]]] = {}
     for match in _MPC_TABLE.finditer(case_text):
+        name = match.group("name")
         rows = []
         for line in match.group("body").splitlines():
             line = line.split("%")[0].strip().rstrip(";")
@@ -238,22 +242,23 @@ def _parse_matpower(case_text: str, dyn_text: str) -> PowerNetwork:
             try:
                 row = [float(tok) for tok in line.split()]
             except ValueError as exc:
-                raise CaseError(f"mpc.{match.group('name')}: {exc}") from exc
+                raise CaseError(f"mpc.{name}: {exc}") from exc
             if not _finite(*row):
-                raise CaseError(
-                    f"mpc.{match.group('name')} has a non-finite entry")
+                raise CaseError(f"mpc.{name} has a non-finite entry")
+            if len(row) < _MPC_COLUMNS[name]:
+                raise CaseError(f"mpc.{name} row {line!r} has fewer than "
+                                f"{_MPC_COLUMNS[name]} columns")
             rows.append(row)
-        tables[match.group("name")] = rows
+        tables[name] = rows
     missing = {"bus", "gen", "branch"} - tables.keys()
     if missing:
         raise CaseError(f"MATPOWER case missing tables: {sorted(missing)}")
     base = _MPC_BASE.search(case_text)
-    base_mva = float(base.group(1)) if base else 100.0
-
     try:
+        base_mva = float(base.group(1)) if base else 100.0
         dyn = json.loads(dyn_text) if dyn_text else {}
-    except json.JSONDecodeError as exc:
-        raise CaseError(f"malformed dynamics document: {exc}") from exc
+    except ValueError as exc:
+        raise CaseError(f"malformed baseMVA or dynamics document: {exc}") from exc
     if not dyn:
         raise CaseError("MATPOWER import requires a dynamics document")
 
@@ -264,36 +269,39 @@ def _parse_matpower(case_text: str, dyn_text: str) -> PowerNetwork:
     if slack is None:
         raise CaseError("MATPOWER case has no slack (type 3) bus")
 
-    doc = {
-        "base_mva": base_mva,
-        "base_freq_hz": float(dyn.get("base_freq_hz", 60.0)),
-        "slack_bus": slack,
-        "buses": [
-            {"id": int(r[0]), "pd_mw": r[2]} for r in tables["bus"]
-        ],
-        "branches": [
-            {"from": int(r[0]), "to": int(r[1]), "x_pu": r[3]}
-            for r in tables["branch"]
-            if len(r) < 11 or r[10] != 0  # drop out-of-service lines
-        ],
-        "gens": [],
-    }
-    machines = dyn.get("machines", dyn)
-    for r in tables["gen"]:
-        bus = int(r[0])
-        mach = machines.get(str(bus))
-        if mach is None:
-            continue  # units without dynamic data are treated as static injections
-        doc["gens"].append(
-            {
-                "bus": bus,
-                "pg_mw": r[1],
-                "pg_max_mw": r[8] if len(r) > 8 else r[1],
-                "inertia_s": mach["inertia_s"],
-                "xd_prime_pu": mach["xd_prime_pu"],
-                "vm_pu": mach.get("vm_pu", 1.0),
-            }
-        )
+    try:
+        doc = {
+            "base_mva": base_mva,
+            "base_freq_hz": float(dyn.get("base_freq_hz", 60.0)),
+            "slack_bus": slack,
+            "buses": [
+                {"id": int(r[0]), "pd_mw": r[2]} for r in tables["bus"]
+            ],
+            "branches": [
+                {"from": int(r[0]), "to": int(r[1]), "x_pu": r[3]}
+                for r in tables["branch"]
+                if len(r) < 11 or r[10] != 0  # drop out-of-service lines
+            ],
+            "gens": [],
+        }
+        machines = dyn.get("machines", dyn)
+        for r in tables["gen"]:
+            bus = int(r[0])
+            mach = machines.get(str(bus))
+            if mach is None:   # units without dynamic data are static injections
+                continue
+            doc["gens"].append(
+                {
+                    "bus": bus,
+                    "pg_mw": r[1],
+                    "pg_max_mw": r[8] if len(r) > 8 else r[1],
+                    "inertia_s": mach["inertia_s"],
+                    "xd_prime_pu": mach["xd_prime_pu"],
+                    "vm_pu": mach.get("vm_pu", 1.0),
+                }
+            )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CaseError(f"malformed dynamics document: {exc!r}") from exc
     # static units still contribute dispatched power to the bus
     static_pg: dict[int, float] = {}
     for r in tables["gen"]:

@@ -9,6 +9,7 @@ checked against.
 import numpy as np
 
 from gridisland.metrics import MetricError
+from gridisland.netcase import incidence_matrix
 
 RANK_TOL = 1e-10  # relative residual below which a column adds no span
 
@@ -38,7 +39,7 @@ def subspace_distance_sq(A_S: np.ndarray, v: np.ndarray) -> float:
 
 def dense_J(ctx, S) -> float:
     """xi f(S) + sum_i h_i(S) as the projection residual of the targets."""
-    Q = orthonormal_span(ctx.A[:, sorted(S)])
+    Q = orthonormal_span(incidence_matrix(ctx.net, S))
     T = ctx.targets
     P = Q.T @ T
     return float(max((T * T).sum() - (P * P).sum(), 0.0))

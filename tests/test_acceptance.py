@@ -10,7 +10,6 @@ only on ``data/case39_published.json`` when that file is present.
 """
 
 import itertools
-import json
 import os
 import subprocess
 import sys
@@ -19,25 +18,9 @@ import time
 import numpy as np
 import pytest
 
-from gridisland.islanding import (
-    PartitionSet,
-    check_greedy_bound,
-    greedy_select,
-    local_search,
-    local_search_iteration_cap,
-    solve,
-)
+from gridisland.islanding import greedy_select, local_search, solve
 from gridisland.baseline import two_step_islanding
-from gridisland.metrics import (
-    F,
-    H_i_constrained,
-    J,
-    build_context,
-    f,
-    h_i,
-    island_labels,
-    lambda_min_C,
-)
+from gridisland.metrics import F, H_i_constrained, f, h_i, island_labels
 from gridisland.refsel import (
     log_gramian,
     select_references_greedy,
@@ -45,6 +28,13 @@ from gridisland.refsel import (
 )
 
 from casekit import DATA, load_case, pipeline, random_network
+from matroid_oracle import (
+    check_greedy_bound,
+    lambda_min_C,
+    local_search_iteration_cap,
+    random_basis,
+    submodularity_ratio_min,
+)
 
 CHOSEN_XI = 1e-6
 
@@ -53,14 +43,6 @@ def report(num, ok, detail=""):
     word = "PASS" if ok else "FAIL"
     print(f"[criterion {num}] {word} {detail}".rstrip())
     return ok
-
-
-def random_basis(rng, net, ctx):
-    P = PartitionSet(net, tuple(net.gens[i].bus for i in ctx.refs))
-    for e in rng.permutation(net.l):
-        if P.feasible(int(e)):
-            P.add(int(e))
-    return sorted(P.S)
 
 
 def test_criterion_1_structural_fidelity(case39, case118):
@@ -130,21 +112,8 @@ def test_criterion_2_oracle_equivalence():
         net = random_network(rng, m=5, extra_edges=int(rng.integers(0, 3)),
                              n_gens=2)
         op, model, ctx = pipeline(net, r=2, xi=1e-7)
-        gain = {
-            frozenset(c): J(ctx, []) - J(ctx, list(c))
-            for k in range(net.l + 1)
-            for c in itertools.combinations(range(net.l), k)}
-        bound = lambda_min_C(ctx)
-        for Lset in gain:
-            for Sset in gain:
-                if (Sset & Lset) or not Sset:
-                    continue
-                den = gain[Lset | Sset] - gain[Lset]
-                if den <= 1e-9:
-                    continue
-                num = sum(gain[Lset | {x}] - gain[Lset] for x in Sset)
-                if num / den < bound - 1e-9:
-                    failures.append("submodularity ratio bound")
+        if submodularity_ratio_min(ctx) < lambda_min_C(ctx) - 1e-9:
+            failures.append("submodularity ratio bound")
 
     # diminishing log-det gains for reference selection, 500 random bases
     for _ in range(500):
@@ -314,11 +283,11 @@ def test_criterion_6_greedy_and_swap_bounds():
                              extra_edges=int(rng.integers(0, 3)), n_gens=2)
         op, model, ctx = pipeline(net, r=2, xi=1e-7)
         refs = tuple(net.gens[i].bus for i in model.refs)
-        P, ev, trace = greedy_select(ctx, net, refs)
-        ok &= check_greedy_bound(ctx, net, refs, trace, P.S)
+        ev, trace = greedy_select(ctx, net, refs)
+        ok &= check_greedy_bound(ctx, trace, ev.S)
         eps = 1e-3
-        P, ev, strace, swaps = local_search(ctx, P, ev, epsilon=eps)
-        ok &= swaps <= local_search_iteration_cap(ctx, eps) + 1
+        ev, strace = local_search(ctx, ev, refs, epsilon=eps)
+        ok &= len(strace) <= local_search_iteration_cap(ctx, eps) + 1
     assert report(6, ok), "greedy bound or swap budget violated"
 
 

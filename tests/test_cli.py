@@ -1,13 +1,16 @@
+import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from gridisland.cli import RunConfig, compare, main, run
+from gridisland.cli import RunConfig, main
 
-DATA = os.path.join(os.path.dirname(__file__), "..", "data")
-CASE39 = os.path.join(DATA, "case39.json")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+CASE39 = os.path.join(ROOT, "data", "case39.json")
 
 
 def run_cli(args, capsys):
@@ -95,6 +98,24 @@ def test_compare_single_method_errors(tmp_path, capsys):
     run_cli(["run", "--case", CASE39, "--out", str(path)], capsys)
     code, _, err = run_cli(["compare", str(path)], capsys)
     assert code == 1
+    assert json.loads(err)["error"] == "MetricError"
+
+
+def metric_rows(**metrics):
+    sol = dict({"J": 0.1, "sqrt_f_mw": 10.0, "H_bar": 1.0}, **metrics)
+    return {"runs": [{"xi": 1e-6, "methods": {"a": sol, "b": sol}}]}
+
+
+@pytest.mark.parametrize("text", [
+    "not json", "{\"runs\": [", "[1, 2]", json.dumps({"runs": 3}),
+    json.dumps(metric_rows(J="x")), json.dumps(metric_rows(sqrt_f_mw=None)),
+    json.dumps(metric_rows(H_bar=[1.0])),
+], ids=["text", "cut", "list", "runs", "J", "sqrt_f_mw", "H_bar"])
+def test_compare_bad_report_is_a_json_error(text, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text(text)
+    code, out, err = run_cli(["compare", str(path)], capsys)
+    assert code == 1 and out == ""
     assert json.loads(err)["error"] == "MetricError"
 
 
@@ -212,3 +233,31 @@ def test_reported_metrics_revalidate(capsys):
     assert sol["J"] == pytest.approx(J(ctx, S), abs=1e-9)
     assert sol["sqrt_f_mw"] == pytest.approx(float(np.sqrt(f(ctx, S))),
                                              abs=1e-9)
+
+
+def run_script(name, *args):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", name), *args],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_run_benchmarks_script_tables():
+    # the script always runs both bundled cases, case39 first
+    out = run_script("run_benchmarks.py")
+    assert out.startswith("== case39.json (m=39, l=46, n=10)")
+    lines = [line.split() for line in out.splitlines()]
+    head = ["method", "J", "sqrt_f_MW", "H_bar", "time_s", "cutset"]
+    assert [words[0] for words in lines if len(words) == 6] == [
+        "method", "greedy-matroid", "spectral"] * 2 and lines.count(head) == 2
+
+
+def test_xi_sweep_script_csv():
+    rows = list(csv.reader(run_script("xi_sweep.py", CASE39, "--points", "2")
+                           .splitlines()))
+    assert rows[0] == ["xi", "J", "sqrt_f_mw", "H_bar", "swaps", "cutset"]
+    assert [len(row) for row in rows[1:]] == [6, 6, 6]
+    assert float(rows[1][0]) == 0.0

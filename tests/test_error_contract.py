@@ -1,0 +1,110 @@
+"""Every CLI input ends in a report (exit 0) or one JSON error line (exit 1).
+
+Hypothesis mutates small random cases (native JSON, or MATPOWER tables
+with a dynamics document), flag values and compare reports.
+"""
+
+import io
+import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from gridisland.cli import main
+
+from casekit import random_case_doc
+
+DELETE = object()
+VALUES = st.just(DELETE) | st.floats() | st.integers(-3, 300) | st.sampled_from(
+    [None, True, -1, 0, 3, 1e-300, 1e308, "x", [], {}])
+FLAGS = st.lists(st.tuples(
+    st.sampled_from(["--r", "--xi", "--epsilon", "--refs"]),
+    st.sampled_from(["0", "1", "2", "3", "9", "-1", "2.5", "0.5", "1e-6",
+                     "0,1e-5", "nan", "inf", "x", ",", "1,2", "1,1"])),
+    max_size=3)
+SOL = {"J": 0.1, "sqrt_f_mw": 10.0, "H_bar": 1.0, "cutset": []}
+REPORT = {"runs": [{"xi": 1e-6, "methods": {"a": SOL, "b": SOL}}]}
+
+
+def mutate(doc, edits):
+    """Set or delete the k-th (container, key) slot of doc, per edit."""
+    def slots(obj):
+        items = (obj.items() if isinstance(obj, dict)
+                 else enumerate(obj) if isinstance(obj, list) else ())
+        for key, value in list(items):
+            yield obj, key
+            yield from slots(value)
+
+    for k, value in edits:
+        found = list(slots(doc))
+        if found:
+            obj, key = found[k % len(found)]
+            if value is DELETE:
+                del obj[key]
+            else:
+                obj[key] = value
+    return doc
+
+
+def matpower(doc, edits):
+    """doc's network as MATPOWER table text and a dynamics document."""
+    t = mutate({
+        "bus": [[b["id"], 3 if b["id"] == doc["slack_bus"] else 1, b["pd_mw"]]
+                for b in doc["buses"]],
+        "gen": [[g["bus"], g["pg_mw"]] for g in doc["gens"]],
+        "branch": [[br["from"], br["to"], 0, br["x_pu"]] for br in doc["branches"]],
+        "dyn": {"machines": {str(g["bus"]): {k: g[k] for k in (
+            "inertia_s", "xd_prime_pu")} for g in doc["gens"]}},
+    }, edits)
+
+    def rows(rs):
+        return "\n".join(" ".join(map(str, r)) if isinstance(r, list) else str(r)
+                         for r in (rs if isinstance(rs, list) else [rs]))
+    return ("".join(f"mpc.{name} = [\n{rows(t[name])}\n];\n"
+                    for name in ("bus", "gen", "branch") if name in t),
+            json.dumps(t.get("dyn")))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16), edits=st.lists(st.tuples(
+           st.integers(0, 10**4), VALUES), max_size=3),
+       kind=st.sampled_from(["native", "matpower", "report"]),
+       cut=st.none() | st.integers(0, 300), flags=FLAGS,
+       command=st.sampled_from(["run", "refsel"]),
+       method=st.sampled_from(["weak-submodular", "spectral", "both"]),
+       fmt=st.sampled_from(["json", "csv", "table"]))
+def test_cli_answers_with_a_report_or_one_json_error(
+        seed, edits, kind, cut, flags, command, method, fmt):
+    rng = np.random.default_rng(seed)
+    doc = random_case_doc(rng, m=int(rng.integers(3, 9)),
+                          extra_edges=int(rng.integers(0, 4)),
+                          n_gens=int(rng.integers(1, 4)))
+    with tempfile.TemporaryDirectory() as tmp:
+        case, dyn = os.path.join(tmp, "case"), os.path.join(tmp, "dyn")
+        argv = [command, "--case", case]
+        if kind == "report":
+            argv = ["compare", case]
+            text = json.dumps(mutate(json.loads(json.dumps(REPORT)), edits))
+        elif kind == "matpower":
+            text, dyn_text = matpower(doc, edits)
+            with open(dyn, "w") as fh:
+                fh.write(dyn_text)
+            argv += ["--dyn", dyn]
+        else:
+            text = json.dumps(mutate(doc, edits))
+        with open(case, "w") as fh:
+            fh.write(text[:cut])
+        if argv[0] == "run":
+            argv += ["--method", method, "--format", fmt]
+        argv += [a for flag in flags if argv[0] == "run" or (
+            argv[0] == "refsel" and flag[0] == "--r") for a in flag]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    if code != 0:
+        assert code == 1 and out.getvalue() == ""
+        (line,) = err.getvalue().splitlines()
+        assert sorted(json.loads(line)) == ["error", "message"]

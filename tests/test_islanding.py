@@ -8,19 +8,22 @@ from hypothesis import given, settings, strategies as st
 
 from gridisland.islanding import (
     IslandingError,
-    PartitionSet,
-    check_greedy_bound,
-    enumerate_bases,
     extract_solution,
     greedy_select,
     local_search,
-    local_search_iteration_cap,
     solve,
 )
-from gridisland.metrics import IncrementalEvaluator, J
-from gridisland.netcase import incidence_matrix, parse_case
+from gridisland.metrics import IncrementalEvaluator, J, island_labels
+from gridisland.netcase import incidence_matrix, parse_case, serialize_case
 
 from casekit import DATA, pipeline, random_case_doc, random_network
+from matroid_oracle import (
+    check_greedy_bound,
+    enumerate_bases,
+    local_search_iteration_cap,
+)
+
+REFS39 = (39, 34, 38)
 
 
 def assert_structural(net, sol, r):
@@ -47,10 +50,6 @@ def assert_structural(net, sol, r):
 
 
 def triangle_net():
-    import json
-
-    from gridisland.netcase import parse_case
-
     doc = {
         "base_mva": 100.0, "base_freq_hz": 60.0, "slack_bus": 1,
         "buses": [{"id": b, "pd_mw": 10.0 * (b > 1)} for b in (1, 2, 3)],
@@ -63,12 +62,16 @@ def triangle_net():
     return parse_case(json.dumps(doc))
 
 
-def test_partition_set_rejects_cycle():
+def test_kept_cycle_is_rejected():
     net = triangle_net()
-    with pytest.raises(IslandingError, match="cycle"):
-        PartitionSet(net, (1,), S=[0, 1, 2])
-    P = PartitionSet(net, (1,), S=[0, 1])
-    assert not P.feasible(2)
+    op, model, ctx = pipeline(net, r=1, refs=(0,))
+    assert island_labels(ctx, [0, 1, 2]) is None
+    with pytest.raises(IslandingError, match="forest"):
+        extract_solution(ctx, [0, 1, 2], model)
+    # the greedy never adds the line that would close the triangle
+    ev, _ = greedy_select(ctx, net, (1,))
+    assert sorted(ev.S) == [0, 1]
+    assert island_labels(ctx, ev.S).tolist() == [0, 0, 0]
 
 
 def test_duplicate_references_rejected(pipe39, case39):
@@ -79,28 +82,31 @@ def test_duplicate_references_rejected(pipe39, case39):
 
 def test_greedy_trace_non_increasing(pipe39, case39):
     _, model, ctx = pipe39
-    P, ev, trace = greedy_select(ctx, case39, (39, 34, 38))
-    assert len(P.S) == case39.m - 3
+    ev, trace = greedy_select(ctx, case39, REFS39)
+    assert len(ev.S) == case39.m - 3
     for a, b in zip(trace, trace[1:]):
         assert b <= a + 1e-9
-    assert ev.J() == pytest.approx(J(ctx, P.S), abs=1e-6)
+    assert ev.J() == pytest.approx(J(ctx, ev.S), abs=1e-6)
 
 
 def test_local_search_never_worse(pipe39, case39):
     _, model, ctx = pipe39
-    P, ev, trace = greedy_select(ctx, case39, (39, 34, 38))
+    refs = tuple(case39.gens[i].bus for i in model.refs)
+    ev, trace = greedy_select(ctx, case39, refs)
     before = ev.J()
-    P2, ev2, strace, swaps = local_search(ctx, P, ev, epsilon=1e-3)
+    ev2, strace = local_search(ctx, ev, refs, epsilon=1e-3)
     assert ev2.J() <= before + 1e-9
-    assert len(P2.S) == len(P.S)
-    assert swaps == len(strace)
+    assert len(ev2.S) == len(ev.S)
+    sol = solve(ctx, case39, model)
+    assert sol.swap_count == len(strace)
+    assert sol.trace == tuple(trace + strace)
 
 
 def test_local_search_rejects_bad_epsilon(pipe39, case39):
     _, model, ctx = pipe39
-    P, ev, _ = greedy_select(ctx, case39, (39, 34, 38))
+    ev, _ = greedy_select(ctx, case39, REFS39)
     with pytest.raises(IslandingError):
-        local_search(ctx, P, ev, epsilon=0.0)
+        local_search(ctx, ev, REFS39, epsilon=0.0)
 
 
 def test_solution_structure_case39(pipe39, case39):
@@ -132,10 +138,6 @@ def test_solution_structure_random(seed):
 
 
 def path_net(n_bus, gen_buses):
-    import json
-
-    from gridisland.netcase import parse_case
-
     ids = list(range(1, n_bus + 1))
     doc = {
         "base_mva": 100.0, "base_freq_hz": 60.0, "slack_bus": gen_buses[0],
@@ -151,33 +153,22 @@ def path_net(n_bus, gen_buses):
 
 def test_all_buses_referenced_keeps_nothing():
     # every bus carries a generator and anchors its own island
-    import json
-
-    from gridisland.netcase import parse_case
-
-    doc = json.loads(
-        '{"base_mva": 100.0, "base_freq_hz": 60.0, "slack_bus": 1,'
-        '"buses": [{"id": 1, "pd_mw": 0.0}, {"id": 2, "pd_mw": 0.0},'
-        '{"id": 3, "pd_mw": 0.0}],'
-        '"branches": [{"from": 1, "to": 2, "x_pu": 0.1},'
-        '{"from": 1, "to": 3, "x_pu": 0.1},'
-        '{"from": 2, "to": 3, "x_pu": 0.1}],'
-        '"gens": []}')
-    for b in (1, 2, 3):
-        doc["gens"].append({"bus": b, "pg_mw": 0.0, "inertia_s": 5.0,
-                            "xd_prime_pu": 0.1})
-    net = parse_case(json.dumps(doc))
+    net = parse_case(json.dumps(dict(
+        json.loads(serialize_case(triangle_net())),
+        buses=[{"id": b, "pd_mw": 0.0} for b in (1, 2, 3)],
+        gens=[{"bus": b, "pg_mw": 0.0, "inertia_s": 5.0, "xd_prime_pu": 0.1}
+              for b in (1, 2, 3)])))
     op, model, ctx = pipeline(net, r=3, refs=(0, 1, 2))
-    P, ev, trace = greedy_select(ctx, net, (1, 2, 3))
-    assert P.S == []
+    ev, trace = greedy_select(ctx, net, (1, 2, 3))
+    assert ev.S == []
 
 
 def test_path_graph_two_end_references_cuts_best_edge():
     net = path_net(4, [1, 4])
     op, model, ctx = pipeline(net, r=2, refs=(0, 1))
-    P, ev, _ = greedy_select(ctx, net, (1, 4))
-    assert len(P.S) == 2
-    got = J(ctx, P.S)
+    ev, _ = greedy_select(ctx, net, (1, 4))
+    assert len(ev.S) == 2
+    got = J(ctx, ev.S)
     best = min(
         J(ctx, [e for e in range(net.l) if e != cut]) for cut in range(net.l)
     )
@@ -186,10 +177,10 @@ def test_path_graph_two_end_references_cuts_best_edge():
 
 def test_local_search_epsilon_one_changes_nothing(pipe39, case39):
     _, model, ctx = pipe39
-    P, ev, _ = greedy_select(ctx, case39, (39, 34, 38))
-    before = sorted(P.S)
-    P2, ev2, trace, swaps = local_search(ctx, P, ev, epsilon=1.0)
-    assert swaps == 0 and sorted(P2.S) == before
+    ev, _ = greedy_select(ctx, case39, REFS39)
+    before = sorted(ev.S)
+    ev2, trace = local_search(ctx, ev, REFS39, epsilon=1.0)
+    assert trace == [] and sorted(ev2.S) == before
 
 
 @settings(max_examples=10, deadline=None)
@@ -200,43 +191,30 @@ def test_local_search_output_is_epsilon_locally_optimal(seed):
                          n_gens=2)
     op, model, ctx = pipeline(net, r=2, xi=1e-6)
     refs = tuple(net.gens[i].bus for i in model.refs)
-    P, ev, _ = greedy_select(ctx, net, refs)
+    ev, _ = greedy_select(ctx, net, refs)
     eps = 1e-6
-    P, ev, _, _ = local_search(ctx, P, ev, epsilon=eps)
+    ev, _ = local_search(ctx, ev, refs, epsilon=eps)
     final = ev.J()
     if final <= 1e-12 * IncrementalEvaluator(ctx).base:
         return  # numerically zero, nothing left to improve
-    for v in sorted(P.S):
+    for v in sorted(ev.S):
         for e in range(net.l):
-            if e in P.S:
+            if e in ev.S:
                 continue
-            new_S = [x for x in P.S if x != v] + [e]
-            try:
-                PartitionSet(net, refs, S=new_S)
-            except IslandingError:
-                continue
+            new_S = [x for x in ev.S if x != v] + [e]
+            if island_labels(ctx, new_S) is None:
+                continue   # the swap closes a cycle
             assert J(ctx, new_S) >= (1 - eps) * final - 1e-12
 
 
 def basis_oracle(net, ref_buses, combo):
-    A_S = incidence_matrix(net, combo)
-    if np.linalg.matrix_rank(A_S) != len(combo):
-        return False
-    # components via the kept edges
-    parent = list(range(net.m))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for e in combo:
-        br = net.branches[e]
-        parent[find(net.bus_pos[br.i])] = find(net.bus_pos[br.j])
-    roots = {find(p) for p in range(net.m)}
-    ref_roots = {find(net.bus_pos[b]) for b in ref_buses}
-    return len(ref_roots) == len(ref_buses) and roots == ref_roots
+    """Full rank of the kept lines' incidence columns next to one unit
+    column per reference (its line to the root, with the root row
+    dropped): the augmented graph's spanning-tree test over the reals."""
+    E = np.zeros((net.m, len(ref_buses)))
+    E[[net.bus_pos[b] for b in ref_buses], range(len(ref_buses))] = 1.0
+    M = np.hstack([incidence_matrix(net, combo), E])
+    return M.shape[1] == net.m == np.linalg.matrix_rank(M)
 
 
 @settings(max_examples=10, deadline=None)
@@ -245,8 +223,9 @@ def test_enumerate_bases_matches_rank_oracle(seed):
     rng = np.random.default_rng(seed)
     net = random_network(rng, m=5, extra_edges=int(rng.integers(0, 3)),
                          n_gens=2)
+    op, model, ctx = pipeline(net, r=2, refs=(0, 1))
     refs = tuple(g.bus for g in net.gens)
-    got = set(enumerate_bases(net, refs))
+    got = set(enumerate_bases(ctx))
     size = net.m - len(refs)
     expect = {
         combo for combo in itertools.combinations(range(net.l), size)
@@ -263,8 +242,8 @@ def test_greedy_bound_on_enumerable_instances(seed):
                          extra_edges=int(rng.integers(0, 3)), n_gens=2)
     op, model, ctx = pipeline(net, r=2, xi=1e-7)
     refs = tuple(g.bus for g in net.gens)
-    P, ev, trace = greedy_select(ctx, net, refs)
-    assert check_greedy_bound(ctx, net, refs, trace, P.S)
+    ev, trace = greedy_select(ctx, net, refs)
+    assert check_greedy_bound(ctx, trace, ev.S)
 
 
 @settings(max_examples=15, deadline=None)
@@ -275,11 +254,11 @@ def test_swap_count_respects_iteration_budget(seed):
                          extra_edges=int(rng.integers(1, 5)))
     op, model, ctx = pipeline(net, r=3, xi=1e-6)
     refs = tuple(net.gens[i].bus for i in model.refs)
-    P, ev, trace = greedy_select(ctx, net, refs)
+    ev, trace = greedy_select(ctx, net, refs)
     eps = 1e-3
-    P, ev, strace, swaps = local_search(ctx, P, ev, epsilon=eps)
+    ev, strace = local_search(ctx, ev, refs, epsilon=eps)
     cap = local_search_iteration_cap(ctx, eps)
-    assert swaps <= cap + 1
+    assert len(strace) <= cap + 1
 
 
 def test_iteration_budget_case39(pipe39, case39):
@@ -290,19 +269,22 @@ def test_iteration_budget_case39(pipe39, case39):
 
 def test_extract_requires_maximal_set(pipe39, case39):
     _, model, ctx = pipe39
-    P = PartitionSet(case39, (39, 34, 38), S=[])
     with pytest.raises(IslandingError, match="reference"):
-        extract_solution(ctx, P, model)
+        extract_solution(ctx, [], model)
+    # one line short of a basis leaves an island without a reference
+    ev, _ = greedy_select(ctx, case39, REFS39)
+    with pytest.raises(IslandingError, match="reference"):
+        extract_solution(ctx, ev.S[:-1], model)
 
 
-def test_island_of_rejects_references_sharing_an_island():
-    # a kept set mutated past the PartitionSet checks must still raise a
-    # typed error, which the CLI reports, even under python -O
+def test_extract_rejects_references_sharing_an_island():
+    # a forest joining both references must raise a typed error, which
+    # the CLI reports, even under python -O
     net = path_net(3, [1, 3])
-    P = PartitionSet(net, (1, 3))
-    P.S.extend([0, 1])
-    with pytest.raises(IslandingError, match="share an island"):
-        P.island_of()
+    op, model, ctx = pipeline(net, r=2, refs=(0, 1))
+    assert island_labels(ctx, [0, 1]) is None
+    with pytest.raises(IslandingError, match="one reference per island"):
+        extract_solution(ctx, [0, 1], model)
 
 
 def shuffled_case_doc(rng, doc):

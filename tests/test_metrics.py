@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import json
 
 import numpy as np
@@ -7,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
-from gridisland.islanding import PartitionSet
 from gridisland.metrics import (
     F,
     H_i_constrained,
@@ -21,22 +19,18 @@ from gridisland.metrics import (
     island_labels,
     noncoherency,
     component_labels,
-    lambda_min_C,
-    lambda_min_sparse,
-    submodularity_ratio_bound,
 )
+from gridisland.netcase import incidence_matrix
 
 from casekit import pipeline, random_network
 from dense_oracle import dense_J, orthonormal_span, subspace_distance_sq
-
-
-def random_basis_forest(rng, net, ctx):
-    """A random maximal kept set respecting the reference partition."""
-    P = PartitionSet(net, tuple(net.gens[i].bus for i in ctx.refs))
-    for e in rng.permutation(net.l):
-        if P.feasible(int(e)):
-            P.add(int(e))
-    return sorted(P.S)
+from matroid_oracle import (
+    lambda_min_C,
+    lambda_min_sparse,
+    random_basis,
+    submodularity_ratio_bound,
+    submodularity_ratio_min,
+)
 
 
 def lstsq_distance_sq(A_S, v):
@@ -53,7 +47,7 @@ def test_relaxed_metrics_match_lstsq_oracle(seed):
     op, model, ctx = pipeline(net, r=3, xi=1e-6)
     size = int(rng.integers(1, net.l + 1))
     S = sorted(rng.choice(net.l, size=size, replace=False).tolist())
-    A_S = ctx.A[:, S]
+    A_S = incidence_matrix(net, S)
     assert f(ctx, S) == pytest.approx(lstsq_distance_sq(A_S, ctx.b0), abs=1e-6)
     for i in range(net.n):
         assert h_i(ctx, S, i) == pytest.approx(
@@ -73,7 +67,7 @@ def test_forest_distance_closed_form(seed):
     net = random_network(rng, m=int(rng.integers(4, 12)),
                          extra_edges=int(rng.integers(0, 4)))
     op, model, ctx = pipeline(net, r=3, xi=0.0)
-    S = random_basis_forest(rng, net, ctx)
+    S = random_basis(rng, net, ctx)
     labels = island_labels(ctx, S)
     b = ctx.b0
     expect = 0.0
@@ -116,9 +110,9 @@ def test_constrained_imbalance_matches_qp_oracle(seed):
     rng = np.random.default_rng(seed)
     net = random_network(rng, m=int(rng.integers(5, 9)), extra_edges=2)
     op, model, ctx = pipeline(net, r=3, xi=1e-6)
-    S = random_basis_forest(rng, net, ctx)
+    S = random_basis(rng, net, ctx)
     got = F(ctx, S)
-    Q = orthonormal_span(ctx.A[:, S])
+    Q = orthonormal_span(incidence_matrix(net, S))
 
     def obj(z):
         y = Q @ z
@@ -139,8 +133,8 @@ def test_constrained_coherency_matches_kkt_oracle(seed):
     rng = np.random.default_rng(seed)
     net = random_network(rng, m=int(rng.integers(5, 9)), extra_edges=2)
     op, model, ctx = pipeline(net, r=3, xi=1e-6)
-    S = random_basis_forest(rng, net, ctx)
-    A_S = ctx.A[:, S]
+    S = random_basis(rng, net, ctx)
+    A_S = incidence_matrix(net, S)
     gen_pos = net.gen_positions()
     for i in range(net.n):
         got = H_i_constrained(ctx, S, i, model)
@@ -170,7 +164,7 @@ def test_relaxations_lower_bound_constrained_metrics(seed):
     net = random_network(rng, m=int(rng.integers(5, 10)),
                          extra_edges=int(rng.integers(0, 3)))
     op, model, ctx = pipeline(net, r=3, xi=1e-6)
-    S = random_basis_forest(rng, net, ctx)
+    S = random_basis(rng, net, ctx)
     assert f(ctx, S) <= F(ctx, S) + 1e-9
     for i in range(net.n):
         assert h_i(ctx, S, i) <= H_i_constrained(ctx, S, i, model) + 1e-9
@@ -181,7 +175,7 @@ def test_constrained_coherency_closed_form(pipe39, case39):
     # (1 - L_ij)^2 / 2 + sum over the other islands of L_ik^2
     op, model, ctx = pipe39
     rng = np.random.default_rng(0)
-    S = random_basis_forest(rng, case39, ctx)
+    S = random_basis(rng, case39, ctx)
     labels = island_labels(ctx, S)
     gen_pos = case39.gen_positions()
     for i in range(case39.n):
@@ -202,34 +196,6 @@ def test_constrained_metrics_reject_invalid_partition(pipe39):
     op, model, ctx = pipe39
     with pytest.raises(MetricError, match="partition"):
         H_i_constrained(ctx, [0, 1], 0, model)
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(0, 10**6))
-def test_incremental_evaluator_matches_fresh_solves(seed):
-    rng = np.random.default_rng(seed)
-    net = random_network(rng, m=int(rng.integers(4, 10)),
-                         extra_edges=int(rng.integers(1, 4)))
-    op, model, ctx = pipeline(net, r=2, xi=1e-6)
-    ev = IncrementalEvaluator(ctx)
-    S = []
-    order = rng.permutation(net.l)
-    for e in order[: net.l // 2 + 1]:
-        e = int(e)
-        rest = [x for x in range(net.l) if x not in S]
-        gains = ev.gains(rest)
-        for cand, g in zip(rest, gains):
-            assert g == pytest.approx(J(ctx, S) - J(ctx, S + [cand]),
-                                      abs=1e-6)
-        ev.add(e)
-        S.append(e)
-        assert ev.J() == pytest.approx(J(ctx, S), abs=1e-6)
-    if S:
-        drop = S[len(S) // 2]
-        forked = ev.fork_without(drop)
-        kept = [x for x in S if x != drop]
-        assert forked.J() == pytest.approx(J(ctx, kept), abs=1e-6)
-        assert ev.J() == pytest.approx(J(ctx, S), abs=1e-6)  # original intact
 
 
 @settings(max_examples=30, deadline=None)
@@ -278,10 +244,9 @@ def test_sparse_eigenvalue_matches_dense_at_full_size(pipe39):
     net = random_network(rng, m=5, extra_edges=1)
     op, model, ctx = pipeline(net, r=2, xi=0.0)
     dense = lambda_min_C(ctx)
-    assert lambda_min_sparse(ctx, ctx.C.shape[0]) == pytest.approx(
-        dense, abs=1e-9)
+    assert lambda_min_sparse(ctx, net.l) == pytest.approx(dense, abs=1e-9)
     # sparse minima decrease toward the dense value as s grows
-    vals = [lambda_min_sparse(ctx, s) for s in range(1, ctx.C.shape[0] + 1)]
+    vals = [lambda_min_sparse(ctx, s) for s in range(1, net.l + 1)]
     for a, b in zip(vals, vals[1:]):
         assert b <= a + 1e-12
 
@@ -304,7 +269,7 @@ def test_full_edge_set_has_zero_imbalance(pipe39):
     # injections balance, so the connected full graph absorbs b0 exactly
     _, _, ctx = pipe39
     # b0 is in MW (norm ~1e3), so the squared residual floor is ~1e-9
-    assert f(ctx, range(ctx.A.shape[1])) <= 1e-12 * float(ctx.b0 @ ctx.b0)
+    assert f(ctx, range(ctx.net.l)) <= 1e-12 * float(ctx.b0 @ ctx.b0)
 
 
 @settings(max_examples=20, deadline=None)
@@ -326,12 +291,10 @@ def test_metrics_monotone_along_growing_chains(seed):
 
 
 def test_objective_linear_in_trade_off_weight(pipe39, case39):
-    from gridisland.netcase import dc_power_flow
-
     op, model, ctx1 = pipe39
     ctx2 = build_context(case39, op, model, 5e-6)
     rng = np.random.default_rng(2)
-    S = random_basis_forest(rng, case39, ctx1)
+    S = random_basis(rng, case39, ctx1)
     base_h = J(ctx1, S) - ctx1.xi * f(ctx1, S)
     assert J(ctx2, S) == pytest.approx(base_h + 5e-6 * f(ctx2, S), abs=1e-9)
     assert f(ctx1, S) == pytest.approx(f(ctx2, S), abs=1e-12)
@@ -343,7 +306,7 @@ def test_constrained_imbalance_inactive_box_equals_relaxation(pipe39, case39):
     big = dataclasses.replace(
         ctx, d_max=np.full(case39.m, 1e9), g_max=np.full(case39.m, 1e9))
     rng = np.random.default_rng(5)
-    S = random_basis_forest(rng, case39, big)
+    S = random_basis(rng, case39, big)
     assert F(big, S) == pytest.approx(f(big, S), abs=1e-6 * max(1.0, f(big, S)))
 
 
@@ -370,7 +333,7 @@ def test_noncoherency_zero_at_exact_partition():
 def test_h_contribution_dump_is_consistent(pipe39, case39):
     _, _, ctx = pipe39
     rng = np.random.default_rng(9)
-    S = random_basis_forest(rng, case39, ctx)
+    S = random_basis(rng, case39, ctx)
     doc = json.loads(json.dumps(h_contributions(ctx, S)))
     assert doc["f"] == pytest.approx(f(ctx, S), abs=1e-9)
     for i, hv in enumerate(doc["h"]):
@@ -387,19 +350,4 @@ def test_enumerated_submodularity_ratio_respects_bound(seed):
     net = random_network(rng, m=5, extra_edges=int(rng.integers(0, 3)),
                          n_gens=2)
     op, model, ctx = pipeline(net, r=2, xi=1e-7)
-    l = net.l
-    gain = {
-        frozenset(cmb): J(ctx, []) - J(ctx, list(cmb))
-        for k in range(l + 1)
-        for cmb in itertools.combinations(range(l), k)
-    }
-    bound = lambda_min_C(ctx)
-    for Lset in gain:
-        for Sset in gain:
-            if (Sset & Lset) or not Sset:
-                continue
-            den = gain[Lset | Sset] - gain[Lset]
-            if den <= 1e-9:
-                continue
-            num = sum(gain[Lset | {x}] - gain[Lset] for x in Sset)
-            assert num / den >= bound - 1e-9
+    assert submodularity_ratio_min(ctx) >= lambda_min_C(ctx) - 1e-9

@@ -58,6 +58,8 @@ def test_round_trip():
         (lambda d: d["branches"][0].update(x_pu=-0.1), "nonpositive reactance"),
         (lambda d: d["branches"].clear(), "not connected"),
         (lambda d: d["gens"][0].update(inertia_s=0.0), "nonpositive inertia"),
+        (lambda d: d["gens"][0].update(vm_pu=0.0), "inertia or voltage"),
+        (lambda d: d.update(base_mva=0.0), "finite and positive"),
     ],
 )
 def test_validation_errors(mutate, fragment):
@@ -98,6 +100,21 @@ def test_infinite_field_rejected(mutate):
 def test_matpower_rejects_non_finite_or_non_numeric(old, new):
     with pytest.raises(CaseError, match="mpc"):
         parse_case(MPC.replace(old, new), DYN)
+
+
+@pytest.mark.parametrize("row", [" 2 1 60  0 0 0 1 1 0 345 1 1.1 0.9;",
+                                 " 1 100 0 300 -300 1.0 100 1 150 0;",
+                                 " 2 3 0.0 0.2 0.0 0 0 0 0 0 1 -360 360;"])
+def test_matpower_short_row_is_a_case_error(row):
+    with pytest.raises(CaseError, match="fewer than"):
+        parse_case(MPC.replace(row, row.split()[0] + ";"), DYN)
+
+
+@pytest.mark.parametrize("machine", [{"xd_prime_pu": 0.1}, {"inertia_s": 10.0},
+                                     5, [10.0, 0.1]])
+def test_matpower_incomplete_machine_is_a_case_error(machine):
+    with pytest.raises(CaseError, match="dynamics"):
+        parse_case(MPC, json.dumps({"machines": {"1": machine}}))
 
 
 def test_nan_reactance_is_a_json_error(tmp_path, capsys):
