@@ -39,9 +39,21 @@ from .refsel import (
     select_references_pivoting,
 )
 
+
+class UsageError(Exception):
+    """Command line that argparse rejects: unknown choice, missing flag."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose mistakes end in the one-line JSON error."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 KNOWN_ERRORS = (
     CaseError, ModelError, SelectionError, MetricError, IslandingError,
-    BaselineError,
+    BaselineError, UsageError,
 )
 
 
@@ -98,12 +110,15 @@ def _parse_refs(text: str) -> list[int]:
         ) from exc
 
 
-def _read(path: str) -> str:
+def _read(path: str, error: type[Exception] = CaseError) -> str:
+    """The UTF-8 text of path; undecodable bytes raise `error`."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise CaseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _references(case: str, dyn: str | None, r: int):
@@ -245,7 +260,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="gridisland", description=__doc__)
+    parser = _Parser(prog="gridisland", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     _add_run_flags(sub.add_parser("run", help="run one or both methods"))
     rp = sub.add_parser("refsel", help="report reference generator choices")
@@ -255,9 +270,8 @@ def main(argv=None) -> int:
     rp.add_argument("--out")
     cp = sub.add_parser("compare", help="render a report as a table")
     cp.add_argument("report")
-    args = parser.parse_args(argv)
-
     try:
+        args = parser.parse_args(argv)
         if args.command == "run":
             config = RunConfig(
                 case=args.case, dyn=args.dyn,
@@ -281,7 +295,7 @@ def main(argv=None) -> int:
             out_path = args.out
         else:
             try:
-                report = json.loads(_read(args.report))
+                report = json.loads(_read(args.report, MetricError))
             except ValueError as exc:
                 raise MetricError(f"report is not JSON: {exc}") from exc
             text = compare(report)

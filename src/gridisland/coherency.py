@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netcase import OperatingPoint, PowerNetwork
+from .netcase import OperatingPoint, PowerNetwork, _star_mesh
 
 
 class ModelError(Exception):
@@ -43,36 +43,26 @@ def kron_reduce(net: PowerNetwork, op: OperatingPoint) -> np.ndarray:
     """Reduce the branch susceptance network to the generator buses.
 
     Every non-generator bus of the lossless network (weights 1/x per
-    line) is eliminated by a Schur complement of the susceptance
-    Laplacian.  The result keeps the Laplacian sign convention: the
-    off-diagonal entry for generators (i, j) is minus their effective
-    coupling susceptance.  xd' enters the model only through the internal
-    rotor angles, not this reduction.
+    line) is eliminated by the star-mesh transforms of `_star_mesh`,
+    which give the Schur complement of the susceptance Laplacian.  The
+    result keeps the Laplacian sign convention: the off-diagonal entry
+    for generators (i, j) is minus their effective coupling susceptance,
+    and the diagonal is the row's total coupling.  The elimination writes
+    one value to both directions of a pair, so the result is exactly
+    symmetric.  xd' enters the model only through the internal rotor
+    angles, not this reduction.
     """
-    m = net.m
-    W = np.zeros((m, m))
-
-    def add(a: int, b: int, y: float) -> None:
-        W[a, a] += y
-        W[b, b] += y
-        W[a, b] -= y
-        W[b, a] -= y
-
-    for br in net.branches:
-        add(net.bus_pos[br.i], net.bus_pos[br.j], 1.0 / br.x)
-
     gen = [net.bus_pos[g.bus] for g in net.gens]
     if len(set(gen)) != len(gen):
         raise ModelError("two generators share a bus")
-    other = [p for p in range(m) if p not in set(gen)]
-    gg = W[np.ix_(gen, gen)]
-    gb = W[np.ix_(gen, other)]
-    bb = W[np.ix_(other, other)]
-    try:
-        B_red = gg - gb @ np.linalg.solve(bb, gb.T)
-    except np.linalg.LinAlgError as exc:
-        raise ModelError("singular bus block in network reduction") from exc
-    return 0.5 * (B_red + B_red.T)
+    adj, _ = _star_mesh(net, gen, error=ModelError)
+    col = {p: a for a, p in enumerate(gen)}
+    B_red = np.zeros((len(gen), len(gen)))
+    for a, p in enumerate(gen):
+        for q, y in adj[p].items():
+            B_red[a, col[q]] = -y
+        B_red[a, a] = sum(adj[p].values())
+    return B_red
 
 
 def build_K(net: PowerNetwork, op: OperatingPoint, B_red: np.ndarray) -> np.ndarray:
@@ -82,11 +72,8 @@ def build_K(net: PowerNetwork, op: OperatingPoint, B_red: np.ndarray) -> np.ndar
         raise ModelError("reduced susceptance has wrong dimensions")
     delta = internal_angles(net, op)
     V = np.array([g.v for g in net.gens])
-    K = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                K[i, j] = -V[i] * V[j] * B_red[i, j] * np.cos(delta[i] - delta[j])
+    K = -V[:, None] * V[None, :] * B_red * np.cos(delta[:, None] - delta[None, :])
+    np.fill_diagonal(K, 0.0)
     np.fill_diagonal(K, -K.sum(axis=1))
     return 0.5 * (K + K.T)
 

@@ -380,34 +380,80 @@ def incidence_matrix(net: PowerNetwork, S=None) -> np.ndarray:
     return A
 
 
+def _star_mesh(net: PowerNetwork, keep, p=None, error=CaseError):
+    """Eliminate every bus position outside keep by star-mesh transforms.
+
+    The network is the Laplacian of the line weights 1/x, held as a
+    dict-of-dicts.  Eliminating bus k with neighbour weights y_kj and
+    pivot Y_k = sum_j y_kj adds y_ki y_kj / Y_k to the weight of every
+    neighbour pair (i, j): one step of Gaussian elimination, so the
+    graph that remains is the Schur complement onto the buses left.
+    Buses go in minimum-degree order, ties to the lowest position.  When
+    p (a per-bus list) is given, each neighbour i also gains
+    y_ki p_k / Y_k, the right-hand side of the same elimination.
+
+    Returns the remaining weights (position -> {neighbour: weight}, empty
+    rows for eliminated buses) and the pivots (k, Y_k, {j: y_kj}) in
+    elimination order.  A pivot that is not finite and positive raises
+    `error`.
+    """
+    import heapq
+
+    adj: list[dict[int, float]] = [{} for _ in range(net.m)]
+    for br in net.branches:
+        a, b = net.bus_pos[br.i], net.bus_pos[br.j]
+        y = adj[a].get(b, 0.0) + 1.0 / br.x
+        adj[a][b] = adj[b][a] = y
+    kept = set(keep)
+    heap = [(len(adj[k]), k) for k in range(net.m) if k not in kept]
+    heapq.heapify(heap)
+    pivots = []
+    while heap:
+        deg, k = heapq.heappop(heap)
+        star = adj[k]
+        if deg != len(star):   # stale entry; eliminated rows are empty
+            continue
+        Y = sum(star.values())
+        if not 0.0 < Y < math.inf:
+            raise error(f"singular or non-finite susceptance pivot at bus "
+                        f"{net.buses[k].id}")
+        nbrs = list(star.items())
+        for s, (i, y_ki) in enumerate(nbrs):
+            row = adj[i]
+            del row[k]
+            frac = y_ki / Y
+            if p is not None:
+                p[i] += frac * p[k]
+            for j, y_kj in nbrs[s + 1:]:
+                w = row.get(j, 0.0) + frac * y_kj
+                row[j] = adj[j][i] = w
+        for i, _ in nbrs:
+            if i not in kept:
+                heapq.heappush(heap, (len(adj[i]), i))
+        adj[k] = {}
+        pivots.append((k, Y, star))
+    return adj, pivots
+
+
 def dc_power_flow(net: PowerNetwork) -> OperatingPoint:
     """Solve B'theta = P with the slack angle fixed at zero.
 
-    Any load-generation mismatch in the case dispatch is absorbed by the
-    slack bus before solving, so the returned injections sum to zero.
+    Every bus but the slack is eliminated by `_star_mesh`, carrying the
+    injections along; the angles then follow by back substitution in
+    reverse elimination order.  Any load-generation mismatch in the case
+    dispatch is absorbed by the slack bus before solving, so the returned
+    injections sum to zero.
     """
-    m = net.m
     slack = net.bus_pos[net.slack_bus]
     g0 = net.g0_vector().copy()
     d0 = net.d0_vector()
     g0[slack] += d0.sum() - g0.sum()
 
-    Bp = np.zeros((m, m))
-    for br in net.branches:
-        a, b = net.bus_pos[br.i], net.bus_pos[br.j]
-        y = 1.0 / br.x
-        Bp[a, a] += y
-        Bp[b, b] += y
-        Bp[a, b] -= y
-        Bp[b, a] -= y
-    keep = [k for k in range(m) if k != slack]
-    p_inj = (g0 - d0) / net.base_mva
-    theta = np.zeros(m)
-    if keep:
-        try:
-            theta[keep] = np.linalg.solve(Bp[np.ix_(keep, keep)], p_inj[keep])
-        except np.linalg.LinAlgError as exc:
-            raise CaseError("singular susceptance matrix (disconnected?)") from exc
+    p_inj = ((g0 - d0) / net.base_mva).tolist()
+    _, pivots = _star_mesh(net, [slack], p_inj)
+    theta = [0.0] * net.m
+    for k, Y, star in reversed(pivots):
+        theta[k] = (p_inj[k] + sum(y * theta[j] for j, y in star.items())) / Y
 
     flows = np.array(
         [
@@ -417,5 +463,6 @@ def dc_power_flow(net: PowerNetwork) -> OperatingPoint:
         ]
     )
     return OperatingPoint(
-        angles=theta, flows=flows, injections=d0 - g0, g0_balanced=g0
+        angles=np.array(theta), flows=flows, injections=d0 - g0,
+        g0_balanced=g0,
     )

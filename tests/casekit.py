@@ -5,6 +5,7 @@ Shared by the test modules and by the fixtures in conftest.py.
 
 import json
 import os
+import sys
 
 import numpy as np
 
@@ -19,12 +20,28 @@ from gridisland.metrics import build_context
 from gridisland.netcase import dc_power_flow, parse_case
 from gridisland.refsel import select_references_greedy
 
-DATA = os.path.join(os.path.dirname(__file__), "..", "data")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+DATA = os.path.join(ROOT, "data")
 
 
 def load_case(name):
     with open(os.path.join(DATA, name)) as fh:
         return parse_case(fh.read())
+
+
+def tied_network(monkeypatch, copies, seed=7):
+    """`copies` copies of case118 in a ring, from the benchmark's inputs.
+
+    Made by ``perfbench/inputs.tied_case`` with its copy count patched,
+    so the tests see the benchmark's tied118-refsel network at any size.
+    """
+    bench = os.path.join(ROOT, "perfbench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import inputs
+
+    monkeypatch.setattr(inputs, "TIED_COPIES", copies)
+    return parse_case(inputs.tied_case(inputs.load_case118(ROOT), seed))
 
 
 def random_network(rng, m=8, extra_edges=3, n_gens=3):

@@ -1,9 +1,11 @@
-"""Dense reference computation of the relaxed metrics.
+"""Dense reference computations for the prelude and the relaxed metrics.
 
-Squared distances from target vectors to the column span of the kept
-lines' incidence submatrix A(S), by Gram-Schmidt orthonormalization.
-This is the definition that the library's per-component closed form is
-checked against.
+The DC angles and the Kron reduction as dense solves of the m x m
+susceptance Laplacian, which the library's sparse star-mesh elimination
+is checked against.  Squared distances from target vectors to the
+column span of the kept lines' incidence submatrix A(S), by Gram-Schmidt
+orthonormalization: the definition that the library's per-component
+closed form is checked against.
 """
 
 import numpy as np
@@ -43,3 +45,41 @@ def dense_J(ctx, S) -> float:
     T = ctx.targets
     P = Q.T @ T
     return float(max((T * T).sum() - (P * P).sum(), 0.0))
+
+
+def susceptance_laplacian(net) -> np.ndarray:
+    """Dense m x m Laplacian of the line weights 1/x, by bus position."""
+    W = np.zeros((net.m, net.m))
+    for br in net.branches:
+        a, b = net.bus_pos[br.i], net.bus_pos[br.j]
+        y = 1.0 / br.x
+        W[a, a] += y
+        W[b, b] += y
+        W[a, b] -= y
+        W[b, a] -= y
+    return W
+
+
+def dense_dc_angles(net) -> np.ndarray:
+    """Bus angles solving B'theta = P with the slack balanced and at zero."""
+    slack = net.bus_pos[net.slack_bus]
+    g0 = net.g0_vector()
+    d0 = net.d0_vector()
+    g0[slack] += d0.sum() - g0.sum()
+    keep = [k for k in range(net.m) if k != slack]
+    theta = np.zeros(net.m)
+    theta[keep] = np.linalg.solve(
+        susceptance_laplacian(net)[np.ix_(keep, keep)],
+        ((g0 - d0) / net.base_mva)[keep])
+    return theta
+
+
+def dense_kron(net) -> np.ndarray:
+    """Schur complement of the Laplacian onto the generator buses."""
+    W = susceptance_laplacian(net)
+    gen = [net.bus_pos[g.bus] for g in net.gens]
+    other = [p for p in range(net.m) if p not in set(gen)]
+    gb = W[np.ix_(gen, other)]
+    B = W[np.ix_(gen, gen)] - gb @ np.linalg.solve(
+        W[np.ix_(other, other)], gb.T)
+    return 0.5 * (B + B.T)

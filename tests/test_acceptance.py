@@ -20,7 +20,7 @@ import pytest
 
 from gridisland.islanding import greedy_select, local_search, solve
 from gridisland.baseline import two_step_islanding
-from gridisland.metrics import F, H_i_constrained, f, h_i, island_labels
+from gridisland.metrics import f, h_i, island_labels
 from gridisland.refsel import (
     log_gramian,
     select_references_greedy,
@@ -28,6 +28,7 @@ from gridisland.refsel import (
 )
 
 from casekit import DATA, load_case, pipeline, random_network
+from constrained_oracle import F, H_i_constrained
 from matroid_oracle import (
     check_greedy_bound,
     lambda_min_C,

@@ -207,6 +207,49 @@ def test_missing_case_errors(capsys):
     assert json.loads(err)["error"] == "CaseError"
 
 
+NOT_UTF8 = b"\xff\xfe{"
+
+
+@pytest.mark.parametrize("command,error", [
+    ("run --case {bad}", "CaseError"),
+    ("refsel --case {bad}", "CaseError"),
+    ("run --case {good} --dyn {bad}", "CaseError"),
+    ("compare {bad}", "MetricError"),
+])
+def test_non_utf8_files_are_json_errors(command, error, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(NOT_UTF8)
+    args = command.format(bad=bad, good=CASE39).split()
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == error
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "--case", CASE39, "--method", "magic"],
+    ["run", "--case", CASE39, "--format", "xml"],
+    ["run", "--method", "both"],
+    ["refsel"],
+    ["run", "--case", CASE39, "--no-such-flag"],
+    ["frobnicate"],
+    [],
+])
+def test_usage_mistakes_are_json_errors(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "UsageError"
+
+
+@pytest.mark.parametrize("args", [["--help"], ["run", "--help"]])
+def test_help_still_exits_zero(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 0
+    assert "usage: gridisland" in capsys.readouterr().out
+
+
 def test_invalid_config_rejected():
     with pytest.raises(Exception):
         RunConfig(case=CASE39, r=0).validate()

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,9 +15,10 @@ from gridisland.coherency import (
     kron_reduce,
     slow_modes,
 )
-from gridisland.netcase import dc_power_flow, parse_case
+from gridisland.netcase import CaseError, dc_power_flow, parse_case
 
-from casekit import random_network
+from casekit import load_case, random_network, tied_network
+from dense_oracle import dense_dc_angles, dense_kron, susceptance_laplacian
 
 
 def two_gen_net(x=0.2):
@@ -66,17 +68,95 @@ def test_reduction_matches_elimination_oracle(seed):
     net = random_network(rng, m=int(rng.integers(4, 10)),
                          extra_edges=int(rng.integers(0, 4)))
     op = dc_power_flow(net)
-    W = np.zeros((net.m, net.m))
-    for br in net.branches:
-        a, b = net.bus_pos[br.i], net.bus_pos[br.j]
-        y = 1.0 / br.x
-        W[a, a] += y
-        W[b, b] += y
-        W[a, b] -= y
-        W[b, a] -= y
     keep = [net.bus_pos[g.bus] for g in net.gens]
-    expected = elementwise_elimination(W, keep)
+    expected = elementwise_elimination(susceptance_laplacian(net), keep)
     np.testing.assert_allclose(kron_reduce(net, op), expected, atol=1e-9)
+
+
+def named_network(name, monkeypatch):
+    if name == "tied x2":
+        return tied_network(monkeypatch, 2)
+    return load_case(f"{name}.json")
+
+
+@pytest.mark.parametrize("name", ["case39", "case118", "tied x2"])
+def test_reduction_matches_elimination_oracle_on_cases(name, monkeypatch):
+    net = named_network(name, monkeypatch)
+    keep = [net.bus_pos[g.bus] for g in net.gens]
+    expected = elementwise_elimination(susceptance_laplacian(net), keep)
+    np.testing.assert_allclose(kron_reduce(net, dc_power_flow(net)), expected,
+                               rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_elimination_matches_dense_solves(seed):
+    rng = np.random.default_rng(seed)
+    n_gens = int(rng.integers(1, 5))
+    net = random_network(rng, m=int(rng.integers(n_gens + 1, 16)),
+                         extra_edges=int(rng.integers(0, 6)), n_gens=n_gens)
+    op = dc_power_flow(net)
+    theta = dense_dc_angles(net)
+    np.testing.assert_allclose(op.angles, theta, rtol=1e-12,
+                               atol=1e-12 * np.abs(theta).max())
+    # the dense Schur complement rounds at the scale of the Laplacian,
+    # where the elimination of positive weights has no cancellation
+    scale = np.abs(susceptance_laplacian(net)).max()
+    np.testing.assert_allclose(kron_reduce(net, op), dense_kron(net),
+                               rtol=1e-12, atol=1e-12 * scale)
+
+
+def test_nonfinite_pivots_are_typed_errors():
+    # a reactance of 5e-324 gives its line the weight 1/x = inf
+    doc = {
+        "base_mva": 100.0, "slack_bus": 1,
+        "buses": [{"id": b, "pd_mw": 10.0} for b in (1, 2, 3)],
+        "branches": [{"from": 1, "to": 2, "x_pu": 5e-324},
+                     {"from": 2, "to": 3, "x_pu": 0.1}],
+        "gens": [{"bus": b, "pg_mw": 15.0, "inertia_s": 5.0,
+                  "xd_prime_pu": 0.1} for b in (1, 3)],
+    }
+    net = parse_case(json.dumps(doc))
+    with pytest.raises(CaseError, match="pivot at bus 2"):
+        dc_power_flow(net)
+    with pytest.raises(ModelError, match="pivot at bus 2"):
+        kron_reduce(net, None)   # the reduction reads no operating point
+
+
+@pytest.mark.parametrize("copies", [8, 24])
+def test_prelude_peak_memory_below_one_dense_matrix(copies, monkeypatch):
+    net = tied_network(monkeypatch, copies)
+    op = dc_power_flow(net)
+    for stage in (dc_power_flow, lambda net: kron_reduce(net, op)):
+        tracemalloc.start()
+        try:
+            stage(net)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * net.m ** 2   # one dense m x m float64 array
+
+
+def loop_build_K(net, op, B_red):
+    """build_K as the O(n^2) loop over entries it replaced; the reference."""
+    n = net.n
+    delta = internal_angles(net, op)
+    V = np.array([g.v for g in net.gens])
+    K = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                K[i, j] = -V[i] * V[j] * B_red[i, j] * np.cos(delta[i] - delta[j])
+    np.fill_diagonal(K, -K.sum(axis=1))
+    return 0.5 * (K + K.T)
+
+
+@pytest.mark.parametrize("name", ["case39", "case118", "tied x2"])
+def test_build_K_is_bitwise_the_loop(name, monkeypatch):
+    net = named_network(name, monkeypatch)
+    op = dc_power_flow(net)
+    B = kron_reduce(net, op)
+    np.testing.assert_array_equal(build_K(net, op, B), loop_build_K(net, op, B))
 
 
 @settings(max_examples=25, deadline=None)
@@ -87,7 +167,7 @@ def test_reduction_and_coupling_invariants(seed):
                          extra_edges=int(rng.integers(0, 5)))
     op = dc_power_flow(net)
     B = kron_reduce(net, op)
-    np.testing.assert_allclose(B, B.T, atol=1e-9)
+    np.testing.assert_array_equal(B, B.T)
     np.testing.assert_allclose(B.sum(axis=1), 0.0, atol=1e-8)
     off = B - np.diag(np.diag(B))
     assert off.max() <= 1e-9  # off-diagonals nonpositive

@@ -1,7 +1,9 @@
 """Every CLI input ends in a report (exit 0) or one JSON error line (exit 1).
 
 Hypothesis mutates small random cases (native JSON, or MATPOWER tables
-with a dynamics document), flag values and compare reports.
+with a dynamics document), flag values and compare reports.  It also
+splices bytes that are not UTF-8 into the files, draws invalid
+``--method`` and ``--format`` choices, and drops the required ``--case``.
 """
 
 import io
@@ -25,6 +27,8 @@ FLAGS = st.lists(st.tuples(
     st.sampled_from(["0", "1", "2", "3", "9", "-1", "2.5", "0.5", "1e-6",
                      "0,1e-5", "nan", "inf", "x", ",", "1,2", "1,1"])),
     max_size=3)
+# half the draws carry no deliberate mistake
+MISTAKES = [None] * 4 + ["not-utf8", "method", "format", "no-case"]
 SOL = {"J": 0.1, "sqrt_f_mw": 10.0, "H_bar": 1.0, "cutset": []}
 REPORT = {"runs": [{"xi": 1e-6, "methods": {"a": SOL, "b": SOL}}]}
 
@@ -75,9 +79,10 @@ def matpower(doc, edits):
        cut=st.none() | st.integers(0, 300), flags=FLAGS,
        command=st.sampled_from(["run", "refsel"]),
        method=st.sampled_from(["weak-submodular", "spectral", "both"]),
-       fmt=st.sampled_from(["json", "csv", "table"]))
+       fmt=st.sampled_from(["json", "csv", "table"]),
+       mistake=st.sampled_from(MISTAKES))
 def test_cli_answers_with_a_report_or_one_json_error(
-        seed, edits, kind, cut, flags, command, method, fmt):
+        seed, edits, kind, cut, flags, command, method, fmt, mistake):
     rng = np.random.default_rng(seed)
     doc = random_case_doc(rng, m=int(rng.integers(3, 9)),
                           extra_edges=int(rng.integers(0, 4)),
@@ -95,10 +100,18 @@ def test_cli_answers_with_a_report_or_one_json_error(
             argv += ["--dyn", dyn]
         else:
             text = json.dumps(mutate(doc, edits))
-        with open(case, "w") as fh:
-            fh.write(text[:cut])
+        data = text[:cut].encode()
+        if mistake == "not-utf8":   # ff fe is never valid UTF-8
+            at = seed % (len(data) + 1)
+            data = data[:at] + b"\xff\xfe" + data[at:]
+        with open(case, "wb") as fh:
+            fh.write(data)
+        if mistake == "no-case" and argv[0] != "compare":
+            argv.remove("--case")
+            argv.remove(case)
         if argv[0] == "run":
-            argv += ["--method", method, "--format", fmt]
+            argv += ["--method", "magic" if mistake == "method" else method,
+                     "--format", "xml" if mistake == "format" else fmt]
         argv += [a for flag in flags if argv[0] == "run" or (
             argv[0] == "refsel" and flag[0] == "--r") for a in flag]
         out, err = io.StringIO(), io.StringIO()

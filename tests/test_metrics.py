@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
 from gridisland.metrics import (
-    F,
-    H_i_constrained,
     IncrementalEvaluator,
     J,
     MetricError,
@@ -23,6 +21,7 @@ from gridisland.metrics import (
 from gridisland.netcase import incidence_matrix
 
 from casekit import pipeline, random_network
+from constrained_oracle import F, H_i_constrained
 from dense_oracle import dense_J, orthonormal_span, subspace_distance_sq
 from matroid_oracle import (
     lambda_min_C,
