@@ -41,7 +41,7 @@ from .refsel import (
 
 
 class UsageError(Exception):
-    """Command line that argparse rejects: unknown choice, missing flag."""
+    """Command line that argparse rejects or an --out that cannot be written."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,9 +66,7 @@ class RunConfig:
     epsilon: float = 1e-3
     method: str = "weak-submodular"
     refs: list[int] | None = None     # bus ids
-    out: str | None = None
     dump_model: bool = False
-    fmt: str = "json"
 
     def validate(self) -> None:
         if self.r < 1:
@@ -121,11 +119,19 @@ def _read(path: str, error: type[Exception] = CaseError) -> str:
         raise error(f"{path} is not UTF-8 text: {exc}") from exc
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
 def _references(case: str, dyn: str | None, r: int):
     """Parse, DC power flow, and both reference selections from the slow modes."""
     net = parse_case(_read(case), _read(dyn) if dyn else None)
     op = dc_power_flow(net)
-    _, U = slow_modes(inertia_matrix(net), build_K(net, op, kron_reduce(net, op)), r)
+    _, U = slow_modes(inertia_matrix(net), build_K(net, op, kron_reduce(net)), r)
     return net, op, select_references_greedy(U, r), select_references_pivoting(U, r)
 
 
@@ -164,7 +170,7 @@ def run(config: RunConfig) -> dict:
         methods = {}
         if config.method in ("weak-submodular", "both"):
             methods["weak-submodular"] = solve(
-                ctx, net, model, epsilon=config.epsilon
+                ctx, model, epsilon=config.epsilon
             ).as_dict()
         if config.method in ("spectral", "both"):
             if split is None:
@@ -280,11 +286,11 @@ def main(argv=None) -> int:
                 epsilon=_parse_scalar(args.epsilon, float, "--epsilon",
                                       IslandingError),
                 method=args.method,
-                refs=_parse_refs(args.refs) if args.refs else None,
-                out=args.out, dump_model=args.dump_model, fmt=args.fmt,
+                refs=None if args.refs is None else _parse_refs(args.refs),
+                dump_model=args.dump_model,
             )
-            text = _render(run(config), config.fmt)
-            out_path = config.out
+            text = _render(run(config), args.fmt)
+            out_path = args.out
         elif args.command == "refsel":
             r = _parse_scalar(args.r, int, "--r", SelectionError)
             net, _, greedy, pivot = _references(args.case, args.dyn, r)
@@ -300,16 +306,14 @@ def main(argv=None) -> int:
                 raise MetricError(f"report is not JSON: {exc}") from exc
             text = compare(report)
             out_path = None
+        if out_path:
+            _write(out_path, text)
+        else:
+            sys.stdout.write(text)
     except KNOWN_ERRORS as exc:
         err = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(err, sort_keys=True), file=sys.stderr)
         return 1
-
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

@@ -39,7 +39,7 @@ def internal_angles(net: PowerNetwork, op: OperatingPoint) -> np.ndarray:
     return out
 
 
-def kron_reduce(net: PowerNetwork, op: OperatingPoint) -> np.ndarray:
+def kron_reduce(net: PowerNetwork) -> np.ndarray:
     """Reduce the branch susceptance network to the generator buses.
 
     Every non-generator bus of the lossless network (weights 1/x per
@@ -114,7 +114,7 @@ def coherency_matrix(U: np.ndarray, refs) -> np.ndarray:
 def build_model(
     net: PowerNetwork, op: OperatingPoint, r: int, refs
 ) -> CoherencyModel:
-    B_red = kron_reduce(net, op)
+    B_red = kron_reduce(net)
     K = build_K(net, op, B_red)
     M = inertia_matrix(net)
     sigma, U = slow_modes(M, K, r)

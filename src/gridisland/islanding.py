@@ -5,6 +5,10 @@ kept set S, together with virtual edges tying every reference generator
 to a virtual root, must stay acyclic.  A maximal such S has m - r edges
 and its connected components are the r islands, one reference each.
 
+The reference set, which fixes the feasible line sets, lives in the
+MetricContext as generator indices (ctx.refs) and bus positions
+(ctx.ref_pos); every stage reads it and the network from the context.
+
 The search state is one metrics.IncrementalEvaluator: S, the component
 label of every bus and the per-component sums that J and its gains come
 from.  With every component that holds a reference joined to the root,
@@ -26,7 +30,6 @@ from .metrics import (
     island_labels,
     noncoherency,
 )
-from .netcase import PowerNetwork
 
 
 class IslandingError(Exception):
@@ -70,9 +73,7 @@ def _root_labels(labels: np.ndarray, ref_pos: np.ndarray) -> np.ndarray:
     return np.where(anchored[labels], -1, labels)
 
 
-def greedy_select(
-    ctx: MetricContext, net: PowerNetwork, ref_buses
-) -> tuple[IncrementalEvaluator, list[float]]:
+def greedy_select(ctx: MetricContext) -> tuple[IncrementalEvaluator, list[float]]:
     """Stage 1: pick the maximal independent set, steepest J-descent first.
 
     Every round drops the lines that would close a cycle in the augmented
@@ -84,17 +85,13 @@ def greedy_select(
     lowest canonical line index.  Lines that make the same merge have
     bitwise-equal decreases, so the rule needs no tolerance.
     """
-    ref_buses = tuple(ref_buses)
-    if len(set(ref_buses)) != len(ref_buses):
-        raise IslandingError("reference buses must be distinct")
     ev = IncrementalEvaluator(ctx)
     ei, ej = ctx.ends
-    ref_pos = np.array([net.bus_pos[b] for b in ref_buses], dtype=np.intp)
-    omega = np.arange(net.l)
-    target = net.m - len(ref_buses)
+    omega = np.arange(ctx.net.l)
+    target = ctx.net.m - len(ctx.refs)
     trace = [ev.J()]
     while len(ev.S) < target:
-        root = _root_labels(ev.labels, ref_pos)
+        root = _root_labels(ev.labels, ctx.ref_pos)
         omega = omega[root[ei[omega]] != root[ej[omega]]]
         if not len(omega):
             break
@@ -109,10 +106,7 @@ def greedy_select(
 
 
 def local_search(
-    ctx: MetricContext,
-    ev: IncrementalEvaluator,
-    ref_buses,
-    epsilon: float,
+    ev: IncrementalEvaluator, epsilon: float
 ) -> tuple[IncrementalEvaluator, list[float]]:
     """Stage 2: first-improvement edge swaps until no (1 - eps) cut exists.
 
@@ -124,8 +118,8 @@ def local_search(
     """
     if epsilon <= 0:
         raise IslandingError("epsilon must be positive")
+    ctx = ev.ctx
     ei, ej = ctx.ends
-    ref_pos = np.array([ctx.net.bus_pos[b] for b in ref_buses], dtype=np.intp)
     trace = []
     current = ev.J()
     # below this floor the objective is numerically zero and any further
@@ -137,7 +131,7 @@ def local_search(
         out_set = np.delete(np.arange(ctx.net.l), ev.S)
         for v in sorted(ev.S):
             sub = ev.fork_without(v)
-            root = _root_labels(sub.labels, ref_pos)
+            root = _root_labels(sub.labels, ctx.ref_pos)
             feas = out_set[root[ei[out_set]] != root[ej[out_set]]]
             if not len(feas):
                 continue
@@ -159,7 +153,6 @@ def extract_solution(
     model: CoherencyModel,
     trace=(),
     swap_count: int = 0,
-    method: str = "weak-submodular",
 ) -> IslandingSolution:
     """Islands (the k-th holds the k-th reference), cutset and metrics of
     a kept set S that splits the buses into r islands, one reference each."""
@@ -197,20 +190,15 @@ def extract_solution(
         H_bar=noncoherency(model.L, L_g),
         trace=tuple(trace),
         swap_count=swap_count,
-        method=method,
     )
 
 
 def solve(
-    ctx: MetricContext,
-    net: PowerNetwork,
-    model: CoherencyModel,
-    epsilon: float = 1e-3,
+    ctx: MetricContext, model: CoherencyModel, epsilon: float = 1e-3
 ) -> IslandingSolution:
     """Full pipeline stage: greedy selection then local search."""
-    ref_buses = tuple(net.gens[i].bus for i in model.refs)
-    ev, trace = greedy_select(ctx, net, ref_buses)
-    ev, swap_trace = local_search(ctx, ev, ref_buses, epsilon)
+    ev, trace = greedy_select(ctx)
+    ev, swap_trace = local_search(ev, epsilon)
     return extract_solution(
         ctx, ev.S, model, trace=trace + swap_trace,
         swap_count=len(swap_trace),

@@ -25,10 +25,9 @@ bitwise-equal decreases, so the greedy's tie rule (equal J-decrease,
 then the larger f-decrease, then the lowest canonical line index) needs
 no tolerance.
 
-Unit convention: b0, d_max and g_max are carried in MW, so f is in
-MW^2 and sqrt(f) is directly the imbalance in MW.  The coherency targets
-c^i are unitless.  This mixed convention is what makes trade-off weights
-xi of order 1e-7..1e-5 put the two objectives on comparable scales.
+Unit convention: b0 is in MW, so f is in MW^2 and sqrt(f) is the
+imbalance in MW; the coherency targets c^i are unitless.  This mix makes
+trade-off weights xi of order 1e-7..1e-5 balance the two objectives.
 """
 
 from __future__ import annotations
@@ -51,11 +50,23 @@ class MetricError(Exception):
 class MetricContext:
     net: PowerNetwork
     b0: np.ndarray         # MW net load vector d0 - g0 (balanced)
-    c: np.ndarray          # m x n matrix of coherency targets c^i
+    L: np.ndarray          # n x r coherency matrix
     xi: float
-    d_max: np.ndarray      # MW
-    g_max: np.ndarray      # MW
-    refs: tuple[int, ...]  # generator indices
+    refs: tuple[int, ...]  # distinct generator indices, one per island
+
+    @cached_property
+    def ref_pos(self) -> np.ndarray:
+        """Bus positions of the reference generators, island order."""
+        return self.net.gen_positions()[list(self.refs)]
+
+    @cached_property
+    def c(self) -> np.ndarray:
+        """m x n coherency targets c^i = e_{u_i} - sum_k L_ik e_{ref_k}."""
+        c = np.zeros((self.net.m, self.net.n))
+        c[self.net.gen_positions(), np.arange(self.net.n)] = 1.0
+        for k, sp in enumerate(self.ref_pos):
+            c[sp] -= self.L[:, k]
+        return c
 
     @cached_property
     def targets(self) -> np.ndarray:
@@ -79,20 +90,10 @@ def build_context(
 ) -> MetricContext:
     if xi < 0:
         raise MetricError("trade-off weight must be nonnegative")
-    n = net.n
-    gen_pos = net.gen_positions()
-    ref_pos = gen_pos[list(model.refs)]
-    c = np.zeros((net.m, n))
-    for i in range(n):
-        c[gen_pos[i], i] += 1.0
-        for k, sp in enumerate(ref_pos):
-            c[sp, i] -= model.L[i, k]
-    b0 = op.injections
-    return MetricContext(
-        net=net, b0=b0, c=c, xi=xi,
-        d_max=net.d_max_vector(), g_max=net.g_max_vector(),
-        refs=tuple(model.refs),
-    )
+    refs = tuple(model.refs)
+    if len(set(refs)) != len(refs):
+        raise MetricError("reference generators must be distinct")
+    return MetricContext(net=net, b0=op.injections, L=model.L, xi=xi, refs=refs)
 
 
 def component_labels(ctx: MetricContext, S) -> np.ndarray:
@@ -262,27 +263,13 @@ def island_labels(ctx: MetricContext, S) -> np.ndarray | None:
     S = list(S)
     labels = component_labels(ctx, S)
     n_parts = np.count_nonzero(labels == np.arange(ctx.net.m))
-    ref_roots = labels[ctx.net.gen_positions()[list(ctx.refs)]]
+    ref_roots = labels[ctx.ref_pos]
     if (ctx.net.m - n_parts != len(S) or n_parts != len(ref_roots)
             or len(set(ref_roots.tolist())) != len(ref_roots)):
         return None
     island = np.empty(ctx.net.m, dtype=int)
     island[ref_roots] = np.arange(len(ref_roots))
     return island[labels]
-
-
-def h_contributions(ctx: MetricContext, S) -> dict:
-    """Debug breakdown of J: f and each generator's h_i, JSON-ready."""
-    dist = _distances(component_labels(ctx, S),
-                      np.column_stack([ctx.b0, ctx.c]))
-    f_val = float(dist[0])
-    h = [float(x) for x in dist[1:]]
-    return {
-        "f": f_val,
-        "h": h,
-        "xi": ctx.xi,
-        "J": ctx.xi * f_val + sum(h),
-    }
 
 
 def noncoherency(L: np.ndarray, L_g: np.ndarray) -> float:

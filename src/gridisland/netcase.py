@@ -94,12 +94,6 @@ class PowerNetwork:
     def g0_vector(self) -> np.ndarray:
         return np.array([b.g0 for b in self.buses])
 
-    def d_max_vector(self) -> np.ndarray:
-        return np.array([b.d_max for b in self.buses])
-
-    def g_max_vector(self) -> np.ndarray:
-        return np.array([b.g_max for b in self.buses])
-
     def gen_positions(self) -> np.ndarray:
         """Bus positions (row indices) of the generators, in file order."""
         return np.array([self.bus_pos[g.bus] for g in self.gens])

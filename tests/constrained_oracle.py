@@ -41,21 +41,29 @@ def balanced_clip(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.clip(v - lam, lo, hi)
 
 
-def F(ctx, S) -> float:
+def box_limits(net) -> tuple[np.ndarray, np.ndarray]:
+    """Per-bus (d_max, g_max) in MW, in bus-position order."""
+    return (np.array([b.d_max for b in net.buses]),
+            np.array([b.g_max for b in net.buses]))
+
+
+def F(ctx, S, limits=None) -> float:
     """Constrained load-generation imbalance (MW^2).
 
     Distance from b0 to the intersection of span(A(S)) with the box
-    [-g_max, d_max].  The limits are nonnegative, so the intersection
-    contains the origin and is never empty.  The projection is exact per
-    component of (V, S).
+    [-g_max, d_max].  limits is (d_max, g_max), by default those of
+    ctx.net.buses.  They are nonnegative, so the intersection contains the
+    origin and is never empty.  The projection is exact per component of
+    (V, S).
     """
+    d_max, g_max = limits or box_limits(ctx.net)
     labels = component_labels(ctx, S)
     order = np.argsort(labels, kind="stable")
     cuts = np.flatnonzero(np.diff(labels[order])) + 1
     total = 0.0
     for members in np.split(order, cuts):
         v = ctx.b0[members]
-        y = balanced_clip(v, -ctx.g_max[members], ctx.d_max[members])
+        y = balanced_clip(v, -g_max[members], d_max[members])
         total += float(((y - v) ** 2).sum())
     return total
 

@@ -1,8 +1,5 @@
-import csv
 import json
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -142,7 +139,7 @@ def test_refs_override_rejects_non_generator_bus(capsys):
     assert json.loads(err)["error"] == "SelectionError"
 
 
-@pytest.mark.parametrize("refs", ["39,x", "39,,34", "39.5,34,38"])
+@pytest.mark.parametrize("refs", ["39,x", "39,,34", "39.5,34,38", ""])
 def test_refs_override_rejects_non_integer(refs, capsys):
     code, out, err = run_cli(
         ["run", "--case", CASE39, "--refs", refs], capsys)
@@ -199,6 +196,18 @@ def test_dump_model(capsys):
     assert np.array(model["L"]).shape == (10, 3)
     assert np.array(model["K"]).shape == (10, 10)
     assert len(model["M"]) == 10
+
+
+@pytest.mark.parametrize("command", ["run", "refsel"])
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_out_is_a_json_error(command, where, tmp_path, capsys):
+    out_path = tmp_path if where == "directory" else tmp_path / "no" / "x.json"
+    code, out, err = run_cli(
+        [command, "--case", CASE39, "--out", str(out_path)], capsys)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    doc = json.loads(err)
+    assert doc["error"] == "UsageError" and str(out_path) in doc["message"]
 
 
 def test_missing_case_errors(capsys):
@@ -276,31 +285,3 @@ def test_reported_metrics_revalidate(capsys):
     assert sol["J"] == pytest.approx(J(ctx, S), abs=1e-9)
     assert sol["sqrt_f_mw"] == pytest.approx(float(np.sqrt(f(ctx, S))),
                                              abs=1e-9)
-
-
-def run_script(name, *args):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
-        [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "scripts", name), *args],
-        capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
-def test_run_benchmarks_script_tables():
-    # the script always runs both bundled cases, case39 first
-    out = run_script("run_benchmarks.py")
-    assert out.startswith("== case39.json (m=39, l=46, n=10)")
-    lines = [line.split() for line in out.splitlines()]
-    head = ["method", "J", "sqrt_f_MW", "H_bar", "time_s", "cutset"]
-    assert [words[0] for words in lines if len(words) == 6] == [
-        "method", "greedy-matroid", "spectral"] * 2 and lines.count(head) == 2
-
-
-def test_xi_sweep_script_csv():
-    rows = list(csv.reader(run_script("xi_sweep.py", CASE39, "--points", "2")
-                           .splitlines()))
-    assert rows[0] == ["xi", "J", "sqrt_f_mw", "H_bar", "swaps", "cutset"]
-    assert [len(row) for row in rows[1:]] == [6, 6, 6]
-    assert float(rows[1][0]) == 0.0

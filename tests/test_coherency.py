@@ -39,7 +39,7 @@ def test_reduction_sign_convention():
     # reduced off-diagonal is -5, coupling entry is +5
     net = two_gen_net(x=0.2)
     op = dc_power_flow(net)
-    B = kron_reduce(net, op)
+    B = kron_reduce(net)
     assert B[0, 1] == pytest.approx(-5.0)
     K = build_K(net, op, B)
     assert K[0, 1] == pytest.approx(5.0)
@@ -67,10 +67,9 @@ def test_reduction_matches_elimination_oracle(seed):
     rng = np.random.default_rng(seed)
     net = random_network(rng, m=int(rng.integers(4, 10)),
                          extra_edges=int(rng.integers(0, 4)))
-    op = dc_power_flow(net)
     keep = [net.bus_pos[g.bus] for g in net.gens]
     expected = elementwise_elimination(susceptance_laplacian(net), keep)
-    np.testing.assert_allclose(kron_reduce(net, op), expected, atol=1e-9)
+    np.testing.assert_allclose(kron_reduce(net), expected, atol=1e-9)
 
 
 def named_network(name, monkeypatch):
@@ -84,7 +83,7 @@ def test_reduction_matches_elimination_oracle_on_cases(name, monkeypatch):
     net = named_network(name, monkeypatch)
     keep = [net.bus_pos[g.bus] for g in net.gens]
     expected = elementwise_elimination(susceptance_laplacian(net), keep)
-    np.testing.assert_allclose(kron_reduce(net, dc_power_flow(net)), expected,
+    np.testing.assert_allclose(kron_reduce(net), expected,
                                rtol=1e-12, atol=1e-12 * np.abs(expected).max())
 
 
@@ -102,7 +101,7 @@ def test_elimination_matches_dense_solves(seed):
     # the dense Schur complement rounds at the scale of the Laplacian,
     # where the elimination of positive weights has no cancellation
     scale = np.abs(susceptance_laplacian(net)).max()
-    np.testing.assert_allclose(kron_reduce(net, op), dense_kron(net),
+    np.testing.assert_allclose(kron_reduce(net), dense_kron(net),
                                rtol=1e-12, atol=1e-12 * scale)
 
 
@@ -120,14 +119,13 @@ def test_nonfinite_pivots_are_typed_errors():
     with pytest.raises(CaseError, match="pivot at bus 2"):
         dc_power_flow(net)
     with pytest.raises(ModelError, match="pivot at bus 2"):
-        kron_reduce(net, None)   # the reduction reads no operating point
+        kron_reduce(net)   # the reduction needs no operating point
 
 
 @pytest.mark.parametrize("copies", [8, 24])
 def test_prelude_peak_memory_below_one_dense_matrix(copies, monkeypatch):
     net = tied_network(monkeypatch, copies)
-    op = dc_power_flow(net)
-    for stage in (dc_power_flow, lambda net: kron_reduce(net, op)):
+    for stage in (dc_power_flow, kron_reduce):
         tracemalloc.start()
         try:
             stage(net)
@@ -155,7 +153,7 @@ def loop_build_K(net, op, B_red):
 def test_build_K_is_bitwise_the_loop(name, monkeypatch):
     net = named_network(name, monkeypatch)
     op = dc_power_flow(net)
-    B = kron_reduce(net, op)
+    B = kron_reduce(net)
     np.testing.assert_array_equal(build_K(net, op, B), loop_build_K(net, op, B))
 
 
@@ -166,7 +164,7 @@ def test_reduction_and_coupling_invariants(seed):
     net = random_network(rng, m=int(rng.integers(4, 12)),
                          extra_edges=int(rng.integers(0, 5)))
     op = dc_power_flow(net)
-    B = kron_reduce(net, op)
+    B = kron_reduce(net)
     np.testing.assert_array_equal(B, B.T)
     np.testing.assert_allclose(B.sum(axis=1), 0.0, atol=1e-8)
     off = B - np.diag(np.diag(B))
@@ -203,7 +201,7 @@ def test_slow_modes_pick_smallest_magnitude(pipe39):
 def test_slow_modes_r_out_of_range():
     net = two_gen_net()
     op = dc_power_flow(net)
-    B = kron_reduce(net, op)
+    B = kron_reduce(net)
     K = build_K(net, op, B)
     with pytest.raises(ModelError):
         slow_modes(inertia_matrix(net), K, 3)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import os
@@ -13,7 +14,13 @@ from gridisland.islanding import (
     local_search,
     solve,
 )
-from gridisland.metrics import IncrementalEvaluator, J, island_labels
+from gridisland.metrics import (
+    IncrementalEvaluator,
+    J,
+    MetricError,
+    build_context,
+    island_labels,
+)
 from gridisland.netcase import incidence_matrix, parse_case, serialize_case
 
 from casekit import DATA, pipeline, random_case_doc, random_network
@@ -22,8 +29,6 @@ from matroid_oracle import (
     enumerate_bases,
     local_search_iteration_cap,
 )
-
-REFS39 = (39, 34, 38)
 
 
 def assert_structural(net, sol, r):
@@ -69,20 +74,21 @@ def test_kept_cycle_is_rejected():
     with pytest.raises(IslandingError, match="forest"):
         extract_solution(ctx, [0, 1, 2], model)
     # the greedy never adds the line that would close the triangle
-    ev, _ = greedy_select(ctx, net, (1,))
+    ev, _ = greedy_select(ctx)
     assert sorted(ev.S) == [0, 1]
     assert island_labels(ctx, ev.S).tolist() == [0, 0, 0]
 
 
 def test_duplicate_references_rejected(pipe39, case39):
-    _, model, ctx = pipe39
-    with pytest.raises(IslandingError, match="distinct"):
-        greedy_select(ctx, case39, (39, 39, 34))
+    op, model, _ = pipe39
+    twice = dataclasses.replace(model, refs=(0, 0, 4))
+    with pytest.raises(MetricError, match="distinct"):
+        build_context(case39, op, twice, 1e-6)
 
 
 def test_greedy_trace_non_increasing(pipe39, case39):
     _, model, ctx = pipe39
-    ev, trace = greedy_select(ctx, case39, REFS39)
+    ev, trace = greedy_select(ctx)
     assert len(ev.S) == case39.m - 3
     for a, b in zip(trace, trace[1:]):
         assert b <= a + 1e-9
@@ -91,27 +97,26 @@ def test_greedy_trace_non_increasing(pipe39, case39):
 
 def test_local_search_never_worse(pipe39, case39):
     _, model, ctx = pipe39
-    refs = tuple(case39.gens[i].bus for i in model.refs)
-    ev, trace = greedy_select(ctx, case39, refs)
+    ev, trace = greedy_select(ctx)
     before = ev.J()
-    ev2, strace = local_search(ctx, ev, refs, epsilon=1e-3)
+    ev2, strace = local_search(ev, epsilon=1e-3)
     assert ev2.J() <= before + 1e-9
     assert len(ev2.S) == len(ev.S)
-    sol = solve(ctx, case39, model)
+    sol = solve(ctx, model)
     assert sol.swap_count == len(strace)
     assert sol.trace == tuple(trace + strace)
 
 
 def test_local_search_rejects_bad_epsilon(pipe39, case39):
     _, model, ctx = pipe39
-    ev, _ = greedy_select(ctx, case39, REFS39)
+    ev, _ = greedy_select(ctx)
     with pytest.raises(IslandingError):
-        local_search(ctx, ev, REFS39, epsilon=0.0)
+        local_search(ev, epsilon=0.0)
 
 
 def test_solution_structure_case39(pipe39, case39):
     _, model, ctx = pipe39
-    sol = solve(ctx, case39, model)
+    sol = solve(ctx, model)
     assert_structural(case39, sol, 3)
     d = sol.as_dict()
     assert set(d) >= {"cutset", "islands", "J", "sqrt_f_mw", "H_bar", "trace"}
@@ -119,8 +124,8 @@ def test_solution_structure_case39(pipe39, case39):
 
 def test_solution_deterministic(pipe39, case39):
     _, model, ctx = pipe39
-    a = solve(ctx, case39, model)
-    b = solve(ctx, case39, model)
+    a = solve(ctx, model)
+    b = solve(ctx, model)
     assert a.S == b.S and a.cutset == b.cutset
     assert a.J_value == b.J_value
 
@@ -133,7 +138,7 @@ def test_solution_structure_random(seed):
     net = random_network(rng, m=int(rng.integers(r + 2, 16)),
                          extra_edges=int(rng.integers(0, 6)), n_gens=r)
     op, model, ctx = pipeline(net, r=r)
-    sol = solve(ctx, net, model)
+    sol = solve(ctx, model)
     assert_structural(net, sol, r)
 
 
@@ -159,14 +164,14 @@ def test_all_buses_referenced_keeps_nothing():
         gens=[{"bus": b, "pg_mw": 0.0, "inertia_s": 5.0, "xd_prime_pu": 0.1}
               for b in (1, 2, 3)])))
     op, model, ctx = pipeline(net, r=3, refs=(0, 1, 2))
-    ev, trace = greedy_select(ctx, net, (1, 2, 3))
+    ev, trace = greedy_select(ctx)
     assert ev.S == []
 
 
 def test_path_graph_two_end_references_cuts_best_edge():
     net = path_net(4, [1, 4])
     op, model, ctx = pipeline(net, r=2, refs=(0, 1))
-    ev, _ = greedy_select(ctx, net, (1, 4))
+    ev, _ = greedy_select(ctx)
     assert len(ev.S) == 2
     got = J(ctx, ev.S)
     best = min(
@@ -177,9 +182,9 @@ def test_path_graph_two_end_references_cuts_best_edge():
 
 def test_local_search_epsilon_one_changes_nothing(pipe39, case39):
     _, model, ctx = pipe39
-    ev, _ = greedy_select(ctx, case39, REFS39)
+    ev, _ = greedy_select(ctx)
     before = sorted(ev.S)
-    ev2, trace = local_search(ctx, ev, REFS39, epsilon=1.0)
+    ev2, trace = local_search(ev, epsilon=1.0)
     assert trace == [] and sorted(ev2.S) == before
 
 
@@ -190,10 +195,9 @@ def test_local_search_output_is_epsilon_locally_optimal(seed):
     net = random_network(rng, m=6, extra_edges=int(rng.integers(1, 4)),
                          n_gens=2)
     op, model, ctx = pipeline(net, r=2, xi=1e-6)
-    refs = tuple(net.gens[i].bus for i in model.refs)
-    ev, _ = greedy_select(ctx, net, refs)
+    ev, _ = greedy_select(ctx)
     eps = 1e-6
-    ev, _ = local_search(ctx, ev, refs, epsilon=eps)
+    ev, _ = local_search(ev, epsilon=eps)
     final = ev.J()
     if final <= 1e-12 * IncrementalEvaluator(ctx).base:
         return  # numerically zero, nothing left to improve
@@ -241,8 +245,7 @@ def test_greedy_bound_on_enumerable_instances(seed):
     net = random_network(rng, m=int(rng.integers(4, 7)),
                          extra_edges=int(rng.integers(0, 3)), n_gens=2)
     op, model, ctx = pipeline(net, r=2, xi=1e-7)
-    refs = tuple(g.bus for g in net.gens)
-    ev, trace = greedy_select(ctx, net, refs)
+    ev, trace = greedy_select(ctx)
     assert check_greedy_bound(ctx, trace, ev.S)
 
 
@@ -253,17 +256,16 @@ def test_swap_count_respects_iteration_budget(seed):
     net = random_network(rng, m=int(rng.integers(5, 12)),
                          extra_edges=int(rng.integers(1, 5)))
     op, model, ctx = pipeline(net, r=3, xi=1e-6)
-    refs = tuple(net.gens[i].bus for i in model.refs)
-    ev, trace = greedy_select(ctx, net, refs)
+    ev, trace = greedy_select(ctx)
     eps = 1e-3
-    ev, strace = local_search(ctx, ev, refs, epsilon=eps)
+    ev, strace = local_search(ev, epsilon=eps)
     cap = local_search_iteration_cap(ctx, eps)
     assert len(strace) <= cap + 1
 
 
 def test_iteration_budget_case39(pipe39, case39):
     _, model, ctx = pipe39
-    sol = solve(ctx, case39, model)
+    sol = solve(ctx, model)
     assert sol.swap_count <= local_search_iteration_cap(ctx, 1e-3) + 1
 
 
@@ -272,7 +274,7 @@ def test_extract_requires_maximal_set(pipe39, case39):
     with pytest.raises(IslandingError, match="reference"):
         extract_solution(ctx, [], model)
     # one line short of a basis leaves an island without a reference
-    ev, _ = greedy_select(ctx, case39, REFS39)
+    ev, _ = greedy_select(ctx)
     with pytest.raises(IslandingError, match="reference"):
         extract_solution(ctx, ev.S[:-1], model)
 
@@ -316,7 +318,7 @@ def assert_same_solution(rng, doc):
     for d in (doc, shuffled_case_doc(rng, doc)):
         net = parse_case(json.dumps(d))
         op, model, ctx = pipeline(net, r=3)
-        reports.append(json.dumps(solve(ctx, net, model).as_dict(),
+        reports.append(json.dumps(solve(ctx, model).as_dict(),
                                   sort_keys=True))
     assert reports[0] == reports[1]
 

@@ -1,6 +1,3 @@
-import dataclasses
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +9,6 @@ from gridisland.metrics import (
     MetricError,
     build_context,
     f,
-    h_contributions,
     h_i,
     island_labels,
     noncoherency,
@@ -21,7 +17,7 @@ from gridisland.metrics import (
 from gridisland.netcase import incidence_matrix
 
 from casekit import pipeline, random_network
-from constrained_oracle import F, H_i_constrained
+from constrained_oracle import F, H_i_constrained, box_limits
 from dense_oracle import dense_J, orthonormal_span, subspace_distance_sq
 from matroid_oracle import (
     lambda_min_C,
@@ -111,6 +107,7 @@ def test_constrained_imbalance_matches_qp_oracle(seed):
     op, model, ctx = pipeline(net, r=3, xi=1e-6)
     S = random_basis(rng, net, ctx)
     got = F(ctx, S)
+    d_max, g_max = box_limits(net)
     Q = orthonormal_span(incidence_matrix(net, S))
 
     def obj(z):
@@ -118,8 +115,8 @@ def test_constrained_imbalance_matches_qp_oracle(seed):
         return float((y - ctx.b0) @ (y - ctx.b0))
 
     cons = [
-        {"type": "ineq", "fun": lambda z: ctx.d_max - Q @ z},
-        {"type": "ineq", "fun": lambda z: Q @ z + ctx.g_max},
+        {"type": "ineq", "fun": lambda z: d_max - Q @ z},
+        {"type": "ineq", "fun": lambda z: Q @ z + g_max},
     ]
     res = minimize(obj, np.zeros(Q.shape[1]), constraints=cons,
                    method="SLSQP", options={"maxiter": 500, "ftol": 1e-12})
@@ -302,11 +299,11 @@ def test_objective_linear_in_trade_off_weight(pipe39, case39):
 def test_constrained_imbalance_inactive_box_equals_relaxation(pipe39, case39):
     # balloon the limits so the box constraint can never bind
     op, model, ctx = pipe39
-    big = dataclasses.replace(
-        ctx, d_max=np.full(case39.m, 1e9), g_max=np.full(case39.m, 1e9))
+    big = np.full(case39.m, 1e9)
     rng = np.random.default_rng(5)
-    S = random_basis(rng, case39, big)
-    assert F(big, S) == pytest.approx(f(big, S), abs=1e-6 * max(1.0, f(big, S)))
+    S = random_basis(rng, case39, ctx)
+    assert F(ctx, S, limits=(big, big)) == pytest.approx(
+        f(ctx, S), abs=1e-6 * max(1.0, f(ctx, S)))
 
 
 def test_constrained_imbalance_zero_when_island_balanced(case39):
@@ -327,17 +324,6 @@ def test_noncoherency_zero_at_exact_partition():
     assert noncoherency(L, L.copy()) == 0.0
     with pytest.raises(MetricError):
         noncoherency(L, np.eye(2))
-
-
-def test_h_contribution_dump_is_consistent(pipe39, case39):
-    _, _, ctx = pipe39
-    rng = np.random.default_rng(9)
-    S = random_basis(rng, case39, ctx)
-    doc = json.loads(json.dumps(h_contributions(ctx, S)))
-    assert doc["f"] == pytest.approx(f(ctx, S), abs=1e-9)
-    for i, hv in enumerate(doc["h"]):
-        assert hv == pytest.approx(h_i(ctx, S, i), abs=1e-9)
-    assert doc["J"] == pytest.approx(J(ctx, S), abs=1e-6)
 
 
 @settings(max_examples=8, deadline=None)
