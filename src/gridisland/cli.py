@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -119,6 +120,15 @@ def _read(path: str, error: type[Exception] = CaseError) -> str:
         raise error(f"{path} is not UTF-8 text: {exc}") from exc
 
 
+def _check_out(path: str) -> None:
+    """Reject an --out that is a directory or has no directory to live in,
+    before any work is done; the file itself is written only at the end."""
+    if os.path.isdir(path):
+        raise UsageError(f"cannot write {path}: it is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise UsageError(f"cannot write {path}: no such directory")
+
+
 def _write(path: str, text: str) -> None:
     try:
         with open(path, "w") as fh:
@@ -170,8 +180,7 @@ def run(config: RunConfig) -> dict:
         methods = {}
         if config.method in ("weak-submodular", "both"):
             methods["weak-submodular"] = solve(
-                ctx, model, epsilon=config.epsilon
-            ).as_dict()
+                ctx, epsilon=config.epsilon).as_dict()
         if config.method in ("spectral", "both"):
             if split is None:
                 split = two_step_partition(net, op, model, config.r)
@@ -278,6 +287,9 @@ def main(argv=None) -> int:
     cp.add_argument("report")
     try:
         args = parser.parse_args(argv)
+        out_path = getattr(args, "out", None)
+        if out_path:
+            _check_out(out_path)
         if args.command == "run":
             config = RunConfig(
                 case=args.case, dyn=args.dyn,
@@ -290,7 +302,6 @@ def main(argv=None) -> int:
                 dump_model=args.dump_model,
             )
             text = _render(run(config), args.fmt)
-            out_path = args.out
         elif args.command == "refsel":
             r = _parse_scalar(args.r, int, "--r", SelectionError)
             net, _, greedy, pivot = _references(args.case, args.dyn, r)
@@ -298,14 +309,12 @@ def main(argv=None) -> int:
             doc = {"greedy": [gen_bus[i] for i in greedy.refs],
                    "pivoting": [gen_bus[i] for i in pivot.refs]}
             text = json.dumps(_round_floats(doc), indent=2, sort_keys=True) + "\n"
-            out_path = args.out
         else:
             try:
                 report = json.loads(_read(args.report, MetricError))
             except ValueError as exc:
                 raise MetricError(f"report is not JSON: {exc}") from exc
             text = compare(report)
-            out_path = None
         if out_path:
             _write(out_path, text)
         else:

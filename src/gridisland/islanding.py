@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherency import CoherencyModel
 from .metrics import (
     IncrementalEvaluator,
     MetricContext,
@@ -148,11 +147,7 @@ def local_search(
 
 
 def extract_solution(
-    ctx: MetricContext,
-    S,
-    model: CoherencyModel,
-    trace=(),
-    swap_count: int = 0,
+    ctx: MetricContext, S, trace=(), swap_count: int = 0
 ) -> IslandingSolution:
     """Islands (the k-th holds the k-th reference), cutset and metrics of
     a kept set S that splits the buses into r islands, one reference each."""
@@ -187,19 +182,16 @@ def extract_solution(
         L_g=L_g,
         J_value=J(ctx, S),
         sqrt_f_mw=float(np.sqrt(f_val)),
-        H_bar=noncoherency(model.L, L_g),
+        H_bar=noncoherency(ctx.L, L_g),
         trace=tuple(trace),
         swap_count=swap_count,
     )
 
 
-def solve(
-    ctx: MetricContext, model: CoherencyModel, epsilon: float = 1e-3
-) -> IslandingSolution:
+def solve(ctx: MetricContext, epsilon: float = 1e-3) -> IslandingSolution:
     """Full pipeline stage: greedy selection then local search."""
     ev, trace = greedy_select(ctx)
     ev, swap_trace = local_search(ev, epsilon)
     return extract_solution(
-        ctx, ev.S, model, trace=trace + swap_trace,
-        swap_count=len(swap_trace),
+        ctx, ev.S, trace=trace + swap_trace, swap_count=len(swap_trace),
     )

@@ -39,28 +39,32 @@ def log_gramian(U: np.ndarray, T) -> float:
 def select_references_greedy(U: np.ndarray, r: int) -> ReferenceSelection:
     """Greedily add the row with maximal marginal log-det gain.
 
-    Ties break toward the smallest row index; a candidate collinear with
-    the current selection scores -inf and never wins.
+    With R the rows of U projected off the chosen rows' span,
+    det G(T + v) = det G(T) * |R_v|^2, so the winner is the row of largest
+    residual norm, and one rank-one update keeps R current: O(n * cols)
+    per round.  Ties break toward the smallest row index.  The winner's
+    gain is taken from log_gramian; a winner whose Gram matrix is singular
+    or whose residual is exactly zero means the basis is rank-deficient.
     """
     n = U.shape[0]
     if r > n:
         raise SelectionError(f"cannot pick {r} references from {n} generators")
+    R = U.astype(float)
     chosen: list[int] = []
     trace: list[float] = []
     current = 0.0
     for _ in range(r):
-        best_gain, best_row = NEG_INF, None
-        for v in range(n):
-            if v in chosen:
-                continue
-            gain = log_gramian(U, chosen + [v]) - current
-            if gain > best_gain:
-                best_gain, best_row = gain, v
-        if best_row is None or best_gain == NEG_INF:
+        norms = np.einsum("ij,ij->i", R, R)
+        norms[chosen] = NEG_INF
+        v = int(np.argmax(norms))
+        gain = log_gramian(U, chosen + [v]) - current
+        if gain == NEG_INF or norms[v] == 0.0:
             raise SelectionError("rank-deficient eigenbasis")
-        chosen.append(best_row)
-        current += best_gain
-        trace.append(best_gain)
+        chosen.append(v)
+        current += gain
+        trace.append(gain)
+        q = R[v] / np.sqrt(norms[v])
+        R -= np.outer(R @ q, q)
     return ReferenceSelection(tuple(chosen), tuple(trace))
 
 
@@ -87,9 +91,7 @@ def select_references_pivoting(U: np.ndarray, r: int) -> ReferenceSelection:
             raise SelectionError("zero pivot before r steps")
         refs.append(piv_row)
         pivots.append(abs(piv))
-        for row in free_rows:
-            if row != piv_row:
-                W[row, :] -= (W[row, piv_col] / piv) * W[piv_row, :]
         free_rows.remove(piv_row)
+        W[free_rows] -= (W[free_rows, piv_col] / piv)[:, None] * W[piv_row]
         free_cols.remove(piv_col)
     return ReferenceSelection(tuple(refs), tuple(pivots))

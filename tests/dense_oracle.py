@@ -1,17 +1,26 @@
-"""Dense reference computations for the prelude and the relaxed metrics.
+"""Dense reference computations for the prelude, the reference
+selections and the relaxed metrics.
 
 The DC angles and the Kron reduction as dense solves of the m x m
 susceptance Laplacian, which the library's sparse star-mesh elimination
 is checked against.  Squared distances from target vectors to the
 column span of the kept lines' incidence submatrix A(S), by Gram-Schmidt
 orthonormalization: the definition that the library's per-component
-closed form is checked against.
+closed form is checked against.  The two reference selections as the
+per-candidate and per-row loops that the library's residual-norm greedy
+and vectorised pivoting are checked against.
 """
 
 import numpy as np
 
 from gridisland.metrics import MetricError
 from gridisland.netcase import incidence_matrix
+from gridisland.refsel import (
+    NEG_INF,
+    ReferenceSelection,
+    SelectionError,
+    log_gramian,
+)
 
 RANK_TOL = 1e-10  # relative residual below which a column adds no span
 
@@ -83,3 +92,58 @@ def dense_kron(net) -> np.ndarray:
     B = W[np.ix_(gen, gen)] - gb @ np.linalg.solve(
         W[np.ix_(other, other)], gb.T)
     return 0.5 * (B + B.T)
+
+
+def loop_select_references_greedy(U: np.ndarray, r: int) -> ReferenceSelection:
+    """Greedy log-det selection by one log_gramian per candidate and round.
+
+    The strict > keeps the smallest row index among equal gains.
+    """
+    n = U.shape[0]
+    if r > n:
+        raise SelectionError(f"cannot pick {r} references from {n} generators")
+    chosen: list[int] = []
+    trace: list[float] = []
+    current = 0.0
+    for _ in range(r):
+        best_gain, best_row = NEG_INF, None
+        for v in range(n):
+            if v in chosen:
+                continue
+            gain = log_gramian(U, chosen + [v]) - current
+            if gain > best_gain:
+                best_gain, best_row = gain, v
+        if best_row is None or best_gain == NEG_INF:
+            raise SelectionError("rank-deficient eigenbasis")
+        chosen.append(best_row)
+        current += best_gain
+        trace.append(best_gain)
+    return ReferenceSelection(tuple(chosen), tuple(trace))
+
+
+def loop_select_references_pivoting(U: np.ndarray, r: int) -> ReferenceSelection:
+    """Complete-pivoting elimination that updates the free rows one by one."""
+    n, cols = U.shape
+    if r > min(n, cols):
+        raise SelectionError(f"cannot pick {r} pivots from a {n}x{cols} basis")
+    W = U.astype(float).copy()
+    free_rows = list(range(n))
+    free_cols = list(range(cols))
+    refs: list[int] = []
+    pivots: list[float] = []
+    for _ in range(r):
+        sub = np.abs(W[np.ix_(free_rows, free_cols)])
+        flat = int(np.argmax(sub))
+        ri, ci = divmod(flat, len(free_cols))
+        piv_row, piv_col = free_rows[ri], free_cols[ci]
+        piv = W[piv_row, piv_col]
+        if piv == 0.0:
+            raise SelectionError("zero pivot before r steps")
+        refs.append(piv_row)
+        pivots.append(abs(piv))
+        for row in free_rows:
+            if row != piv_row:
+                W[row, :] -= (W[row, piv_col] / piv) * W[piv_row, :]
+        free_rows.remove(piv_row)
+        free_cols.remove(piv_col)
+    return ReferenceSelection(tuple(refs), tuple(pivots))

@@ -58,7 +58,7 @@ def test_criterion_1_structural_fidelity(case39, case118):
     bad = 0
     for net, r in problems:
         op, model, ctx = pipeline(net, r=r, xi=CHOSEN_XI)
-        sol = solve(ctx, model)
+        sol = solve(ctx)
         island_of = {b: k for k, isl in enumerate(sol.islands) for b in isl}
         ok = (
             len(sol.S) == net.m - r
@@ -190,7 +190,7 @@ def sweep_case39(net):
     lowest_h = None
     for xi in XI_GRID:
         _, model, ctx = pipeline(net, r=3, xi=float(xi))
-        sol = solve(ctx, model)
+        sol = solve(ctx)
         groups = [set(net.gens[i].bus for i in grp) for grp in sol.groups]
         overlap = len(set(sol.cutset) & TARGET_CUT)
         if best is None or overlap > best[1]:
@@ -258,7 +258,7 @@ def test_criterion_5_dominance(case39, case118):
     results = {}
     for name, net in (("39", case39), ("118", case118)):
         op, model, ctx = pipeline(net, r=3, xi=CHOSEN_XI)
-        prop = solve(ctx, model)
+        prop = solve(ctx)
         spec = two_step_islanding(net, op, model, ctx, 3)
         results[name] = (prop, spec)
     ok = True
@@ -294,7 +294,7 @@ def test_criterion_6_greedy_and_swap_bounds():
 def test_criterion_7_performance(case118):
     start = time.monotonic()
     op, model, ctx = pipeline(case118, r=3, xi=CHOSEN_XI)
-    solve(ctx, model)
+    solve(ctx)
     two_step_islanding(case118, op, model, ctx, 3)
     elapsed = time.monotonic() - start
     ok = elapsed < 120.0

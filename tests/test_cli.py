@@ -202,12 +202,31 @@ def test_dump_model(capsys):
 @pytest.mark.parametrize("where", ["missing directory", "directory"])
 def test_unwritable_out_is_a_json_error(command, where, tmp_path, capsys):
     out_path = tmp_path if where == "directory" else tmp_path / "no" / "x.json"
+    # the --out check comes before the case is read, so a malformed case
+    # still ends in the UsageError, not a CaseError
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    for case in (CASE39, str(bad)):
+        code, out, err = run_cli(
+            [command, "--case", case, "--out", str(out_path)], capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        doc = json.loads(err)
+        assert doc["error"] == "UsageError" and str(out_path) in doc["message"]
+    assert not (tmp_path / "no").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "refsel"])
+def test_out_is_untouched_when_the_run_fails(command, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    out_path = tmp_path / "report.json"
+    out_path.write_text("previous report")
     code, out, err = run_cli(
-        [command, "--case", CASE39, "--out", str(out_path)], capsys)
+        [command, "--case", str(bad), "--out", str(out_path)], capsys)
     assert code == 1 and out == ""
-    assert len(err.splitlines()) == 1
-    doc = json.loads(err)
-    assert doc["error"] == "UsageError" and str(out_path) in doc["message"]
+    assert json.loads(err)["error"] == "CaseError"
+    assert out_path.read_text() == "previous report"
 
 
 def test_missing_case_errors(capsys):

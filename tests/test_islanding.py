@@ -72,7 +72,7 @@ def test_kept_cycle_is_rejected():
     op, model, ctx = pipeline(net, r=1, refs=(0,))
     assert island_labels(ctx, [0, 1, 2]) is None
     with pytest.raises(IslandingError, match="forest"):
-        extract_solution(ctx, [0, 1, 2], model)
+        extract_solution(ctx, [0, 1, 2])
     # the greedy never adds the line that would close the triangle
     ev, _ = greedy_select(ctx)
     assert sorted(ev.S) == [0, 1]
@@ -102,7 +102,7 @@ def test_local_search_never_worse(pipe39, case39):
     ev2, strace = local_search(ev, epsilon=1e-3)
     assert ev2.J() <= before + 1e-9
     assert len(ev2.S) == len(ev.S)
-    sol = solve(ctx, model)
+    sol = solve(ctx)
     assert sol.swap_count == len(strace)
     assert sol.trace == tuple(trace + strace)
 
@@ -116,7 +116,7 @@ def test_local_search_rejects_bad_epsilon(pipe39, case39):
 
 def test_solution_structure_case39(pipe39, case39):
     _, model, ctx = pipe39
-    sol = solve(ctx, model)
+    sol = solve(ctx)
     assert_structural(case39, sol, 3)
     d = sol.as_dict()
     assert set(d) >= {"cutset", "islands", "J", "sqrt_f_mw", "H_bar", "trace"}
@@ -124,8 +124,8 @@ def test_solution_structure_case39(pipe39, case39):
 
 def test_solution_deterministic(pipe39, case39):
     _, model, ctx = pipe39
-    a = solve(ctx, model)
-    b = solve(ctx, model)
+    a = solve(ctx)
+    b = solve(ctx)
     assert a.S == b.S and a.cutset == b.cutset
     assert a.J_value == b.J_value
 
@@ -138,7 +138,7 @@ def test_solution_structure_random(seed):
     net = random_network(rng, m=int(rng.integers(r + 2, 16)),
                          extra_edges=int(rng.integers(0, 6)), n_gens=r)
     op, model, ctx = pipeline(net, r=r)
-    sol = solve(ctx, model)
+    sol = solve(ctx)
     assert_structural(net, sol, r)
 
 
@@ -265,18 +265,18 @@ def test_swap_count_respects_iteration_budget(seed):
 
 def test_iteration_budget_case39(pipe39, case39):
     _, model, ctx = pipe39
-    sol = solve(ctx, model)
+    sol = solve(ctx)
     assert sol.swap_count <= local_search_iteration_cap(ctx, 1e-3) + 1
 
 
 def test_extract_requires_maximal_set(pipe39, case39):
     _, model, ctx = pipe39
     with pytest.raises(IslandingError, match="reference"):
-        extract_solution(ctx, [], model)
+        extract_solution(ctx, [])
     # one line short of a basis leaves an island without a reference
     ev, _ = greedy_select(ctx)
     with pytest.raises(IslandingError, match="reference"):
-        extract_solution(ctx, ev.S[:-1], model)
+        extract_solution(ctx, ev.S[:-1])
 
 
 def test_extract_rejects_references_sharing_an_island():
@@ -286,7 +286,7 @@ def test_extract_rejects_references_sharing_an_island():
     op, model, ctx = pipeline(net, r=2, refs=(0, 1))
     assert island_labels(ctx, [0, 1]) is None
     with pytest.raises(IslandingError, match="one reference per island"):
-        extract_solution(ctx, [0, 1], model)
+        extract_solution(ctx, [0, 1])
 
 
 def shuffled_case_doc(rng, doc):
@@ -318,7 +318,7 @@ def assert_same_solution(rng, doc):
     for d in (doc, shuffled_case_doc(rng, doc)):
         net = parse_case(json.dumps(d))
         op, model, ctx = pipeline(net, r=3)
-        reports.append(json.dumps(solve(ctx, model).as_dict(),
+        reports.append(json.dumps(solve(ctx).as_dict(),
                                   sort_keys=True))
     assert reports[0] == reports[1]
 
