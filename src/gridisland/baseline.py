@@ -11,12 +11,10 @@ side.  Recursion continues until r islands.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
-import networkx as nx
-from networkx.algorithms.flow import shortest_augmenting_path
 
 from .coherency import CoherencyModel
 from .islanding import IslandingSolution
@@ -102,6 +100,41 @@ def generator_bipartition(W: np.ndarray, nodes=None) -> tuple[list[int], list[in
     return t1, t2, _cut_value(W, mask)
 
 
+def _max_flow(res: dict, src, snk) -> tuple[float, set]:
+    """Maximum src-snk flow by shortest augmenting paths (Edmonds-Karp).
+
+    res maps each node to {neighbour: residual capacity} and holds the
+    reverse entry of every arc; it is updated in place.  Each augmentation
+    pushes the bottleneck residual, which leaves that arc at exactly zero,
+    so, as in exact arithmetic, the shortest-path distances never shrink
+    and the search ends after O(VE) augmentations.  Returns the flow
+    value and the nodes the last, failing search reached: the source side
+    of the minimal minimum cut.
+    """
+    value = 0.0
+    while True:
+        parent = {src: src}
+        queue = deque([src])
+        while queue and snk not in parent:
+            u = queue.popleft()
+            for v, c in res[u].items():
+                if c > 0.0 and v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+        if snk not in parent:
+            return value, set(parent)
+        path = []
+        v = snk
+        while v != src:
+            path.append((parent[v], v))
+            v = parent[v]
+        delta = min(res[u][v] for u, v in path)
+        for u, v in path:
+            res[u][v] -= delta
+            res[v][u] += delta
+        value += delta
+
+
 def constrained_mincut(
     net: PowerNetwork,
     op: OperatingPoint,
@@ -113,8 +146,10 @@ def constrained_mincut(
     """Minimum |flow| cut separating bus sets T1 and T2.
 
     T1's buses contract into the source, T2's into the sink; capacities
-    are the absolute DC line flows.  Returns the two bus sets and the cut
-    edges (canonical indices).  `buses`/`edges` restrict to a subsystem.
+    are the absolute DC line flows.  The cut is the minimal minimum cut:
+    T1 plus the buses the residual network of a maximum flow still reaches
+    from the source.  Returns the two bus sets and the cut edges (canonical
+    indices).  `buses`/`edges` restrict to a subsystem.
     """
     T1, T2 = set(T1), set(T2)
     if not T1 or not T2:
@@ -128,40 +163,22 @@ def constrained_mincut(
             k for k, br in enumerate(net.branches)
             if br.i in buses and br.j in buses
         ]
-    # explicit arcs both ways: minimum_cut's partition comes from residual
-    # reachability, which is only reliable on a directed graph
-    G = nx.DiGraph()
-    G.add_nodes_from(buses)
+    # contract T1 into the source and T2 into the sink; parallel lines and
+    # both directions of a line add into one residual arc each way
     src, snk = "source", "sink"
-    G.add_node(src)
-    G.add_node(snk)
-    for b in T1:
-        G.add_edge(src, b, capacity=float("inf"))
-    for b in T2:
-        G.add_edge(b, snk, capacity=float("inf"))
+    res: dict = {src: {}, snk: {}}
     for k in edges:
         br = net.branches[k]
+        a = src if br.i in T1 else snk if br.i in T2 else br.i
+        b = src if br.j in T1 else snk if br.j in T2 else br.j
+        if a == b:
+            continue
         cap = abs(float(op.flows[k]))
-        for a, b in ((br.i, br.j), (br.j, br.i)):
-            if G.has_edge(a, b):
-                G[a][b]["capacity"] += cap
-            else:
-                G.add_edge(a, b, capacity=cap)
-    # nx.minimum_cut derives the partition from exact flow == capacity
-    # comparisons, which rounding error can defeat; recover the source side
-    # from the residual network with a tolerance on the remaining slack
-    R = shortest_augmenting_path(G, src, snk)
-    cut_value = R.graph["flow_value"]
-    tol = 1e-9 * max(1.0, cut_value)
-    S1 = {src}
-    stack = [src]
-    while stack:
-        u = stack.pop()
-        for v, d in R[u].items():
-            if v not in S1 and d["capacity"] - d["flow"] > tol:
-                S1.add(v)
-                stack.append(v)
-    S1 -= {src}
+        ra, rb = res.setdefault(a, {}), res.setdefault(b, {})
+        ra[b] = ra.get(b, 0.0) + cap
+        rb[a] = rb.get(a, 0.0) + cap
+    cut_value, side = _max_flow(res, src, snk)
+    S1 = (side - {src}) | T1
     S2 = set(buses) - S1
     cut_edges = [
         k for k in edges
@@ -294,10 +311,43 @@ def _best_assignment(model: CoherencyModel, subsystems) -> list[int]:
     """
     r = len(subsystems)
     dist = ((model.L[:, None, :] - np.eye(r)[None, :, :]) ** 2).sum(axis=2)
-    C = [dist[gens].sum(axis=0).tolist() for _, gens in subsystems]
+    return _least_cost_permutation(
+        [dist[gens].sum(axis=0).tolist() for _, gens in subsystems])
+
+
+def _least_cost_permutation(C) -> list[int]:
+    """First permutation in lexicographic order with the least float sum.
+
+    perm's total adds C[k][perm[k]] for k = 0, 1, ... left to right.  A
+    depth-first search in lexicographic order extends the partial sum one
+    row at a time and drops a branch once that sum, with the least entry
+    of every later row added in the same order, reaches the best total.
+    That is exact: rounded addition is monotone in each term, so every
+    completion of the branch totals at least that bound and cannot win.
+    """
+    r = len(C)
     best_perm, best_cost = None, np.inf
-    for perm in permutations(range(r)):
-        cost = sum(C[k][j] for k, j in enumerate(perm))
-        if cost < best_cost:
-            best_cost, best_perm = cost, list(perm)
+    perm: list[int] = []
+    free = [True] * r
+    least = [min(row) for row in C]
+
+    def extend(k: int, partial: float) -> None:
+        nonlocal best_perm, best_cost
+        if k == r:
+            best_cost, best_perm = partial, list(perm)
+            return
+        for j in range(r):
+            if free[j]:
+                total = bound = partial + C[k][j]
+                for low in least[k + 1:]:
+                    bound += low
+                if not bound < best_cost:
+                    continue
+                free[j] = False
+                perm.append(j)
+                extend(k + 1, total)
+                perm.pop()
+                free[j] = True
+
+    extend(0, 0.0)
     return best_perm

@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from gridisland.baseline import (
     BaselineError,
     _best_assignment,
+    _least_cost_permutation,
     constrained_mincut,
     coupling_weights,
     generator_bipartition,
@@ -16,7 +18,7 @@ from gridisland.baseline import (
 )
 from gridisland.netcase import OperatingPoint, dc_power_flow, parse_case
 
-from casekit import pipeline, random_network
+from casekit import pipeline, random_case_doc, random_network, tied_network
 
 
 def test_coupling_weights_symmetric_nonnegative(pipe39, case39):
@@ -199,6 +201,45 @@ def test_best_assignment_ties_go_to_first_permutation():
     assert _best_assignment(model, subsystems) == [0, 1, 2]
 
 
+def permutation_loop(C):
+    # every permutation in lexicographic order, first least float sum wins
+    r = len(C)
+    best_perm, best_cost = None, np.inf
+    for perm in itertools.permutations(range(r)):
+        cost = sum(C[k][j] for k, j in enumerate(perm))
+        if cost < best_cost:
+            best_cost, best_perm = cost, list(perm)
+    return best_perm
+
+
+@st.composite
+def cost_matrices(draw):
+    # nonnegative r x r costs; small integers and copied columns make
+    # exactly tied totals, real entries make rounding-level near-ties
+    r = draw(st.integers(1, 7))
+    entry = st.one_of(st.integers(0, 3).map(float),
+                      st.floats(0.0, 10.0, allow_subnormal=False))
+    C = [[draw(entry) for _ in range(r)] for _ in range(r)]
+    for j in range(r):
+        src = draw(st.integers(0, j))
+        if src < j and draw(st.booleans()):
+            for row in C:
+                row[j] = row[src]
+    return C
+
+
+@settings(max_examples=200, deadline=None)
+@given(cost_matrices())
+def test_least_cost_permutation_is_the_enumeration(C):
+    assert _least_cost_permutation(C) == permutation_loop(C)
+
+
+def test_least_cost_permutation_at_r_11():
+    # every permutation ties, so only the bound on the later rows keeps
+    # the search from visiting all 11! = 39.9M of them
+    assert _least_cost_permutation([[1.0] * 11] * 11) == list(range(11))
+
+
 def line_net(ids, gen_buses):
     doc = {
         "base_mva": 100.0, "base_freq_hz": 60.0, "slack_bus": gen_buses[0],
@@ -233,14 +274,13 @@ def test_mincut_flow_mismatch_is_a_typed_error(monkeypatch):
     # BaselineError, which the CLI reports, even under python -O
     import gridisland.baseline as baseline
 
-    real = baseline.shortest_augmenting_path
+    real = baseline._max_flow
 
-    def off_by_one(G, s, t):
-        R = real(G, s, t)
-        R.graph["flow_value"] += 1.0
-        return R
+    def off_by_one(res, src, snk):
+        value, side = real(res, src, snk)
+        return value + 1.0, side
 
-    monkeypatch.setattr(baseline, "shortest_augmenting_path", off_by_one)
+    monkeypatch.setattr(baseline, "_max_flow", off_by_one)
     net = line_net([1, 2, 3, 4], [1, 4])
     with pytest.raises(BaselineError, match="disagrees"):
         constrained_mincut(net, dc_power_flow(net), {1, 2}, {3, 4})
@@ -270,6 +310,63 @@ def test_mincut_equal_capacities_minimizes_edge_count(seed):
         )
         best = min(best, count)
     assert len(cut) == best
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6))
+def test_mincut_is_the_minimal_exhaustive_minimum(seed):
+    # |DC flow| capacities; T1/T2 hold the buses of a random split of the
+    # generators.  Load-free pendant buses on lines of power-of-two
+    # reactance carry exactly zero flow, so their side is a tie that the
+    # minimal cut breaks toward T2.  Every bus split respecting T1/T2 is
+    # enumerated
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(4, 10))
+    doc = random_case_doc(rng, m=m, extra_edges=int(rng.integers(0, 5)),
+                          n_gens=int(rng.integers(2, min(m, 5) + 1)))
+    for bus in range(m + 1, m + 1 + int(rng.integers(0, 3))):
+        doc["buses"].append({"id": bus, "pd_mw": 0.0})
+        doc["branches"].append(
+            {"from": int(rng.integers(1, bus)), "to": bus, "x_pu": 0.25})
+    net = parse_case(json.dumps(doc))
+    op = dc_power_flow(net)
+    on_first = rng.permutation([True, False] + [
+        bool(b) for b in rng.integers(0, 2, net.n - 2)])
+    T1 = {g.bus for g, s in zip(net.gens, on_first) if s}
+    T2 = {g.bus for g, s in zip(net.gens, on_first) if not s}
+    S1, S2, cut = constrained_mincut(net, op, T1, T2)
+    flow = np.abs(op.flows)
+    others = [b.id for b in net.buses if b.id not in T1 | T2]
+    splits = []
+    for bits in itertools.product([0, 1], repeat=len(others)):
+        side1 = T1 | {b for b, s in zip(others, bits) if s == 0}
+        value = sum(flow[k] for k, br in enumerate(net.branches)
+                    if (br.i in side1) != (br.j in side1))
+        splits.append((side1, value))
+    best = min(v for _, v in splits)
+    tol = 1e-9 * max(1.0, best)
+    assert abs(sum(flow[k] for k in cut) - best) <= tol
+    # the minimal min cut: the intersection of every optimal source side
+    minimal = set.intersection(*(side for side, v in splits if v <= best + tol))
+    assert S1 == minimal
+    assert S2 == {b.id for b in net.buses} - S1
+
+
+@pytest.mark.parametrize("copies", [8, 24])
+def test_mincut_peak_memory_linear_in_the_network(copies, monkeypatch):
+    # T1/T2: the generator buses of the first and second half of the copies
+    net = tied_network(monkeypatch, copies)
+    op = dc_power_flow(net)
+    half = net.n // 2   # the generators are listed copy by copy
+    T1 = {g.bus for g in net.gens[:half]}
+    T2 = {g.bus for g in net.gens[half:]}
+    tracemalloc.start()
+    try:
+        constrained_mincut(net, op, T1, T2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * (net.m + net.l)
 
 
 def test_case39_first_split_isolates_equivalent_unit(pipe39, case39):

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -304,3 +306,19 @@ def test_reported_metrics_revalidate(capsys):
     assert sol["J"] == pytest.approx(J(ctx, S), abs=1e-9)
     assert sol["sqrt_f_mw"] == pytest.approx(float(np.sqrt(f(ctx, S))),
                                              abs=1e-9)
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    # numpy is the one runtime dependency; graph work is plain Python
+    import gridisland
+
+    src = os.path.dirname(os.path.dirname(gridisland.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, gridisland.cli; print('networkx' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
