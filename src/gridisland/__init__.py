@@ -14,7 +14,6 @@ from .netcase import (
     OperatingPoint,
     PowerNetwork,
     dc_power_flow,
-    incidence_matrix,
     parse_case,
     serialize_case,
 )
@@ -27,7 +26,7 @@ from .refsel import (
 )
 from .metrics import MetricContext, MetricError, build_context
 from .islanding import IslandingError, IslandingSolution, solve
-from .baseline import BaselineError, two_step_islanding
+from .baseline import BaselineError, two_step_partition
 
 __all__ = [
     "Branch",
@@ -48,11 +47,10 @@ __all__ = [
     "build_context",
     "build_model",
     "dc_power_flow",
-    "incidence_matrix",
     "parse_case",
     "select_references_greedy",
     "select_references_pivoting",
     "serialize_case",
     "solve",
-    "two_step_islanding",
+    "two_step_partition",
 ]

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherency import CoherencyModel
-from .islanding import IslandingSolution
-from .metrics import J, MetricContext, f, noncoherency
+from .islanding import IslandingSolution, partition_solution
+from .metrics import MetricContext
 from .netcase import OperatingPoint, PowerNetwork
 
 
@@ -140,29 +140,26 @@ def constrained_mincut(
     op: OperatingPoint,
     T1,
     T2,
-    buses=None,
     edges=None,
 ) -> tuple[set[int], set[int], list[int]]:
     """Minimum |flow| cut separating bus sets T1 and T2.
 
     T1's buses contract into the source, T2's into the sink; capacities
-    are the absolute DC line flows.  The cut is the minimal minimum cut:
-    T1 plus the buses the residual network of a maximum flow still reaches
-    from the source.  Returns the two bus sets and the cut edges (canonical
-    indices).  `buses`/`edges` restrict to a subsystem.
+    are the absolute DC line flows.  The source side starts as the minimal
+    minimum cut: T1 plus the buses the residual network of a maximum flow
+    still reaches from the source.  Every piece of the rest that holds no
+    T2 bus then joins it, so each connected piece of either side holds a
+    terminal.  Returns the two bus sets and the cut edges (canonical
+    indices).  `edges` restricts to a subsystem: T1, T2 and the ends of
+    those lines.
     """
     T1, T2 = set(T1), set(T2)
     if not T1 or not T2:
         raise BaselineError("both constraint sets must be nonempty")
     if T1 & T2:
         raise BaselineError("constraint sets overlap")
-    if buses is None:
-        buses = {b.id for b in net.buses}
     if edges is None:
-        edges = [
-            k for k, br in enumerate(net.branches)
-            if br.i in buses and br.j in buses
-        ]
+        edges = range(net.l)
     # contract T1 into the source and T2 into the sink; parallel lines and
     # both directions of a line add into one residual arc each way
     src, snk = "source", "sink"
@@ -178,8 +175,16 @@ def constrained_mincut(
         ra[b] = ra.get(b, 0.0) + cap
         rb[a] = rb.get(a, 0.0) + cap
     cut_value, side = _max_flow(res, src, snk)
-    S1 = (side - {src}) | T1
-    S2 = set(buses) - S1
+    # sink-side pieces without a T2 bus join the source side; the cut
+    # stays minimum, as their lines to that side carry no flow
+    S2, stack = {snk}, [snk]
+    while stack:
+        for v in res[stack.pop()]:
+            if v not in side and v not in S2:
+                S2.add(v)
+                stack.append(v)
+    S2 = (S2 - {snk}) | T2
+    S1 = (set(res) - {src, snk} - S2) | T1
     cut_edges = [
         k for k in edges
         if (net.branches[k].i in S1) != (net.branches[k].j in S1)
@@ -194,29 +199,21 @@ def constrained_mincut(
 
 @dataclass(frozen=True)
 class TwoStepPartition:
-    """The xi-independent result of the two-step baseline."""
+    """The xi-independent result of the two-step baseline.
+
+    kept is the sorted tuple of lines whose two ends share an island,
+    labels the island index of every bus position (islands ordered by
+    their smallest bus id), and cols[k] the coherency column of island k.
+    """
 
     kept: tuple[int, ...]
-    cutset: tuple[str, ...]
-    islands: tuple[tuple[int, ...], ...]
-    groups: tuple[tuple[int, ...], ...]
-    L_g: np.ndarray
-    H_bar: float
+    labels: np.ndarray
+    cols: tuple[int, ...]
 
     def evaluate(self, ctx: MetricContext) -> IslandingSolution:
         """The baseline's solution with J and f under ctx's trade-off weight."""
-        return IslandingSolution(
-            S=self.kept,
-            cutset=self.cutset,
-            islands=self.islands,
-            groups=self.groups,
-            L_g=self.L_g,
-            J_value=J(ctx, self.kept),
-            sqrt_f_mw=float(np.sqrt(f(ctx, self.kept))),
-            H_bar=self.H_bar,
-            trace=(),
-            method="spectral",
-        )
+        return partition_solution(ctx, self.kept, self.labels, self.cols,
+                                  method="spectral")
 
 
 def two_step_islanding(
@@ -226,7 +223,8 @@ def two_step_islanding(
     ctx: MetricContext,
     r: int,
 ) -> IslandingSolution:
-    """Recursive bipartition until r islands, then metric evaluation."""
+    """two_step_partition(net, op, model, r).evaluate(ctx).  No run calls
+    it; it stays while perfbench's span table still names it."""
     return two_step_partition(net, op, model, r).evaluate(ctx)
 
 
@@ -239,80 +237,75 @@ def two_step_partition(
     """Recursive bipartition until r islands.
 
     When more than one subsystem could be split next, the one whose
-    internal coupling cut is cheapest is split first; this
-    weakest-coupling-first order is a deterministic reconstruction of the
-    published recursion.  Nothing here depends on the trade-off weight xi.
+    internal coupling cut is cheapest is split first, ties to the earliest
+    subsystem in split order (a split subsystem leaves the list and its
+    two halves are appended); this weakest-coupling-first order is a
+    deterministic reconstruction of the published recursion.  Each
+    subsystem's generator grouping is computed once, when first needed.
+    Nothing here depends on the trade-off weight xi.
     """
     if r < 2:
         raise BaselineError("the spectral baseline needs r >= 2")
     W_full = coupling_weights(net, model)
-    all_buses = {b.id for b in net.buses}
-    # subsystems: (bus set, generator index list)
-    subsystems: list[tuple[set[int], list[int]]] = [
-        (all_buses, list(range(net.n)))
-    ]
-    removed: set[int] = set()
+    ei = np.array([net.bus_pos[br.i] for br in net.branches], dtype=np.intp)
+    ej = np.array([net.bus_pos[br.j] for br in net.branches], dtype=np.intp)
+    bus_ids = np.array([b.id for b in net.buses])
+    sub = np.zeros(net.m, dtype=np.intp)   # subsystem index per bus position
+    # subsystems in split order: [index, generators, grouping or None]
+    subsystems: list[list] = [[0, list(range(net.n)), None]]
     while len(subsystems) < r:
         best = None
-        for idx, (buses, gens) in enumerate(subsystems):
+        for pos, (_, gens, split) in enumerate(subsystems):
             if len(gens) < 2:
                 continue
-            W = W_full[np.ix_(gens, gens)]
-            t1, t2, val = generator_bipartition(W, nodes=gens)
-            if best is None or val < best[0]:
-                best = (val, idx, t1, t2)
+            if split is None:
+                W = W_full[np.ix_(gens, gens)]
+                split = subsystems[pos][2] = generator_bipartition(W, nodes=gens)
+            if best is None or split[2] < best[0]:
+                best = (split[2], pos)
         if best is None:
             raise BaselineError("cannot reach r islands: too few generators")
-        _, idx, t1, t2 = best
-        buses, gens = subsystems.pop(idx)
-        sub_edges = [
-            k for k, br in enumerate(net.branches)
-            if br.i in buses and br.j in buses and k not in removed
-        ]
-        b1 = {net.gens[i].bus for i in t1}
-        b2 = {net.gens[i].bus for i in t2}
-        S1, S2, cut = constrained_mincut(
-            net, op, b1, b2, buses=buses, edges=sub_edges
+        idx, _, (t1, t2, _) = subsystems.pop(best[1])
+        inside = sub == idx
+        _, S2, _ = constrained_mincut(
+            net, op,
+            {net.gens[i].bus for i in t1}, {net.gens[i].bus for i in t2},
+            edges=np.flatnonzero(inside[ei] & inside[ej]).tolist(),
         )
-        removed.update(cut)
-        subsystems.append((S1, t1))
-        subsystems.append((S2, t2))
+        new = len(subsystems) + 1
+        sub[[net.bus_pos[b] for b in S2]] = new
+        subsystems += [[idx, t1, None], [new, t2, None]]
 
     # islands in a deterministic order: by smallest contained bus id
-    subsystems.sort(key=lambda sg: min(sg[0]))
-    # assign each island to a coherency column: the reference it contains,
-    # falling back to the assignment minimizing ||L - L_g|| if ambiguous
-    ref_of_island = [None] * r
-    for k, (_, gens) in enumerate(subsystems):
-        inside = [j for j, gi in enumerate(model.refs) if gi in gens]
-        if len(inside) == 1:
-            ref_of_island[k] = inside[0]
-    if any(c is None for c in ref_of_island) or len(set(ref_of_island)) != r:
-        ref_of_island = _best_assignment(model, subsystems)
-    L_g = np.zeros((net.n, r))
-    for k, (_, gens) in enumerate(subsystems):
-        L_g[gens, ref_of_island[k]] = 1.0
-
+    order = sorted(range(r), key=lambda idx: bus_ids[sub == idx].min())
+    labels = np.argsort(order)[sub]
+    # island k's coherency column is that of the one reference it holds,
+    # or else from the assignment minimizing ||L - L_g||
+    island_of_gen = labels[net.gen_positions()]
+    holder = island_of_gen[list(model.refs)]
+    if len(set(holder.tolist())) == r:
+        cols = np.argsort(holder).tolist()
+    else:
+        cols = _best_assignment(
+            model, [np.flatnonzero(island_of_gen == k) for k in range(r)])
     return TwoStepPartition(
-        kept=tuple(k for k in range(net.l) if k not in removed),
-        cutset=tuple(net.branches[e].name for e in sorted(removed)),
-        islands=tuple(tuple(sorted(buses)) for buses, _ in subsystems),
-        groups=tuple(tuple(sorted(gens)) for _, gens in subsystems),
-        L_g=L_g,
-        H_bar=noncoherency(model.L, L_g),
+        kept=tuple(np.flatnonzero(labels[ei] == labels[ej]).tolist()),
+        labels=labels,
+        cols=tuple(cols),
     )
 
 
-def _best_assignment(model: CoherencyModel, subsystems) -> list[int]:
+def _best_assignment(model: CoherencyModel, groups) -> list[int]:
     """Island-to-column permutation minimizing sum ||L_i - e_col||^2.
 
-    C[k, j] sums ||L_i - e_j||^2 over island k's generators; the first
-    permutation in lexicographic order with the least total wins.
+    groups[k] lists island k's generators; C[k, j] sums ||L_i - e_j||^2
+    over them.  The first permutation in lexicographic order with the
+    least total wins.
     """
-    r = len(subsystems)
+    r = len(groups)
     dist = ((model.L[:, None, :] - np.eye(r)[None, :, :]) ** 2).sum(axis=2)
     return _least_cost_permutation(
-        [dist[gens].sum(axis=0).tolist() for _, gens in subsystems])
+        [dist[gens].sum(axis=0).tolist() for gens in groups])
 
 
 def _least_cost_permutation(C) -> list[int]:

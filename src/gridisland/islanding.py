@@ -146,46 +146,58 @@ def local_search(
     return ev, trace
 
 
+def partition_solution(
+    ctx: MetricContext, kept, labels, cols, method: str = "weak-submodular",
+    trace=(), swap_count: int = 0,
+) -> IslandingSolution:
+    """The solution for one partition of the buses into islands.
+
+    kept is the sorted tuple of kept lines, labels the island of every bus
+    position and cols[k] island k's coherency column.  Islands list bus
+    ids in position order, groups generator indices in index order, and
+    the cutset holds every line between two islands; J and f are kept's.
+    """
+    net, r = ctx.net, len(cols)
+    islands = tuple(
+        tuple(net.buses[pos].id for pos in np.flatnonzero(labels == k))
+        for k in range(r)
+    )
+    island_of_gen = labels[net.gen_positions()]
+    groups = tuple(tuple(np.flatnonzero(island_of_gen == k).tolist())
+                   for k in range(r))
+    L_g = np.zeros((net.n, r))
+    L_g[np.arange(net.n), np.asarray(cols)[island_of_gen]] = 1.0
+    # lines to trip: only the edges crossing island boundaries; dropped
+    # intra-island edges are redundant paths, not cuts
+    ei, ej = ctx.ends
+    cut = tuple(net.branches[e].name
+                for e in np.flatnonzero(labels[ei] != labels[ej]))
+    return IslandingSolution(
+        S=kept,
+        cutset=cut,
+        islands=islands,
+        groups=groups,
+        L_g=L_g,
+        J_value=J(ctx, kept),
+        sqrt_f_mw=float(np.sqrt(f(ctx, kept))),
+        H_bar=noncoherency(ctx.L, L_g),
+        trace=tuple(trace),
+        swap_count=swap_count,
+        method=method,
+    )
+
+
 def extract_solution(
     ctx: MetricContext, S, trace=(), swap_count: int = 0
 ) -> IslandingSolution:
     """Islands (the k-th holds the k-th reference), cutset and metrics of
     a kept set S that splits the buses into r islands, one reference each."""
-    net = ctx.net
-    S = sorted(S)
+    S = tuple(sorted(S))
     labels = island_labels(ctx, S)
     if labels is None:
         raise IslandingError("S is not a forest with one reference per island")
-    r = len(ctx.refs)
-    islands = tuple(
-        tuple(net.buses[pos].id for pos in np.flatnonzero(labels == k))
-        for k in range(r)
-    )
-    gen_pos = net.gen_positions()
-    L_g = np.zeros((net.n, r))
-    groups: list[list[int]] = [[] for _ in range(r)]
-    for i in range(net.n):
-        k = int(labels[gen_pos[i]])
-        L_g[i, k] = 1.0
-        groups[k].append(i)
-    # lines to trip: only the edges crossing island boundaries; dropped
-    # intra-island edges are redundant paths, not cuts
-    ei, ej = ctx.ends
-    crossing = labels[ei] != labels[ej]
-    cut = tuple(net.branches[e].name for e in np.flatnonzero(crossing))
-    f_val = f(ctx, S)
-    return IslandingSolution(
-        S=tuple(S),
-        cutset=cut,
-        islands=islands,
-        groups=tuple(tuple(g) for g in groups),
-        L_g=L_g,
-        J_value=J(ctx, S),
-        sqrt_f_mw=float(np.sqrt(f_val)),
-        H_bar=noncoherency(ctx.L, L_g),
-        trace=tuple(trace),
-        swap_count=swap_count,
-    )
+    return partition_solution(ctx, S, labels, range(len(ctx.refs)),
+                              trace=trace, swap_count=swap_count)
 
 
 def solve(ctx: MetricContext, epsilon: float = 1e-3) -> IslandingSolution:

@@ -245,10 +245,6 @@ def f(ctx: MetricContext, S) -> float:
     return float(_distances(component_labels(ctx, S), ctx.b0[:, None])[0])
 
 
-def h_i(ctx: MetricContext, S, i: int) -> float:
-    return float(_distances(component_labels(ctx, S), ctx.c[:, [i]])[0])
-
-
 def J(ctx: MetricContext, S) -> float:
     return float(_distances(component_labels(ctx, S), ctx.targets).sum())
 

@@ -361,7 +361,7 @@ def incidence_matrix(net: PowerNetwork, S=None) -> np.ndarray:
 
     The column of edge (i, j) with i < j carries +1 at bus i and -1 at
     bus j.  Columns follow the canonical edge order.  S is an iterable of
-    canonical edge indices; None selects every edge.
+    canonical edge indices; None selects every edge.  No run calls it.
     """
     idx = list(range(net.l)) if S is None else sorted(S)
     A = np.zeros((net.m, len(idx)))

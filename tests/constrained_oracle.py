@@ -7,12 +7,18 @@ found exactly from the sorted breakpoints of the piecewise-linear sum of
 y.  The constrained non-coherency H_i is the per-island
 equality-constrained least squares of the coherency targets.  The tests
 check that the relaxed f and h_i bound them from below; nothing in the
-library calls them.
+library calls them.  h_i, the relaxed non-coherency of one generator,
+lives here too: a run only needs the sum that metrics.J adds up.
 """
 
 import numpy as np
 
-from gridisland.metrics import MetricError, component_labels, island_labels
+from gridisland.metrics import (
+    MetricError,
+    _distances,
+    component_labels,
+    island_labels,
+)
 
 
 def balanced_clip(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -39,6 +45,12 @@ def balanced_clip(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     ta, tb = total(a), total(b)
     lam = a if ta == tb else a + (b - a) * ta / (ta - tb)
     return np.clip(v - lam, lo, hi)
+
+
+def h_i(ctx, S, i: int) -> float:
+    """Relaxed non-coherency of generator i: the squared distance from its
+    coherency target c^i to the span of the kept lines' incidence columns."""
+    return float(_distances(component_labels(ctx, S), ctx.c[:, [i]])[0])
 
 
 def box_limits(net) -> tuple[np.ndarray, np.ndarray]:

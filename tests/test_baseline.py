@@ -14,11 +14,41 @@ from gridisland.baseline import (
     constrained_mincut,
     coupling_weights,
     generator_bipartition,
-    two_step_islanding,
+    two_step_partition,
 )
+from gridisland.cli import RunConfig, run
 from gridisland.netcase import OperatingPoint, dc_power_flow, parse_case
 
-from casekit import pipeline, random_case_doc, random_network, tied_network
+from casekit import (
+    DATA,
+    pipeline,
+    random_case_doc,
+    random_network,
+    tied_network,
+)
+
+
+def pieces(net, lines, buses):
+    """The connected pieces of a bus-id set over the given lines."""
+    adj = {b: [] for b in buses}
+    for k in lines:
+        br = net.branches[k]
+        if br.i in adj and br.j in adj:
+            adj[br.i].append(br.j)
+            adj[br.j].append(br.i)
+    seen, out = set(), []
+    for start in sorted(adj):
+        if start in seen:
+            continue
+        piece, stack = {start}, [start]
+        while stack:
+            for v in adj[stack.pop()]:
+                if v not in piece:
+                    piece.add(v)
+                    stack.append(v)
+        seen |= piece
+        out.append(piece)
+    return out
 
 
 def test_coupling_weights_symmetric_nonnegative(pipe39, case39):
@@ -164,13 +194,13 @@ def test_coupling_weights_match_elementwise_formula(pipe118, case118):
         rtol=1e-15, atol=0.0)
 
 
-def reference_assignment(L, subsystems):
+def reference_assignment(L, groups):
     # the permutation loop with per-row costs that the r x r matrix replaces
-    r = len(subsystems)
+    r = len(groups)
     best_perm, best_cost = None, np.inf
     for perm in itertools.permutations(range(r)):
         cost = 0.0
-        for k, (_, gens) in enumerate(subsystems):
+        for k, gens in enumerate(groups):
             for i in gens:
                 row = L[i].copy()
                 row[perm[k]] -= 1.0
@@ -187,18 +217,16 @@ def test_best_assignment_matches_per_row_loop(seed):
     r = int(rng.integers(2, 6))
     n = int(rng.integers(r, 12))
     owner = np.concatenate([np.arange(r), rng.integers(0, r, n - r)])
-    subsystems = [(set(), list(np.flatnonzero(owner == k))) for k in range(r)]
+    groups = [list(np.flatnonzero(owner == k)) for k in range(r)]
     L = rng.normal(size=(n, r))
     model = SimpleNamespace(L=L)
-    assert _best_assignment(model, subsystems) == reference_assignment(
-        L, subsystems)
+    assert _best_assignment(model, groups) == reference_assignment(L, groups)
 
 
 def test_best_assignment_ties_go_to_first_permutation():
     # L = 0 costs every permutation the same
-    subsystems = [(set(), [0]), (set(), [1, 2]), (set(), [3])]
     model = SimpleNamespace(L=np.zeros((4, 3)))
-    assert _best_assignment(model, subsystems) == [0, 1, 2]
+    assert _best_assignment(model, [[0], [1, 2], [3]]) == [0, 1, 2]
 
 
 def permutation_loop(C):
@@ -318,8 +346,9 @@ def test_mincut_is_the_minimal_exhaustive_minimum(seed):
     # |DC flow| capacities; T1/T2 hold the buses of a random split of the
     # generators.  Load-free pendant buses on lines of power-of-two
     # reactance carry exactly zero flow, so their side is a tie that the
-    # minimal cut breaks toward T2.  Every bus split respecting T1/T2 is
-    # enumerated
+    # minimal cut breaks toward T2, cut off from the rest of T2's side;
+    # such pieces join the source side.  Every bus split respecting T1/T2
+    # is enumerated
     rng = np.random.default_rng(seed)
     m = int(rng.integers(4, 10))
     doc = random_case_doc(rng, m=m, extra_edges=int(rng.integers(0, 5)),
@@ -346,9 +375,12 @@ def test_mincut_is_the_minimal_exhaustive_minimum(seed):
     best = min(v for _, v in splits)
     tol = 1e-9 * max(1.0, best)
     assert abs(sum(flow[k] for k in cut) - best) <= tol
-    # the minimal min cut: the intersection of every optimal source side
+    # the minimal min cut (the intersection of every optimal source side)
+    # plus the pieces of its complement that hold no T2 bus
     minimal = set.intersection(*(side for side, v in splits if v <= best + tol))
-    assert S1 == minimal
+    rest = {b.id for b in net.buses} - minimal
+    assert S1 == minimal.union(*(
+        piece for piece in pieces(net, range(net.l), rest) if not piece & T2))
     assert S2 == {b.id for b in net.buses} - S1
 
 
@@ -382,12 +414,12 @@ def test_case39_first_split_isolates_equivalent_unit(pipe39, case39):
 def test_two_step_needs_r_at_least_two(pipe39, case39):
     op, model, ctx = pipe39
     with pytest.raises(BaselineError):
-        two_step_islanding(case39, op, model, ctx, 1)
+        two_step_partition(case39, op, model, 1)
 
 
 def test_two_step_structure_case39(pipe39, case39):
     op, model, ctx = pipe39
-    sol = two_step_islanding(case39, op, model, ctx, 3)
+    sol = two_step_partition(case39, op, model, 3).evaluate(ctx)
     assert sol.method == "spectral"
     assert len(sol.islands) == 3
     covered = sorted(b for isl in sol.islands for b in isl)
@@ -407,8 +439,8 @@ def test_two_step_structure_case39(pipe39, case39):
 
 def test_two_step_deterministic(pipe39, case39):
     op, model, ctx = pipe39
-    a = two_step_islanding(case39, op, model, ctx, 3)
-    b = two_step_islanding(case39, op, model, ctx, 3)
+    a = two_step_partition(case39, op, model, 3).evaluate(ctx)
+    b = two_step_partition(case39, op, model, 3).evaluate(ctx)
     assert a.cutset == b.cutset and a.J_value == b.J_value
 
 
@@ -420,7 +452,54 @@ def test_two_step_structure_random(seed):
     net = random_network(rng, m=int(rng.integers(r + 3, 14)),
                          extra_edges=int(rng.integers(0, 5)), n_gens=r + 1)
     op, model, ctx = pipeline(net, r=r)
-    sol = two_step_islanding(net, op, model, ctx, r)
+    sol = two_step_partition(net, op, model, r).evaluate(ctx)
     assert len(sol.islands) == r
     covered = sorted(b for isl in sol.islands for b in isl)
     assert covered == sorted(b.id for b in net.buses)
+    # the kept lines are exactly those whose ends share an island
+    island_of = {b: k for k, isl in enumerate(sol.islands) for b in isl}
+    assert sol.S == tuple(k for k, br in enumerate(net.branches)
+                          if island_of[br.i] == island_of[br.j])
+    # every piece of every island holds a generator of its group
+    for isl, grp in zip(sol.islands, sol.groups):
+        gen_buses = {net.gens[i].bus for i in grp}
+        for piece in pieces(net, sol.S, set(isl)):
+            assert piece & gen_buses
+
+
+def test_two_step_groups_each_subsystem_once(pipe118, case118, monkeypatch):
+    # every subsystem's generator grouping is computed once, when the
+    # recursion first needs it: 9 calls at r = 8 on case118
+    import gridisland.baseline as baseline
+
+    calls = []
+    real = baseline.generator_bipartition
+
+    def counted(W, nodes=None):
+        calls.append(tuple(nodes))
+        return real(W, nodes)
+
+    monkeypatch.setattr(baseline, "generator_bipartition", counted)
+    op, model, _ = pipeline(case118, r=8)
+    two_step_partition(case118, op, model, 8)
+    assert len(calls) == len(set(calls)) == 9
+
+
+def test_pendant_bus_stays_with_its_host(tmp_path):
+    # case39 plus a load-free bus 40 on an x = 0.25 line: its line carries
+    # exactly zero flow, so the min cut ties over its side; it must still
+    # land in its host's island, which stays connected over kept lines
+    with open(f"{DATA}/case39.json") as fh:
+        doc = json.load(fh)
+    doc["buses"].append({"id": 40, "pd_mw": 0.0})
+    for host in range(1, 40):
+        doc["branches"].append({"from": host, "to": 40, "x_pu": 0.25})
+        path = tmp_path / f"case39_pendant_{host}.json"
+        path.write_text(json.dumps(doc))
+        net = parse_case(json.dumps(doc))
+        doc["branches"].pop()
+        for r in (2, 3):
+            report = run(RunConfig(case=str(path), r=r, method="spectral"))
+            sol = report["runs"][0]["methods"]["spectral"]
+            for isl in sol["islands"]:
+                assert len(pieces(net, sol["kept"], set(isl))) == 1, (host, r)

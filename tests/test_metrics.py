@@ -9,7 +9,6 @@ from gridisland.metrics import (
     MetricError,
     build_context,
     f,
-    h_i,
     island_labels,
     noncoherency,
     component_labels,
@@ -17,7 +16,7 @@ from gridisland.metrics import (
 from gridisland.netcase import incidence_matrix
 
 from casekit import pipeline, random_network
-from constrained_oracle import F, H_i_constrained, box_limits
+from constrained_oracle import F, H_i_constrained, box_limits, h_i
 from dense_oracle import dense_J, orthonormal_span, subspace_distance_sq
 from matroid_oracle import (
     lambda_min_C,
