@@ -56,6 +56,7 @@ KNOWN_ERRORS = (
     CaseError, ModelError, SelectionError, MetricError, IslandingError,
     BaselineError, UsageError,
 )
+REPORT_DIGITS = 12   # decimals every report float is rounded to
 
 
 @dataclass
@@ -145,14 +146,14 @@ def _references(case: str, dyn: str | None, r: int):
     return net, op, select_references_greedy(U, r), select_references_pivoting(U, r)
 
 
-def _round_floats(obj, digits: int = 12):
+def _round_floats(obj):
     """Round every float so reports are stable across BLAS minutiae."""
     if isinstance(obj, float):
-        return round(obj, digits)
+        return round(obj, REPORT_DIGITS)
     if isinstance(obj, dict):
-        return {k: _round_floats(v, digits) for k, v in obj.items()}
+        return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v, digits) for v in obj]
+        return [_round_floats(v) for v in obj]
     return obj
 
 
@@ -306,9 +307,8 @@ def main(argv=None) -> int:
             r = _parse_scalar(args.r, int, "--r", SelectionError)
             net, _, greedy, pivot = _references(args.case, args.dyn, r)
             gen_bus = [g.bus for g in net.gens]
-            doc = {"greedy": [gen_bus[i] for i in greedy.refs],
-                   "pivoting": [gen_bus[i] for i in pivot.refs]}
-            text = json.dumps(_round_floats(doc), indent=2, sort_keys=True) + "\n"
+            text = _render({"greedy": [gen_bus[i] for i in greedy.refs],
+                            "pivoting": [gen_bus[i] for i in pivot.refs]}, "json")
         else:
             try:
                 report = json.loads(_read(args.report, MetricError))

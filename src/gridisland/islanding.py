@@ -9,10 +9,10 @@ The reference set, which fixes the feasible line sets, lives in the
 MetricContext as generator indices (ctx.refs) and bus positions
 (ctx.ref_pos); every stage reads it and the network from the context.
 
-The search state is one metrics.IncrementalEvaluator: S, the component
-label of every bus and the per-component sums that J and its gains come
-from.  With every component that holds a reference joined to the root,
-a line is feasible exactly when its two ends carry different labels.
+The search state is one metrics.IncrementalEvaluator.  The local search
+roots S at the references: by basis exchange, removing a kept line v
+cuts off the subtree below v, and any line with exactly one end in that
+subtree may replace v.
 """
 
 from __future__ import annotations
@@ -64,14 +64,6 @@ class IslandingSolution:
         }
 
 
-def _root_labels(labels: np.ndarray, ref_pos: np.ndarray) -> np.ndarray:
-    """Component labels of the augmented graph: every component holding a
-    reference is joined to the virtual root, labelled -1."""
-    anchored = np.zeros(len(labels), dtype=bool)
-    anchored[labels[ref_pos]] = True
-    return np.where(anchored[labels], -1, labels)
-
-
 def greedy_select(ctx: MetricContext) -> tuple[IncrementalEvaluator, list[float]]:
     """Stage 1: pick the maximal independent set, steepest J-descent first.
 
@@ -90,7 +82,9 @@ def greedy_select(ctx: MetricContext) -> tuple[IncrementalEvaluator, list[float]
     target = ctx.net.m - len(ctx.refs)
     trace = [ev.J()]
     while len(ev.S) < target:
-        root = _root_labels(ev.labels, ctx.ref_pos)
+        anchored = np.zeros(ctx.net.m, dtype=bool)
+        anchored[ev.labels[ctx.ref_pos]] = True
+        root = np.where(anchored[ev.labels], -1, ev.labels)   # -1: joined to the root
         omega = omega[root[ei[omega]] != root[ej[omega]]]
         if not len(omega):
             break
@@ -104,45 +98,68 @@ def greedy_select(ctx: MetricContext) -> tuple[IncrementalEvaluator, list[float]
     return ev, trace
 
 
+def _rooted_forest(ctx: MetricContext, S) -> tuple[np.ndarray, dict]:
+    """Preorder position of every bus of forest S rooted at the
+    references, and per line of S the range [lo, hi) of positions below
+    it: a stack-based preorder visits each subtree in one run."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(ctx.net.m)]
+    for e, i, j in zip(S, *(x[S].tolist() for x in ctx.ends)):
+        adj[i].append((j, e))
+        adj[j].append((i, e))
+    at, below, k = np.empty(ctx.net.m, dtype=np.intp), {}, 0
+    stack = [(int(p), -1) for p in ctx.ref_pos]   # (bus, line to parent)
+    while stack:
+        u, line = stack.pop()
+        if u < 0:   # marker: the run of buses below `line` ends here
+            below[line] = (below[line], k)
+        else:
+            below[line], at[u], k = k, k, k + 1
+            stack += [(-1, line)] + [(w, e) for w, e in adj[u] if e != line]
+    return at, below
+
+
 def local_search(
     ev: IncrementalEvaluator, epsilon: float
 ) -> tuple[IncrementalEvaluator, list[float]]:
     """Stage 2: first-improvement edge swaps until no (1 - eps) cut exists.
 
-    A swap (v out, e in) is feasible when e joins two components of the
-    augmented graph of S minus v; for a maximal S, when e joins the piece
-    that removing v cut off from its reference to another island.  The
-    component labels come from the evaluator fork for S minus v.  Returns
-    the final evaluator and the J after every swap.
+    ev must hold a spanning forest with one reference per tree.  Each
+    round roots it at the references and, for the kept lines v in
+    ascending order, swaps in place the first line e (ascending) with one
+    end below v and J(S - v + e) < (1 - eps) J(S).  Returns the evaluator
+    and the J after every swap.
     """
     if epsilon <= 0:
         raise IslandingError("epsilon must be positive")
     ctx = ev.ctx
-    ei, ej = ctx.ends
+    if island_labels(ctx, ev.S) is None:
+        raise IslandingError("S is not a forest with one reference per tree")
     trace = []
     current = ev.J()
     # below this floor the objective is numerically zero and any further
     # "improvement" is rounding noise, which would swap forever
     floor = 1e-12 * max(ev.base, 1.0)
-    improved = True
-    while improved and current > floor:
-        improved = False
+    while current > floor:
+        at, below = _rooted_forest(ctx, ev.S)
         out_set = np.delete(np.arange(ctx.net.l), ev.S)
+        out_i, out_j = (at[x[out_set]] for x in ctx.ends)
         for v in sorted(ev.S):
-            sub = ev.fork_without(v)
-            root = _root_labels(sub.labels, ctx.ref_pos)
-            feas = out_set[root[ei[out_set]] != root[ej[out_set]]]
+            lo, hi = below[v]
+            feas = out_set[((lo <= out_i) & (out_i < hi))
+                           != ((lo <= out_j) & (out_j < hi))]
             if not len(feas):
                 continue
+            piece = np.flatnonzero((lo <= at) & (at < hi))
             better = np.flatnonzero(
-                sub.J() - sub.gains(feas) < (1 - epsilon) * current)
+                ev.swap_J(piece, feas, current) < (1 - epsilon) * current)
             if len(better):
-                sub.add(int(feas[better[0]]))
-                ev = sub
+                ev.cut(v, piece)
+                ev.add(int(feas[better[0]]))
                 current = ev.J()
                 trace.append(current)
-                improved = True
                 break
+        else:
+            break
     return ev, trace
 
 

@@ -32,7 +32,6 @@ trade-off weights xi of order 1e-7..1e-5 balance the two objectives.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -125,6 +124,12 @@ def _distances(labels: np.ndarray, V: np.ndarray) -> np.ndarray:
     return (sums[keep] ** 2 / sizes[keep, None]).sum(axis=0)
 
 
+def _merge_gains(sa, na, sb, nb) -> np.ndarray:
+    """Per row, J's decrease n_a n_b / (n_a + n_b) ||mu_a - mu_b||^2."""
+    d = sa / na[:, None] - sb / nb[:, None]
+    return na * nb / (na + nb) * (d * d).sum(axis=1)
+
+
 class IncrementalEvaluator:
     """Partition state of one search over edge subsets.
 
@@ -132,113 +137,85 @@ class IncrementalEvaluator:
     smallest bus position in its component), and per component the sum
     of the target rows T, the sum of b0 and the size.  Only the entries
     at current labels are meaningful.  gains() reads the J-decrease of
-    every candidate line from these sums in one vectorized pass, add()
-    merges two components and fork_without() splits one.  Owned by one
-    logical search; the context itself is immutable and shared.
+    every candidate line from these sums in one vectorized pass and
+    add() merges two components; on a forest, swap_J() reads the J of
+    every swap out of one kept bridge and cut() removes it.  Owned by
+    one logical search; the context itself is immutable and shared.
     """
 
     def __init__(self, ctx: MetricContext):
         self.ctx = ctx
         self.T = ctx.targets          # m x (n+1), weighted
         self.base = float((self.T * self.T).sum())  # J(empty set)
-        m = ctx.net.m
-        self.labels = np.arange(m)
+        self.labels = np.arange(ctx.net.m)
         self.sums = self.T.copy()
         self.b0_sums = ctx.b0.astype(float)
-        self.sizes = np.ones(m, dtype=np.intp)
+        self.sizes = np.ones(ctx.net.m, dtype=np.intp)
         self.S: list[int] = []
-        self._adj: list[list[tuple[int, int]]] | None = None
 
     def J(self) -> float:
         keep = self.sizes > 0
         return float(
             ((self.sums[keep] ** 2).sum(axis=1) / self.sizes[keep]).sum())
 
-    def _merges(self, candidates):
-        """Labels, sizes and merge weight n_a n_b / (n_a + n_b) per line."""
-        cand = np.asarray(candidates, dtype=np.intp)
-        ei, ej = self.ctx.ends
-        a = self.labels[ei[cand]]
-        b = self.labels[ej[cand]]
-        na, nb = self.sizes[a], self.sizes[b]
-        return a, b, na, nb, na * nb / (na + nb)
-
     def gains(self, candidates) -> np.ndarray:
         """J(S) - J(S + {e}) for each candidate edge, vectorized."""
-        a, b, na, nb, w = self._merges(candidates)
-        d = self.sums[a] / na[:, None] - self.sums[b] / nb[:, None]
-        return w * (d * d).sum(axis=1)
+        a, b = (self.labels[x[candidates]] for x in self.ctx.ends)
+        return _merge_gains(self.sums[a], self.sizes[a],
+                            self.sums[b], self.sizes[b])
 
     def f_gains(self, candidates) -> np.ndarray:
         """f(S) - f(S + {e}) for each candidate edge, vectorized."""
-        a, b, na, nb, w = self._merges(candidates)
+        a, b = (self.labels[x[candidates]] for x in self.ctx.ends)
+        na, nb = self.sizes[a], self.sizes[b]
         d = self.b0_sums[a] / na - self.b0_sums[b] / nb
-        return w * d * d
+        return na * nb / (na + nb) * d * d
+
+    def swap_J(self, piece, candidates, current: float) -> np.ndarray:
+        """J(S - v + e) per candidate e, given current = J(S), where the kept
+        bridge v cuts the buses `piece` (ascending) off and e has one end there."""
+        own = self.labels[piece[0]]
+        p_sum, n_p = self.T[piece].sum(axis=0), len(piece)
+        rest_sum, n_rest = self.sums[own] - p_sum, self.sizes[own] - n_p
+        cut_J = (current - self.sums[own] @ self.sums[own] / self.sizes[own]
+                 + p_sum @ p_sum / n_p + rest_sum @ rest_sum / n_rest)
+        a, b = (self.labels[x[candidates]] for x in self.ctx.ends)
+        far = np.where(a == own, b, a)
+        sums, sizes = self.sums[far], self.sizes[far]
+        sums[far == own], sizes[far == own] = rest_sum, n_rest
+        return cut_J - _merge_gains(p_sum[None], np.array([n_p]), sums, sizes)
 
     def add(self, e: int) -> None:
-        ei, ej = self.ctx.ends
-        i, j = int(ei[e]), int(ej[e])
-        a, b = int(self.labels[i]), int(self.labels[j])
+        a, b = (int(self.labels[x[e]]) for x in self.ctx.ends)
         if a != b:
             keep, gone = min(a, b), max(a, b)
             self.labels[self.labels == gone] = keep
             for arr in (self.sums, self.b0_sums, self.sizes):
                 arr[keep] += arr[gone]
                 arr[gone] = 0
-        if self._adj is not None:
-            self._adj[i].append((j, e))
-            self._adj[j].append((i, e))
         self.S.append(e)
 
-    def fork_without(self, v: int) -> "IncrementalEvaluator":
-        """Evaluator for S minus every copy of edge v; self is unchanged."""
-        other = copy.copy(self)
-        other.labels = self.labels.copy()
-        other.sums = self.sums.copy()
-        other.b0_sums = self.b0_sums.copy()
-        other.sizes = self.sizes.copy()
-        other.S = [e for e in self.S if e != v]
-        other._adj = None
-        if len(other.S) == len(self.S):
-            return other
-        ei, ej = self.ctx.ends
-        i, j = int(ei[v]), int(ej[v])
-        adj = self._adjacency()
-        seen = {i}
-        stack = [i]
-        while stack:
-            u = stack.pop()
-            for w, e in adj[u]:
-                if e != v and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if j not in seen:   # v was a bridge: its component splits in two
-            other._split(int(self.labels[i]), list(seen))
-        return other
-
-    def _adjacency(self) -> list[list[tuple[int, int]]]:
-        """Bus position -> (neighbour, edge) over S, built on first use."""
-        if self._adj is None:
-            ei, ej = (x.tolist() for x in self.ctx.ends)
-            adj: list[list[tuple[int, int]]] = [[] for _ in self.labels]
-            for e in self.S:
-                adj[ei[e]].append((ej[e], e))
-                adj[ej[e]].append((ei[e], e))
-            self._adj = adj
-        return self._adj
-
-    def _split(self, old: int, piece: list[int]) -> None:
-        """Relabel component `old` as `piece` and the rest, with fresh sums."""
-        members = np.flatnonzero(self.labels == old)
-        inside = np.zeros(len(self.labels), dtype=bool)
-        inside[piece] = True
-        mask = inside[members]
-        for part in (members[mask], members[~mask]):
-            lab = int(part[0])   # flatnonzero is ascending
+    def cut(self, v: int, piece) -> None:
+        """Remove the kept bridge v that cuts the buses `piece` (ascending)
+        off their component; both sides are summed afresh in bus order."""
+        rest = self.labels == self.labels[piece[0]]
+        rest[piece] = False
+        for part in (piece, np.flatnonzero(rest)):
+            lab = int(part[0])
             self.labels[part] = lab
             self.sums[lab] = self.T[part].sum(axis=0)
             self.b0_sums[lab] = self.ctx.b0[part].sum()
             self.sizes[lab] = len(part)
+        self.S.remove(v)
+
+    def fork_without(self, v: int) -> "IncrementalEvaluator":
+        """A new evaluator for S minus every copy of edge v.  No run calls
+        it; it stays while perfbench's span table still names it."""
+        other = IncrementalEvaluator(self.ctx)
+        for e in self.S:
+            if e != v:
+                other.add(e)
+        return other
 
 
 def f(ctx: MetricContext, S) -> float:

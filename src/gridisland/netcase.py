@@ -176,14 +176,21 @@ def _canonical_branches(raw: list[tuple[int, int, float]]) -> tuple[Branch, ...]
     return tuple(Branch(k, i, j, x) for k, (i, j, _, x) in enumerate(keyed))
 
 
+def _bus_id(value) -> int:
+    """A bus number: an integral int or float, never a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+        raise ValueError(f"bus number {value!r} is not an integer")
+    return int(value)
+
+
 def _from_native(doc: dict) -> PowerNetwork:
     try:
         base_mva = float(doc["base_mva"])
         base_freq = 2 * np.pi * float(doc.get("base_freq_hz", 60.0))
-        slack = int(doc["slack_bus"])
+        slack = _bus_id(doc["slack_bus"])
         gens = tuple(
             Gen(
-                bus=int(g["bus"]),
+                bus=_bus_id(g["bus"]),
                 pg=float(g["pg_mw"]),
                 pg_max=float(g.get("pg_max_mw", g["pg_mw"])),
                 inertia=float(g["inertia_s"]),
@@ -199,17 +206,17 @@ def _from_native(doc: dict) -> PowerNetwork:
             pg_max[g.bus] = pg_max.get(g.bus, 0.0) + g.pg_max
         buses = tuple(
             Bus(
-                id=int(b["id"]),
+                id=_bus_id(b["id"]),
                 d0=float(b["pd_mw"]),
                 d_max=float(b.get("pd_max_mw", b["pd_mw"])),
-                g0=pg.get(int(b["id"]), 0.0),
-                g_max=pg_max.get(int(b["id"]), 0.0),
+                g0=pg.get(_bus_id(b["id"]), 0.0),
+                g_max=pg_max.get(_bus_id(b["id"]), 0.0),
             )
-            for b in sorted(doc["buses"], key=lambda b: int(b["id"]))
+            for b in sorted(doc["buses"], key=lambda b: _bus_id(b["id"]))
         )
-        branches = _canonical_branches(
-            [(int(b["from"]), int(b["to"]), float(b["x_pu"])) for b in doc["branches"]]
-        )
+        branches = _canonical_branches([
+            (_bus_id(b["from"]), _bus_id(b["to"]), float(b["x_pu"]))
+            for b in doc["branches"]])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CaseError(f"malformed case document: {exc}") from exc
     return _validate(
@@ -242,6 +249,8 @@ def _parse_matpower(case_text: str, dyn_text: str) -> PowerNetwork:
             if len(row) < _MPC_COLUMNS[name]:
                 raise CaseError(f"mpc.{name} row {line!r} has fewer than "
                                 f"{_MPC_COLUMNS[name]} columns")
+            if any(x % 1 for x in row[:2 if name == "branch" else 1]):
+                raise CaseError(f"mpc.{name} row {line!r}: bus number not an integer")
             rows.append(row)
         tables[name] = rows
     missing = {"bus", "gen", "branch"} - tables.keys()
@@ -279,10 +288,12 @@ def _parse_matpower(case_text: str, dyn_text: str) -> PowerNetwork:
             "gens": [],
         }
         machines = dyn.get("machines", dyn)
+        static_pg: dict[int, float] = {}
         for r in tables["gen"]:
             bus = int(r[0])
             mach = machines.get(str(bus))
-            if mach is None:   # units without dynamic data are static injections
+            if mach is None:   # a unit without dynamic data still injects power
+                static_pg[bus] = static_pg.get(bus, 0.0) + r[1]
                 continue
             doc["gens"].append(
                 {
@@ -296,11 +307,6 @@ def _parse_matpower(case_text: str, dyn_text: str) -> PowerNetwork:
             )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CaseError(f"malformed dynamics document: {exc!r}") from exc
-    # static units still contribute dispatched power to the bus
-    static_pg: dict[int, float] = {}
-    for r in tables["gen"]:
-        if str(int(r[0])) not in machines:
-            static_pg[int(r[0])] = static_pg.get(int(r[0]), 0.0) + r[1]
     net = _from_native(doc)
     if static_pg:
         buses = tuple(

@@ -5,8 +5,9 @@ virtual root.  The helpers here enumerate that matroid's bases, draw
 random ones, and check the paper's guarantees against exhaustive
 computation: the greedy bound with the sparse-eigenvalue estimate of the
 submodularity ratio (Das & Kempe, "Submodular meets Spectral", ICML 2011)
-and the local search's iteration budget.  They are desk-scale oracles;
-nothing in the library calls them.
+and the local search's iteration budget.  local_search_reference is the
+local search with one evaluator per kept line.  They are desk-scale
+oracles; nothing in the library calls them.
 """
 
 import itertools
@@ -106,3 +107,43 @@ def local_search_iteration_cap(ctx, epsilon: float) -> float:
     if J_full <= 0:
         return float("inf")
     return (log(J_full) - log(J_empty)) / log(1 - epsilon)
+
+
+def local_search_reference(ev, epsilon: float):
+    """First-improvement edge swaps, with a new evaluator per kept line.
+
+    For every kept line v in ascending order, an evaluator of S minus v
+    gives the component labels.  With every component that holds a
+    reference joined to the root, the non-kept lines whose ends carry
+    different labels may replace v; the first of them in ascending order
+    with J(S - v + e) < (1 - eps) J(S) does.  islanding.local_search
+    reads the same swaps from one rooted forest per round.  Returns the
+    final evaluator and the J after every swap; ev is left unchanged.
+    """
+    ctx = ev.ctx
+    ei, ej = ctx.ends
+    trace = []
+    current = ev.J()
+    floor = 1e-12 * max(ev.base, 1.0)
+    improved = True
+    while improved and current > floor:
+        improved = False
+        out_set = np.delete(np.arange(ctx.net.l), ev.S)
+        for v in sorted(ev.S):
+            sub = ev.fork_without(v)
+            anchored = np.zeros(ctx.net.m, dtype=bool)
+            anchored[sub.labels[ctx.ref_pos]] = True
+            root = np.where(anchored[sub.labels], -1, sub.labels)
+            feas = out_set[root[ei[out_set]] != root[ej[out_set]]]
+            if not len(feas):
+                continue
+            better = np.flatnonzero(
+                sub.J() - sub.gains(feas) < (1 - epsilon) * current)
+            if len(better):
+                sub.add(int(feas[better[0]]))
+                ev = sub
+                current = ev.J()
+                trace.append(current)
+                improved = True
+                break
+    return ev, trace

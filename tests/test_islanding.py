@@ -28,6 +28,7 @@ from matroid_oracle import (
     check_greedy_bound,
     enumerate_bases,
     local_search_iteration_cap,
+    local_search_reference,
 )
 
 
@@ -112,6 +113,42 @@ def test_local_search_rejects_bad_epsilon(pipe39, case39):
     ev, _ = greedy_select(ctx)
     with pytest.raises(IslandingError):
         local_search(ev, epsilon=0.0)
+
+
+def test_local_search_rejects_a_kept_set_that_is_not_a_basis(pipe39):
+    _, model, ctx = pipe39
+    ev, _ = greedy_select(ctx)
+    short = IncrementalEvaluator(ctx)
+    for e in ev.S[:-1]:   # one island is left without a reference
+        short.add(e)
+    with pytest.raises(IslandingError, match="forest"):
+        local_search(short, epsilon=1e-3)
+    net = triangle_net()
+    _, _, tri = pipeline(net, r=1, refs=(0,))
+    cycle = IncrementalEvaluator(tri)
+    for e in range(net.l):
+        cycle.add(e)
+    with pytest.raises(IslandingError, match="forest"):
+        local_search(cycle, epsilon=1e-3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 4),
+       st.sampled_from([0.0, 1e-7, 1e-6, 1e-5]),
+       st.sampled_from([1e-3, 1e-6]))
+def test_local_search_matches_per_line_evaluator_reference(seed, r, xi, eps):
+    rng = np.random.default_rng(seed)
+    n_gens = int(rng.integers(r, 8))
+    net = random_network(rng, m=int(rng.integers(n_gens + 1, 31)),
+                         extra_edges=int(rng.integers(1, 12)), n_gens=n_gens)
+    op, model, ctx = pipeline(net, r=r, xi=xi)
+    start, _ = greedy_select(ctx)
+    ref, ref_trace = local_search_reference(start, eps)
+    ev, trace = local_search(start, eps)
+    assert sorted(ev.S) == sorted(ref.S)
+    assert len(trace) == len(ref_trace)
+    assert trace == pytest.approx(ref_trace, rel=1e-12)
+    assert ev.J() == pytest.approx(J(ctx, ev.S), abs=1e-9 * ev.base)
 
 
 def test_solution_structure_case39(pipe39, case39):

@@ -234,6 +234,56 @@ def test_closed_form_evaluator_matches_dense_oracle(seed):
     check(ev, S)   # forks leave the original intact
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6))
+def test_swap_values_and_cut_match_dense_oracle(seed):
+    # every swap out of every kept line of a random basis is checked
+    # against the Gram-Schmidt projection, and so is the state cut()
+    # leaves behind
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, m=int(rng.integers(4, 11)),
+                         extra_edges=int(rng.integers(1, 6)))
+    xi = float(rng.choice([0.0, 1e-7, 1e-6, 1e-5]))
+    op, model, ctx = pipeline(net, r=3, xi=xi)
+    S = random_basis(rng, net, ctx)
+    tol = 1e-9 * max(1.0, dense_J(ctx, []))
+    ev = IncrementalEvaluator(ctx)
+    for e in S:
+        ev.add(e)
+    ei, ej = ctx.ends
+
+    def cut_off(v):
+        """S without v, its component labels, and the buses that removing
+        v cuts off from their reference."""
+        rest = [x for x in S if x != v]
+        labels = component_labels(ctx, rest)
+        lost = [lab for lab in labels[[ei[v], ej[v]]]
+                if lab not in labels[ctx.ref_pos]]
+        assert len(lost) == 1
+        return rest, labels, labels == lost[0]
+
+    for v in S:
+        rest, _, below = cut_off(v)
+        cand = [e for e in range(net.l)
+                if e not in S and below[ei[e]] != below[ej[e]]]
+        got = ev.swap_J(np.flatnonzero(below), cand, ev.J())
+        assert len(got) == len(cand)
+        for e, value in zip(cand, got):
+            assert value == pytest.approx(dense_J(ctx, rest + [e]), abs=tol)
+    v = S[int(rng.integers(len(S)))]
+    rest, labels, below = cut_off(v)
+    ev.cut(v, np.flatnonzero(below))
+    assert ev.S == rest
+    np.testing.assert_array_equal(ev.labels, labels)
+    assert ev.J() == pytest.approx(dense_J(ctx, rest), abs=tol)
+    fresh = IncrementalEvaluator(ctx)
+    for e in rest:
+        fresh.add(e)
+    everything = list(range(net.l))
+    np.testing.assert_allclose(ev.gains(everything), fresh.gains(everything),
+                               rtol=0, atol=tol)
+
+
 def test_sparse_eigenvalue_matches_dense_at_full_size(pipe39):
     rng = np.random.default_rng(3)
     net = random_network(rng, m=5, extra_edges=1)

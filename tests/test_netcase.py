@@ -130,6 +130,53 @@ def test_nan_reactance_is_a_json_error(tmp_path, capsys):
     assert json.loads(err)["error"] == "CaseError"
 
 
+@pytest.mark.parametrize("kind, old, new", [
+    ("native", '"id": 1,', '"id": 1.5,'),
+    ("native", '"bus": 39,', '"bus": 39.9,'),
+    ("native", '"slack_bus": 31', '"slack_bus": true'),
+    ("native", '"from": 1,', '"from": "1",'),
+    ("matpower", " 2 1 60", " 2.5 1 60"),
+    ("matpower", " 1 100 0 300", " 1.5 100 0 300"),
+    ("matpower", " 2 3 0.0 0.2", " 2 3.2 0.0 0.2"),
+], ids=["bus-id", "gen-bus", "slack-bool", "line-end-string", "mpc-bus",
+        "mpc-gen", "mpc-line-end"])
+def test_non_integral_bus_numbers_are_json_errors(kind, old, new, tmp_path,
+                                                   capsys):
+    from gridisland.cli import main
+
+    case, dyn = tmp_path / "case", tmp_path / "dyn.json"
+    if kind == "native":
+        with open(os.path.join(DATA, "case39.json")) as fh:
+            text = json.dumps(json.load(fh))
+        argv = ["run", "--case", str(case)]
+    else:
+        text = MPC
+        dyn.write_text(DYN)
+        argv = ["run", "--case", str(case), "--dyn", str(dyn), "--r", "1"]
+    case.write_text(text)
+    assert main(argv) == 0 and old in text
+    capsys.readouterr()
+    case.write_text(text.replace(old, new, 1))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "CaseError"
+    assert "not an integer" in err["message"]
+
+
+def test_integral_float_bus_numbers_parse():
+    doc = json.loads(json.dumps(TINY))
+    for b in doc["buses"]:
+        b["id"] = float(b["id"])
+    doc["branches"][0]["from"] = 1.0
+    doc["gens"][0]["bus"] = 1.0
+    doc["slack_bus"] = 1.0
+    assert serialize_case(parse_case(json.dumps(doc))) == serialize_case(
+        parse_case(json.dumps(TINY)))
+
+
 def test_syntax_error_reports_line():
     with pytest.raises(CaseError, match="line"):
         parse_case('{"base_mva": 100.0,\n "buses": [}')
