@@ -20,14 +20,12 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .baseline import BaselineError, two_step_partition
 from .coherency import (
     ModelError,
     build_K,
     build_model,
-    inertia_matrix,
+    inertia,
     kron_reduce,
     slow_modes,
 )
@@ -142,7 +140,7 @@ def _references(case: str, dyn: str | None, r: int):
     """Parse, DC power flow, and both reference selections from the slow modes."""
     net = parse_case(_read(case), _read(dyn) if dyn else None)
     op = dc_power_flow(net)
-    _, U = slow_modes(inertia_matrix(net), build_K(net, op, kron_reduce(net)), r)
+    _, U = slow_modes(inertia(net), build_K(net, op, kron_reduce(net)), r)
     return net, op, select_references_greedy(U, r), select_references_pivoting(U, r)
 
 
@@ -206,7 +204,7 @@ def run(config: RunConfig) -> dict:
     if config.dump_model:
         report["model"] = {
             "K": model.K.tolist(),
-            "M": np.diag(model.M).tolist(),
+            "M": model.M.tolist(),
             "U": model.U.tolist(),
             "L": model.L.tolist(),
             "sigma": model.sigma_r.tolist(),

@@ -21,7 +21,7 @@ class ModelError(Exception):
 @dataclass(frozen=True)
 class CoherencyModel:
     B_red: np.ndarray    # n x n reduced susceptance (Laplacian sign: off-diag <= 0)
-    M: np.ndarray        # n x n diagonal inertia matrix, 2*M_i/omega0
+    M: np.ndarray        # n inertias 2*H_i/omega0, the diagonal of the inertia matrix
     K: np.ndarray        # n x n coupling matrix, zero row sums
     sigma_r: np.ndarray  # r slowest eigenvalues
     U: np.ndarray        # n x r eigenbasis of the slow eigenspace
@@ -78,23 +78,32 @@ def build_K(net: PowerNetwork, op: OperatingPoint, B_red: np.ndarray) -> np.ndar
     return 0.5 * (K + K.T)
 
 
-def inertia_matrix(net: PowerNetwork) -> np.ndarray:
-    return np.diag([2.0 * g.inertia / net.base_freq for g in net.gens])
+def inertia(net: PowerNetwork) -> np.ndarray:
+    """Generator inertias 2 H_i / omega0: the diagonal of the inertia matrix."""
+    return np.array([2.0 * g.inertia / net.base_freq for g in net.gens])
 
 
-def slow_modes(M: np.ndarray, K: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """r smallest-magnitude eigenpairs of the pencil K v = lambda M v.
+def slow_modes(m: np.ndarray, K: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """r smallest-magnitude eigenpairs of the pencil K v = lambda diag(m) v.
 
     Solved through the symmetric form M^{-1/2} K M^{-1/2}, so the spectrum
-    is real.  Ties in |lambda| break toward the smaller eigenvalue, then
-    the smaller index.
+    is real.  K must be exactly symmetric, as `build_K`'s output always
+    is; then one scaled copy of K is exactly symmetric too and goes to
+    the solver as it is.  Ties in |lambda| break toward the smaller
+    eigenvalue, then the smaller index.
     """
     n = K.shape[0]
     if not 1 <= r <= n:
         raise ModelError(f"need 1 <= r <= {n}, got r={r}")
-    d = np.sqrt(np.diag(M))
-    Ks = K / np.outer(d, d)
-    vals, vecs = np.linalg.eigh(0.5 * (Ks + Ks.T))
+    # np.outer flattens, so an n x n inertia matrix would ask for n^4 floats
+    if m.shape != (n,):
+        raise ModelError(f"need {n} inertias, got shape {m.shape}")
+    if not np.array_equal(K, K.T):
+        raise ModelError("coupling matrix is not exactly symmetric")
+    d = np.sqrt(m)
+    Ks = np.outer(d, d)
+    np.divide(K, Ks, out=Ks)
+    vals, vecs = np.linalg.eigh(Ks)
     order = sorted(range(n), key=lambda k: (abs(vals[k]), vals[k], k))
     pick = order[:r]
     U = vecs[:, pick] / d[:, None]
@@ -116,7 +125,7 @@ def build_model(
 ) -> CoherencyModel:
     B_red = kron_reduce(net)
     K = build_K(net, op, B_red)
-    M = inertia_matrix(net)
+    M = inertia(net)
     sigma, U = slow_modes(M, K, r)
     L = coherency_matrix(U, refs)
     return CoherencyModel(

@@ -28,7 +28,7 @@ class CaseError(Exception):
     """Malformed or inconsistent case input."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bus:
     id: int
     d0: float          # MW demand at the operating point
@@ -37,7 +37,7 @@ class Bus:
     g_max: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Branch:
     index: int         # canonical edge index
     i: int             # smaller endpoint bus id
@@ -49,7 +49,7 @@ class Branch:
         return f"{self.i}-{self.j}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gen:
     bus: int
     pg: float          # MW

@@ -76,7 +76,7 @@ def select_references_pivoting(U: np.ndarray, r: int) -> ReferenceSelection:
     n, cols = U.shape
     if r > min(n, cols):
         raise SelectionError(f"cannot pick {r} pivots from a {n}x{cols} basis")
-    W = U.astype(float).copy()
+    W = U.astype(float)
     free_rows = list(range(n))
     free_cols = list(range(cols))
     refs: list[int] = []

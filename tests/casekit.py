@@ -12,7 +12,7 @@ import numpy as np
 from gridisland.coherency import (
     build_K,
     build_model,
-    inertia_matrix,
+    inertia,
     kron_reduce,
     slow_modes,
 )
@@ -98,7 +98,7 @@ def pipeline(net, r=3, xi=1e-6, refs=None):
     op = dc_power_flow(net)
     if refs is None:
         _, U = slow_modes(
-            inertia_matrix(net), build_K(net, op, kron_reduce(net)), r
+            inertia(net), build_K(net, op, kron_reduce(net)), r
         )
         refs = select_references_greedy(U, r).refs
     model = build_model(net, op, r, refs)

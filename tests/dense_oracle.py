@@ -8,7 +8,9 @@ column span of the kept lines' incidence submatrix A(S), by Gram-Schmidt
 orthonormalization: the definition that the library's per-component
 closed form is checked against.  The two reference selections as the
 per-candidate and per-row loops that the library's residual-norm greedy
-and vectorised pivoting are checked against.
+and vectorised pivoting are checked against.  The slow modes from the
+dense diagonal inertia matrix with an explicitly symmetrised scaling,
+which the library's single scaled buffer is checked against.
 """
 
 import numpy as np
@@ -92,6 +94,21 @@ def dense_kron(net) -> np.ndarray:
     B = W[np.ix_(gen, gen)] - gb @ np.linalg.solve(
         W[np.ix_(other, other)], gb.T)
     return 0.5 * (B + B.T)
+
+
+def dense_slow_modes(M: np.ndarray, K: np.ndarray, r: int):
+    """r slowest eigenpairs of (K, M) for an n x n diagonal M.
+
+    Scales K by M^{-1/2} on both sides into a fresh array and solves its
+    symmetrised copy; ties break as in `coherency.slow_modes`.
+    """
+    n = K.shape[0]
+    d = np.sqrt(np.diag(M))
+    Ks = K / np.outer(d, d)
+    vals, vecs = np.linalg.eigh(0.5 * (Ks + Ks.T))
+    order = sorted(range(n), key=lambda k: (abs(vals[k]), vals[k], k))
+    pick = order[:r]
+    return vals[pick], vecs[:, pick] / d[:, None]
 
 
 def loop_select_references_greedy(U: np.ndarray, r: int) -> ReferenceSelection:

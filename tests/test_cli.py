@@ -6,7 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from gridisland.cli import RunConfig, main
+from gridisland.cli import REPORT_DIGITS, RunConfig, main
+
+from casekit import load_case
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 CASE39 = os.path.join(ROOT, "data", "case39.json")
@@ -197,7 +199,9 @@ def test_dump_model(capsys):
     model = json.loads(out)["model"]
     assert np.array(model["L"]).shape == (10, 3)
     assert np.array(model["K"]).shape == (10, 10)
-    assert len(model["M"]) == 10
+    net = load_case("case39.json")
+    assert model["M"] == [round(2.0 * g.inertia / net.base_freq, REPORT_DIGITS)
+                          for g in net.gens]
 
 
 @pytest.mark.parametrize("command", ["run", "refsel"])
@@ -293,7 +297,7 @@ def test_invalid_config_rejected():
 
 def test_reported_metrics_revalidate(capsys):
     # every reported metric must recompute from the reported kept set
-    from casekit import load_case, pipeline
+    from casekit import pipeline
     from gridisland.metrics import J, f
 
     code, out, _ = run_cli(

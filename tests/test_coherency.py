@@ -10,7 +10,7 @@ from gridisland.coherency import (
     build_K,
     build_model,
     coherency_matrix,
-    inertia_matrix,
+    inertia,
     internal_angles,
     kron_reduce,
     slow_modes,
@@ -18,7 +18,12 @@ from gridisland.coherency import (
 from gridisland.netcase import CaseError, dc_power_flow, parse_case
 
 from casekit import load_case, random_network, tied_network
-from dense_oracle import dense_dc_angles, dense_kron, susceptance_laplacian
+from dense_oracle import (
+    dense_dc_angles,
+    dense_kron,
+    dense_slow_modes,
+    susceptance_laplacian,
+)
 
 
 def two_gen_net(x=0.2):
@@ -135,6 +140,50 @@ def test_prelude_peak_memory_below_one_dense_matrix(copies, monkeypatch):
         assert peak < 8 * net.m ** 2   # one dense m x m float64 array
 
 
+@pytest.mark.parametrize("copies", [8, 24])
+def test_slow_modes_peak_memory_below_two_and_a_half_dense_matrices(
+        copies, monkeypatch):
+    # traced: one scaled copy of K and the eigenvectors, 2 n^2 floats; a
+    # symmetrised second copy would make it 3 n^2
+    net = tied_network(monkeypatch, copies)
+    K = build_K(net, dc_power_flow(net), kron_reduce(net))
+    m = inertia(net)
+    tracemalloc.start()
+    try:
+        slow_modes(m, K, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * net.n ** 2
+
+
+@pytest.mark.parametrize("name", ["case39", "case118", "tied x2"])
+def test_slow_modes_are_bitwise_the_dense_formula(name, monkeypatch):
+    net = named_network(name, monkeypatch)
+    K = build_K(net, dc_power_flow(net), kron_reduce(net))
+    m = inertia(net)
+    for r in (1, 2, 5, 8):
+        vals, U = slow_modes(m, K, r)
+        ref_vals, ref_U = dense_slow_modes(np.diag(m), K, r)
+        assert np.array_equal(vals, ref_vals)
+        assert np.array_equal(U, ref_U)
+
+
+def test_slow_modes_reject_a_coupling_matrix_that_is_not_symmetric():
+    net = two_gen_net()
+    K = build_K(net, dc_power_flow(net), kron_reduce(net))
+    K[0, 1] = np.nextafter(K[0, 1], np.inf)
+    with pytest.raises(ModelError, match="not exactly symmetric"):
+        slow_modes(inertia(net), K, 1)
+
+
+def test_slow_modes_reject_inertias_of_the_wrong_length():
+    net = two_gen_net()
+    K = build_K(net, dc_power_flow(net), kron_reduce(net))
+    with pytest.raises(ModelError, match="inertias"):
+        slow_modes(np.diag(inertia(net)), K, 1)
+
+
 def loop_build_K(net, op, B_red):
     """build_K as the O(n^2) loop over entries it replaced; the reference."""
     n = net.n
@@ -186,13 +235,13 @@ def test_slow_modes_are_eigenpairs(pipe39):
     _, model, _ = pipe39
     for k in range(model.U.shape[1]):
         lhs = model.K @ model.U[:, k]
-        rhs = model.sigma_r[k] * (model.M @ model.U[:, k])
+        rhs = model.sigma_r[k] * (model.M * model.U[:, k])
         np.testing.assert_allclose(lhs, rhs, atol=1e-8 * np.abs(model.K).max())
 
 
 def test_slow_modes_pick_smallest_magnitude(pipe39):
     _, model, _ = pipe39
-    d = np.sqrt(np.diag(model.M))
+    d = np.sqrt(model.M)
     full = np.linalg.eigvalsh(model.K / np.outer(d, d))
     slowest = sorted(np.abs(full))[: len(model.sigma_r)]
     np.testing.assert_allclose(sorted(np.abs(model.sigma_r)), slowest, atol=1e-8)
@@ -204,7 +253,7 @@ def test_slow_modes_r_out_of_range():
     B = kron_reduce(net)
     K = build_K(net, op, B)
     with pytest.raises(ModelError):
-        slow_modes(inertia_matrix(net), K, 3)
+        slow_modes(inertia(net), K, 3)
 
 
 def test_coherency_rows_at_references_are_identity(pipe39):

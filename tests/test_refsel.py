@@ -10,7 +10,7 @@ from dense_oracle import (
     loop_select_references_pivoting,
 )
 from gridisland import refsel
-from gridisland.coherency import build_K, inertia_matrix, kron_reduce, slow_modes
+from gridisland.coherency import build_K, inertia, kron_reduce, slow_modes
 from gridisland.netcase import dc_power_flow
 from gridisland.refsel import (
     SelectionError,
@@ -197,7 +197,7 @@ def test_greedy_equals_the_candidate_loop_up_to_rounding_ties(case):
 
 def _slow_basis(net, r):
     op = dc_power_flow(net)
-    return slow_modes(inertia_matrix(net), build_K(net, op, kron_reduce(net)), r)[1]
+    return slow_modes(inertia(net), build_K(net, op, kron_reduce(net)), r)[1]
 
 
 @pytest.mark.parametrize("name", ["case39.json", "case118.json"])
