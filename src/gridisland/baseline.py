@@ -27,20 +27,16 @@ class BaselineError(Exception):
 
 
 def coupling_weights(net: PowerNetwork, model: CoherencyModel) -> np.ndarray:
-    """Symmetric dynamic-coupling weights on the reduced generator network.
+    """Dynamic-coupling weights on the reduced generator network.
 
-    w_ij = |V_i V_j B_ij cos(delta_i - delta_j)| * (1/M_i + 1/M_j), using
-    the machine inertia in seconds.
+    w_ij = |K_ij| (1/H_i + 1/H_j), w_ii = 0, from the model's coupling
+    matrix K and the machine inertias H in seconds; symmetric as K is.
     """
-    V = np.array([g.v for g in net.gens])
-    Minv = np.array([1.0 / g.inertia for g in net.gens])
-    dpd = np.abs(
-        np.outer(V, V) * model.B_red
-        * np.cos(model.delta[:, None] - model.delta[None, :])
-    )
-    W = dpd * (Minv[:, None] + Minv[None, :])
+    Hinv = np.array([1.0 / g.inertia for g in net.gens])
+    W = np.abs(model.K)
+    W *= Hinv[:, None] + Hinv[None, :]
     np.fill_diagonal(W, 0.0)
-    return 0.5 * (W + W.T)
+    return W
 
 
 def _cut_value(W: np.ndarray, mask: np.ndarray) -> float:
@@ -52,11 +48,11 @@ def generator_bipartition(W: np.ndarray, nodes=None) -> tuple[list[int], list[in
 
     The minimum over all bipartitions is the global min cut, found exactly
     by Stoer and Wagner's maximum-adjacency algorithm on a dense copy of
-    the nonnegative symmetric W.  A disconnected W gives a zero cut.  Ties
-    break deterministically: each phase starts at the lowest live index,
-    the most tightly connected vertex is added next with ties to the lowest
-    index, and a later phase replaces the best cut only if its cut is
-    strictly smaller.  The side holding the smallest label comes first.
+    the finite nonnegative symmetric W.  A disconnected W gives a zero cut.
+    Ties break deterministically: each phase starts at the lowest live
+    index, the most tightly connected vertex is added next with ties to the
+    lowest index, and a later phase replaces the best cut only if its cut
+    is strictly smaller.  The side holding the smallest label comes first.
     Returns the two groups and the cut value.
     """
     n = W.shape[0]
@@ -64,23 +60,24 @@ def generator_bipartition(W: np.ndarray, nodes=None) -> tuple[list[int], list[in
         nodes = list(range(n))
     if n < 2:
         raise BaselineError("need at least two generators to bipartition")
-    if not (W >= 0).all():
-        raise BaselineError("coupling weights must be nonnegative")
+    if not (np.isfinite(W) & (W >= 0)).all():
+        raise BaselineError("coupling weights must be finite and nonnegative")
     A = np.array(W, dtype=float)
     live = np.ones(n, dtype=bool)
     members = [[k] for k in range(n)]
     best_val, best_side = np.inf, None
     for phase in range(n - 1):
-        added = ~live
+        # conn keys every live vertex not yet added; the rest hold -inf
         start = int(np.argmax(live))
-        added[start] = True
         conn = A[start].copy()
+        conn[~live] = -np.inf
+        conn[start] = -np.inf
         prev = last = start
         for _ in range(n - 1 - phase):
-            nxt = int(np.argmax(np.where(added, -np.inf, conn)))
+            nxt = int(np.argmax(conn))
             phase_cut = conn[nxt]
-            added[nxt] = True
             conn += A[nxt]
+            conn[nxt] = -np.inf
             prev, last = last, nxt
         if phase_cut < best_val:
             best_val, best_side = phase_cut, list(members[last])

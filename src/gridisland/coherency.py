@@ -20,14 +20,14 @@ class ModelError(Exception):
 
 @dataclass(frozen=True)
 class CoherencyModel:
-    B_red: np.ndarray    # n x n reduced susceptance (Laplacian sign: off-diag <= 0)
+    """Linearised swing model; the baseline's weights are read from |K|."""
+
     M: np.ndarray        # n inertias 2*H_i/omega0, the diagonal of the inertia matrix
-    K: np.ndarray        # n x n coupling matrix, zero row sums
+    K: np.ndarray        # n x n coupling matrix, exactly symmetric, zero row sums
     sigma_r: np.ndarray  # r slowest eigenvalues
     U: np.ndarray        # n x r eigenbasis of the slow eigenspace
     L: np.ndarray        # n x r coherency matrix
     refs: tuple[int, ...]  # generator indices anchoring each island
-    delta: np.ndarray    # internal rotor angles at the operating point
 
 
 def internal_angles(net: PowerNetwork, op: OperatingPoint) -> np.ndarray:
@@ -66,16 +66,23 @@ def kron_reduce(net: PowerNetwork) -> np.ndarray:
 
 
 def build_K(net: PowerNetwork, op: OperatingPoint, B_red: np.ndarray) -> np.ndarray:
-    """Coupling matrix: K_ij = -V_i V_j B_ij cos(delta_i - delta_j), i != j."""
+    """Coupling matrix: K_ij = -V_i V_j B_ij cos(delta_i - delta_j), i != j.
+
+    Multiplied in place in that order, so at most two n x n arrays are
+    live besides B_red; K is exactly symmetric as B_red is.
+    """
     n = net.n
     if B_red.shape != (n, n):
         raise ModelError("reduced susceptance has wrong dimensions")
     delta = internal_angles(net, op)
     V = np.array([g.v for g in net.gens])
-    K = -V[:, None] * V[None, :] * B_red * np.cos(delta[:, None] - delta[None, :])
+    K = np.multiply.outer(-V, V)
+    K *= B_red
+    cos = np.subtract.outer(delta, delta)
+    K *= np.cos(cos, out=cos)
     np.fill_diagonal(K, 0.0)
     np.fill_diagonal(K, -K.sum(axis=1))
-    return 0.5 * (K + K.T)
+    return K
 
 
 def inertia(net: PowerNetwork) -> np.ndarray:
@@ -116,19 +123,14 @@ def coherency_matrix(U: np.ndarray, refs) -> np.ndarray:
     U1 = U[refs, :]
     if np.linalg.cond(U1) > 1e12:
         raise ModelError("reference rows dependent")
-    L = np.linalg.solve(U1.T, U.T).T
-    return L
+    return np.linalg.solve(U1.T, U.T).T
 
 
 def build_model(
     net: PowerNetwork, op: OperatingPoint, r: int, refs
 ) -> CoherencyModel:
-    B_red = kron_reduce(net)
-    K = build_K(net, op, B_red)
+    K = build_K(net, op, kron_reduce(net))
     M = inertia(net)
     sigma, U = slow_modes(M, K, r)
     L = coherency_matrix(U, refs)
-    return CoherencyModel(
-        B_red=B_red, M=M, K=K, sigma_r=sigma, U=U, L=L,
-        refs=tuple(refs), delta=internal_angles(net, op),
-    )
+    return CoherencyModel(M=M, K=K, sigma_r=sigma, U=U, L=L, refs=tuple(refs))

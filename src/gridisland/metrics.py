@@ -59,18 +59,15 @@ class MetricContext:
         return self.net.gen_positions()[list(self.refs)]
 
     @cached_property
-    def c(self) -> np.ndarray:
-        """m x n coherency targets c^i = e_{u_i} - sum_k L_ik e_{ref_k}."""
-        c = np.zeros((self.net.m, self.net.n))
-        c[self.net.gen_positions(), np.arange(self.net.n)] = 1.0
-        for k, sp in enumerate(self.ref_pos):
-            c[sp] -= self.L[:, k]
-        return c
-
-    @cached_property
     def targets(self) -> np.ndarray:
-        """Weighted target block [sqrt(xi) * b0, c^1, ..., c^n]."""
-        return np.column_stack([np.sqrt(self.xi) * self.b0, self.c])
+        """Weighted m x (n+1) target block [sqrt(xi) * b0, c^1, ..., c^n],
+        with coherency targets c^i = e_{u_i} - sum_k L_ik e_{ref_k}."""
+        T = np.zeros((self.net.m, self.net.n + 1))
+        T[:, 0] = np.sqrt(self.xi) * self.b0
+        T[self.net.gen_positions(), np.arange(1, self.net.n + 1)] = 1.0
+        for k, sp in enumerate(self.ref_pos):
+            T[sp, 1:] -= self.L[:, k]
+        return T
 
     @cached_property
     def ends(self) -> tuple[np.ndarray, np.ndarray]:

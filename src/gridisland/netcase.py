@@ -9,8 +9,9 @@ The native case format is a single JSON document::
                    "inertia_s": 500.0, "xd_prime_pu": 0.006, "vm_pu": 1.0}, ...]}
 
 A MATPOWER-style importer accepts the numeric ``mpc.bus`` / ``mpc.gen`` /
-``mpc.branch`` tables of a ``.m`` file (other fields are ignored); machine
-dynamics then come from a companion JSON document mapping bus id to
+``mpc.branch`` tables of a ``.m`` file (other fields are ignored) and
+drops out-of-service lines and generators (status 0); machine dynamics
+then come from a companion JSON document mapping bus id to
 ``{"inertia_s": ..., "xd_prime_pu": ..., "vm_pu": ...}``.
 """
 
@@ -290,6 +291,8 @@ def _parse_matpower(case_text: str, dyn_text: str) -> PowerNetwork:
         machines = dyn.get("machines", dyn)
         static_pg: dict[int, float] = {}
         for r in tables["gen"]:
+            if len(r) > 7 and r[7] <= 0:   # drop out-of-service generators
+                continue
             bus = int(r[0])
             mach = machines.get(str(bus))
             if mach is None:   # a unit without dynamic data still injects power

@@ -44,6 +44,13 @@ def tied_network(monkeypatch, copies, seed=7):
     return parse_case(inputs.tied_case(inputs.load_case118(ROOT), seed))
 
 
+def named_network(name, monkeypatch):
+    """A bundled case by name ("case39"), or "tied xK" for K tied copies."""
+    if name.startswith("tied x"):
+        return tied_network(monkeypatch, int(name[len("tied x"):]))
+    return load_case(f"{name}.json")
+
+
 def random_network(rng, m=8, extra_edges=3, n_gens=3):
     """Random connected test network built through the public parser."""
     return parse_case(json.dumps(random_case_doc(rng, m, extra_edges, n_gens)))

@@ -50,7 +50,8 @@ def balanced_clip(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def h_i(ctx, S, i: int) -> float:
     """Relaxed non-coherency of generator i: the squared distance from its
     coherency target c^i to the span of the kept lines' incidence columns."""
-    return float(_distances(component_labels(ctx, S), ctx.c[:, [i]])[0])
+    c_i = ctx.targets[:, [1 + i]]
+    return float(_distances(component_labels(ctx, S), c_i)[0])
 
 
 def box_limits(net) -> tuple[np.ndarray, np.ndarray]:
@@ -94,7 +95,7 @@ def H_i_constrained(ctx, S, i: int, model) -> float:
     net = ctx.net
     gen_pos = net.gen_positions()
     allowed = {int(gen_pos[i])} | {int(gen_pos[k]) for k in ctx.refs}
-    ci = ctx.c[:, i]
+    ci = ctx.targets[:, 1 + i]
     total = 0.0
     for isl in range(len(ctx.refs)):
         members = np.flatnonzero(labels == isl)

@@ -17,10 +17,12 @@ from gridisland.baseline import (
     two_step_partition,
 )
 from gridisland.cli import RunConfig, run
+from gridisland.coherency import internal_angles, kron_reduce
 from gridisland.netcase import OperatingPoint, dc_power_flow, parse_case
 
 from casekit import (
     DATA,
+    named_network,
     pipeline,
     random_case_doc,
     random_network,
@@ -142,6 +144,73 @@ def test_stoer_wagner_equals_brute_force(W):
         assert t2 == list(np.flatnonzero(optimal[0]))
 
 
+def loop_generator_bipartition(W):
+    """generator_bipartition with the added mask and the per-step masked
+    argmax that the single key array replaced; the reference."""
+    n = W.shape[0]
+    A = np.array(W, dtype=float)
+    live = np.ones(n, dtype=bool)
+    members = [[k] for k in range(n)]
+    best_val, best_side = np.inf, None
+    for phase in range(n - 1):
+        added = ~live
+        start = int(np.argmax(live))
+        added[start] = True
+        conn = A[start].copy()
+        prev = last = start
+        for _ in range(n - 1 - phase):
+            nxt = int(np.argmax(np.where(added, -np.inf, conn)))
+            phase_cut = conn[nxt]
+            added[nxt] = True
+            conn += A[nxt]
+            prev, last = last, nxt
+        if phase_cut < best_val:
+            best_val, best_side = phase_cut, list(members[last])
+        A[prev] += A[last]
+        A[:, prev] += A[:, last]
+        A[prev, prev] = 0.0
+        live[last] = False
+        members[prev] += members[last]
+    mask = np.zeros(n, dtype=bool)
+    mask[best_side] = True
+    t1 = [k for k in range(n) if not mask[k]]
+    t2 = [k for k in range(n) if mask[k]]
+    if min(t2) < min(t1):
+        t1, t2 = t2, t1
+    return t1, t2, float(W[np.ix_(mask, ~mask)].sum())
+
+
+@st.composite
+def tied_coupling_graphs(draw):
+    # small integer weights, many of them equal or zero, so phases meet
+    # ties in the key array and merged vertices at every step
+    n = draw(st.integers(2, 14))
+    W = np.zeros((n, n))
+    for i, j in itertools.combinations(range(n), 2):
+        W[i, j] = W[j, i] = draw(st.integers(0, 3))
+    return W
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_coupling_graphs())
+def test_stoer_wagner_is_exactly_the_masked_loop(W):
+    assert generator_bipartition(W) == loop_generator_bipartition(W)
+
+
+@pytest.mark.parametrize("name", ["case39", "case118", "tied x2", "tied x4"])
+def test_stoer_wagner_is_exactly_the_masked_loop_on_cases(name, monkeypatch):
+    net = named_network(name, monkeypatch)
+    _, model, _ = pipeline(net)
+    W = coupling_weights(net, model)
+    assert generator_bipartition(W) == loop_generator_bipartition(W)
+
+
+def test_bipartition_rejects_infinite_weights():
+    W = np.array([[0.0, np.inf], [np.inf, 0.0]])
+    with pytest.raises(BaselineError, match="finite"):
+        generator_bipartition(W)
+
+
 def test_tied_minima_follow_the_documented_rule():
     # every single-node cut of an equal-weight triangle costs 2; phases
     # start at node 0 and add the lowest index among equals, so the first
@@ -175,7 +244,9 @@ def test_bipartition_rejects_negative_weights():
 
 
 def test_coupling_weights_match_elementwise_formula(pipe118, case118):
-    _, model, _ = pipe118
+    op, model, _ = pipe118
+    B_red = kron_reduce(case118)
+    delta = internal_angles(case118, op)
     V = [g.v for g in case118.gens]
     Minv = [1.0 / g.inertia for g in case118.gens]
     n = case118.n
@@ -184,14 +255,26 @@ def test_coupling_weights_match_elementwise_formula(pipe118, case118):
         for j in range(n):
             if i != j:
                 ref[i, j] = abs(
-                    V[i] * V[j] * model.B_red[i, j]
-                    * np.cos(model.delta[i] - model.delta[j])
+                    V[i] * V[j] * B_red[i, j]
+                    * np.cos(delta[i] - delta[j])
                 ) * (Minv[i] + Minv[j])
     # same arithmetic; the tolerance allows an array cos that differs from
     # the scalar one in the last bit
     np.testing.assert_allclose(
         coupling_weights(case118, model), 0.5 * (ref + ref.T),
         rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("name", ["case39", "case118", "tied x2"])
+def test_coupling_weights_are_bitwise_abs_K(name, monkeypatch):
+    net = named_network(name, monkeypatch)
+    _, model, _ = pipeline(net)
+    Hinv = np.array([1.0 / g.inertia for g in net.gens])
+    expect = np.abs(model.K) * (Hinv[:, None] + Hinv[None, :])
+    np.fill_diagonal(expect, 0.0)
+    W = coupling_weights(net, model)
+    np.testing.assert_array_equal(W, expect)
+    np.testing.assert_array_equal(W, W.T)
 
 
 def reference_assignment(L, groups):

@@ -312,17 +312,26 @@ def test_reported_metrics_revalidate(capsys):
                                              abs=1e-9)
 
 
-def test_cli_import_leaves_networkx_unloaded():
-    # numpy is the one runtime dependency; graph work is plain Python
+def test_cli_import_leaves_networkx_unloaded(tmp_path):
+    # numpy is the one runtime dependency: a full run of both methods
+    # loads neither a graph library nor scipy
     import gridisland
 
     src = os.path.dirname(os.path.dirname(gridisland.__file__))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(
                filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, gridisland.cli; print('networkx' in sys.modules)"],
-        capture_output=True, text=True, env=env)
+    out = tmp_path / "report.json"
+    script = (
+        "import sys\n"
+        "from gridisland.cli import main\n"
+        f"code = main(['run', '--case', {CASE39!r}, '--method', 'both',"
+        f" '--out', {str(out)!r}])\n"
+        "print(code, [m for m in ('networkx', 'scipy') if m in sys.modules])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "0 []"
+    assert set(json.loads(out.read_text())["runs"][0]["methods"]) == {
+        "weak-submodular", "spectral"}

@@ -17,7 +17,7 @@ from gridisland.coherency import (
 )
 from gridisland.netcase import CaseError, dc_power_flow, parse_case
 
-from casekit import load_case, random_network, tied_network
+from casekit import named_network, random_network, tied_network
 from dense_oracle import (
     dense_dc_angles,
     dense_kron,
@@ -75,12 +75,6 @@ def test_reduction_matches_elimination_oracle(seed):
     keep = [net.bus_pos[g.bus] for g in net.gens]
     expected = elementwise_elimination(susceptance_laplacian(net), keep)
     np.testing.assert_allclose(kron_reduce(net), expected, atol=1e-9)
-
-
-def named_network(name, monkeypatch):
-    if name == "tied x2":
-        return tied_network(monkeypatch, 2)
-    return load_case(f"{name}.json")
 
 
 @pytest.mark.parametrize("name", ["case39", "case118", "tied x2"])
@@ -151,6 +145,20 @@ def test_slow_modes_peak_memory_below_two_and_a_half_dense_matrices(
     tracemalloc.start()
     try:
         slow_modes(m, K, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * net.n ** 2
+
+
+def test_build_K_peak_memory_below_two_and_a_half_dense_matrices(monkeypatch):
+    # traced: K and the cosine buffer, 2 n^2 floats; B_red is the caller's
+    net = tied_network(monkeypatch, 24)
+    op = dc_power_flow(net)
+    B = kron_reduce(net)
+    tracemalloc.start()
+    try:
+        build_K(net, op, B)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -45,9 +45,9 @@ def test_relaxed_metrics_match_lstsq_oracle(seed):
     assert f(ctx, S) == pytest.approx(lstsq_distance_sq(A_S, ctx.b0), abs=1e-6)
     for i in range(net.n):
         assert h_i(ctx, S, i) == pytest.approx(
-            lstsq_distance_sq(A_S, ctx.c[:, i]), abs=1e-9)
+            lstsq_distance_sq(A_S, ctx.targets[:, 1 + i]), abs=1e-9)
     expect = ctx.xi * lstsq_distance_sq(A_S, ctx.b0) + sum(
-        lstsq_distance_sq(A_S, ctx.c[:, i]) for i in range(net.n))
+        lstsq_distance_sq(A_S, ctx.targets[:, 1 + i]) for i in range(net.n))
     assert J(ctx, S) == pytest.approx(expect, abs=1e-6)
 
 
@@ -138,7 +138,7 @@ def test_constrained_coherency_matches_kkt_oracle(seed):
         Pm = np.zeros((len(dis), net.m))
         for row, b in enumerate(dis):
             Pm[row, b] = 1.0
-        c = ctx.c[:, i]
+        c = ctx.targets[:, 1 + i]
         top = np.hstack([2 * A_S.T @ A_S, (Pm @ A_S).T])
         bot = np.hstack([Pm @ A_S, np.zeros((len(dis), len(dis)))])
         sol, _, _, _ = np.linalg.lstsq(np.vstack([top, bot]),

@@ -216,6 +216,20 @@ def test_matpower_import_matches_native():
     assert serialize_case(imported) == serialize_case(native)
 
 
+def test_matpower_drops_out_of_service_generators():
+    # status-0 rows: one at bus 2 with dynamics data, one at bus 3 without
+    dyn = json.dumps({"machines": {
+        "1": {"inertia_s": 10.0, "xd_prime_pu": 0.1, "vm_pu": 1.0},
+        "2": {"inertia_s": 4.0, "xd_prime_pu": 0.2, "vm_pu": 1.0},
+    }})
+    gen = " 1 100 0 300 -300 1.0 100 1 150 0;\n"
+    off = (gen + " 2 500 0 300 -300 1.0 100 0 600 0;\n"
+           " 3 70 0 300 -300 1.0 100 0 100 0;\n")
+    with_off = parse_case(MPC.replace(gen, off), dyn)
+    assert serialize_case(with_off) == serialize_case(parse_case(MPC, dyn))
+    assert serialize_case(with_off) == serialize_case(parse_case(MPC, DYN))
+
+
 def test_matpower_requires_dynamics():
     with pytest.raises(CaseError, match="dynamics"):
         parse_case(MPC)
