@@ -200,7 +200,8 @@ class TwoStepPartition:
 
     kept is the sorted tuple of lines whose two ends share an island,
     labels the island index of every bus position (islands ordered by
-    their smallest bus id), and cols[k] the coherency column of island k.
+    their first bus position, so by smallest bus id), and cols[k] the
+    coherency column of island k.
     """
 
     kept: tuple[int, ...]
@@ -244,9 +245,7 @@ def two_step_partition(
     if r < 2:
         raise BaselineError("the spectral baseline needs r >= 2")
     W_full = coupling_weights(net, model)
-    ei = np.array([net.bus_pos[br.i] for br in net.branches], dtype=np.intp)
-    ej = np.array([net.bus_pos[br.j] for br in net.branches], dtype=np.intp)
-    bus_ids = np.array([b.id for b in net.buses])
+    ei, ej = net.ends
     sub = np.zeros(net.m, dtype=np.intp)   # subsystem index per bus position
     # subsystems in split order: [index, generators, grouping or None]
     subsystems: list[list] = [[0, list(range(net.n)), None]]
@@ -273,12 +272,13 @@ def two_step_partition(
         sub[[net.bus_pos[b] for b in S2]] = new
         subsystems += [[idx, t1, None], [new, t2, None]]
 
-    # islands in a deterministic order: by smallest contained bus id
-    order = sorted(range(r), key=lambda idx: bus_ids[sub == idx].min())
+    # islands in a deterministic order: by first bus position, which is the
+    # smallest bus id as the parser sorts buses by id
+    order = np.argsort(np.unique(sub, return_index=True)[1])
     labels = np.argsort(order)[sub]
     # island k's coherency column is that of the one reference it holds,
     # or else from the assignment minimizing ||L - L_g||
-    island_of_gen = labels[net.gen_positions()]
+    island_of_gen = labels[net.gen_pos]
     holder = island_of_gen[list(model.refs)]
     if len(set(holder.tolist())) == r:
         cols = np.argsort(holder).tolist()

@@ -16,9 +16,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .baseline import BaselineError, two_step_partition
 from .coherency import (
@@ -29,7 +32,7 @@ from .coherency import (
     kron_reduce,
     slow_modes,
 )
-from .islanding import IslandingError, solve
+from .islanding import MIN_EPSILON, IslandingError, solve
 from .metrics import MetricError, build_context
 from .netcase import CaseError, dc_power_flow, parse_case
 from .refsel import (
@@ -75,8 +78,8 @@ class RunConfig:
             raise MetricError("no trade-off weight given")
         if not all(0 <= x < float("inf") for x in self.xi):
             raise MetricError("trade-off weight must be finite and nonnegative")
-        if not 0 < self.epsilon < 1:
-            raise IslandingError("epsilon must lie in (0, 1)")
+        if not MIN_EPSILON <= self.epsilon < 1:
+            raise IslandingError(f"epsilon must lie in [{MIN_EPSILON:g}, 1)")
         if self.method not in ("weak-submodular", "spectral", "both"):
             raise IslandingError(f"unknown method {self.method!r}")
 
@@ -145,8 +148,14 @@ def _references(case: str, dyn: str | None, r: int):
 
 
 def _round_floats(obj):
-    """Round every float so reports are stable across BLAS minutiae."""
+    """Round every float so reports are stable across BLAS minutiae.
+
+    A non-finite float has no JSON form, so it raises MetricError.
+    """
     if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise MetricError(f"result {obj} is not finite: an input is too "
+                              "large for double precision")
         return round(obj, REPORT_DIGITS)
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
@@ -285,38 +294,40 @@ def main(argv=None) -> int:
     cp = sub.add_parser("compare", help="render a report as a table")
     cp.add_argument("report")
     try:
-        args = parser.parse_args(argv)
-        out_path = getattr(args, "out", None)
-        if out_path:
-            _check_out(out_path)
-        if args.command == "run":
-            config = RunConfig(
-                case=args.case, dyn=args.dyn,
-                r=_parse_scalar(args.r, int, "--r", IslandingError),
-                xi=_parse_xi(args.xi),
-                epsilon=_parse_scalar(args.epsilon, float, "--epsilon",
-                                      IslandingError),
-                method=args.method,
-                refs=None if args.refs is None else _parse_refs(args.refs),
-                dump_model=args.dump_model,
-            )
-            text = _render(run(config), args.fmt)
-        elif args.command == "refsel":
-            r = _parse_scalar(args.r, int, "--r", SelectionError)
-            net, _, greedy, pivot = _references(args.case, args.dyn, r)
-            gen_bus = [g.bus for g in net.gens]
-            text = _render({"greedy": [gen_bus[i] for i in greedy.refs],
-                            "pivoting": [gen_bus[i] for i in pivot.refs]}, "json")
-        else:
-            try:
-                report = json.loads(_read(args.report, MetricError))
-            except ValueError as exc:
-                raise MetricError(f"report is not JSON: {exc}") from exc
-            text = compare(report)
-        if out_path:
-            _write(out_path, text)
-        else:
-            sys.stdout.write(text)
+        with np.errstate(all="ignore"):   # stderr holds only the JSON error
+            args = parser.parse_args(argv)
+            out_path = getattr(args, "out", None)
+            if out_path:
+                _check_out(out_path)
+            if args.command == "run":
+                config = RunConfig(
+                    case=args.case, dyn=args.dyn,
+                    r=_parse_scalar(args.r, int, "--r", IslandingError),
+                    xi=_parse_xi(args.xi),
+                    epsilon=_parse_scalar(args.epsilon, float, "--epsilon",
+                                          IslandingError),
+                    method=args.method,
+                    refs=None if args.refs is None else _parse_refs(args.refs),
+                    dump_model=args.dump_model,
+                )
+                text = _render(run(config), args.fmt)
+            elif args.command == "refsel":
+                r = _parse_scalar(args.r, int, "--r", SelectionError)
+                net, _, greedy, pivot = _references(args.case, args.dyn, r)
+                gen_bus = [g.bus for g in net.gens]
+                text = _render({"greedy": [gen_bus[i] for i in greedy.refs],
+                                "pivoting": [gen_bus[i] for i in pivot.refs]},
+                               "json")
+            else:
+                try:
+                    report = json.loads(_read(args.report, MetricError))
+                except (ValueError, RecursionError) as exc:
+                    raise MetricError(f"report is not JSON: {exc}") from exc
+                text = compare(report)
+            if out_path:
+                _write(out_path, text)
+            else:
+                sys.stdout.write(text)
     except KNOWN_ERRORS as exc:
         err = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(err, sort_keys=True), file=sys.stderr)

@@ -32,11 +32,10 @@ class CoherencyModel:
 
 def internal_angles(net: PowerNetwork, op: OperatingPoint) -> np.ndarray:
     """Classical-model rotor angles: bus angle advanced across xd'."""
-    out = np.empty(net.n)
-    for k, g in enumerate(net.gens):
-        theta = op.angles[net.bus_pos[g.bus]]
-        out[k] = theta + g.xd_prime * (g.pg / net.base_mva) / g.v
-    return out
+    xd = np.array([g.xd_prime for g in net.gens])
+    pg = np.array([g.pg for g in net.gens])
+    v = np.array([g.v for g in net.gens])
+    return op.angles[net.gen_pos] + xd * (pg / net.base_mva) / v
 
 
 def kron_reduce(net: PowerNetwork) -> np.ndarray:
@@ -52,7 +51,7 @@ def kron_reduce(net: PowerNetwork) -> np.ndarray:
     symmetric.  xd' enters the model only through the internal rotor
     angles, not this reduction.
     """
-    gen = [net.bus_pos[g.bus] for g in net.gens]
+    gen = net.gen_pos.tolist()
     if len(set(gen)) != len(gen):
         raise ModelError("two generators share a bus")
     adj, _ = _star_mesh(net, gen, error=ModelError)

@@ -35,6 +35,12 @@ class IslandingError(Exception):
     pass
 
 
+# Smallest local-search epsilon.  A swap that leaves the partition as it
+# is can still score about 1 ulp below J, so a much smaller epsilon
+# accepts it and the search cycles (case39, r = 2, epsilon = 1e-15).
+MIN_EPSILON = 1e-6
+
+
 @dataclass(frozen=True)
 class IslandingSolution:
     S: tuple[int, ...]
@@ -77,7 +83,7 @@ def greedy_select(ctx: MetricContext) -> tuple[IncrementalEvaluator, list[float]
     bitwise-equal decreases, so the rule needs no tolerance.
     """
     ev = IncrementalEvaluator(ctx)
-    ei, ej = ctx.ends
+    ei, ej = ctx.net.ends
     omega = np.arange(ctx.net.l)
     target = ctx.net.m - len(ctx.refs)
     trace = [ev.J()]
@@ -103,7 +109,7 @@ def _rooted_forest(ctx: MetricContext, S) -> tuple[np.ndarray, dict]:
     references, and per line of S the range [lo, hi) of positions below
     it: a stack-based preorder visits each subtree in one run."""
     adj: list[list[tuple[int, int]]] = [[] for _ in range(ctx.net.m)]
-    for e, i, j in zip(S, *(x[S].tolist() for x in ctx.ends)):
+    for e, i, j in zip(S, *(x[S].tolist() for x in ctx.net.ends)):
         adj[i].append((j, e))
         adj[j].append((i, e))
     at, below, k = np.empty(ctx.net.m, dtype=np.intp), {}, 0
@@ -126,11 +132,11 @@ def local_search(
     ev must hold a spanning forest with one reference per tree.  Each
     round roots it at the references and, for the kept lines v in
     ascending order, swaps in place the first line e (ascending) with one
-    end below v and J(S - v + e) < (1 - eps) J(S).  Returns the evaluator
-    and the J after every swap.
+    end below v and J(S - v + e) < (1 - eps) J(S), for eps >= MIN_EPSILON.
+    Returns the evaluator and the J after every swap.
     """
-    if epsilon <= 0:
-        raise IslandingError("epsilon must be positive")
+    if not epsilon >= MIN_EPSILON:
+        raise IslandingError(f"epsilon must be at least {MIN_EPSILON:g}")
     ctx = ev.ctx
     if island_labels(ctx, ev.S) is None:
         raise IslandingError("S is not a forest with one reference per tree")
@@ -142,7 +148,7 @@ def local_search(
     while current > floor:
         at, below = _rooted_forest(ctx, ev.S)
         out_set = np.delete(np.arange(ctx.net.l), ev.S)
-        out_i, out_j = (at[x[out_set]] for x in ctx.ends)
+        out_i, out_j = (at[x[out_set]] for x in ctx.net.ends)
         for v in sorted(ev.S):
             lo, hi = below[v]
             feas = out_set[((lo <= out_i) & (out_i < hi))
@@ -179,14 +185,14 @@ def partition_solution(
         tuple(net.buses[pos].id for pos in np.flatnonzero(labels == k))
         for k in range(r)
     )
-    island_of_gen = labels[net.gen_positions()]
+    island_of_gen = labels[net.gen_pos]
     groups = tuple(tuple(np.flatnonzero(island_of_gen == k).tolist())
                    for k in range(r))
     L_g = np.zeros((net.n, r))
     L_g[np.arange(net.n), np.asarray(cols)[island_of_gen]] = 1.0
     # lines to trip: only the edges crossing island boundaries; dropped
     # intra-island edges are redundant paths, not cuts
-    ei, ej = ctx.ends
+    ei, ej = net.ends
     cut = tuple(net.branches[e].name
                 for e in np.flatnonzero(labels[ei] != labels[ej]))
     return IslandingSolution(

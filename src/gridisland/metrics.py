@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .coherency import CoherencyModel
-from .netcase import OperatingPoint, PowerNetwork
+from .netcase import OperatingPoint, PowerNetwork, component_labels
 
 
 class MetricError(Exception):
@@ -56,7 +56,7 @@ class MetricContext:
     @cached_property
     def ref_pos(self) -> np.ndarray:
         """Bus positions of the reference generators, island order."""
-        return self.net.gen_positions()[list(self.refs)]
+        return self.net.gen_pos[list(self.refs)]
 
     @cached_property
     def targets(self) -> np.ndarray:
@@ -64,18 +64,10 @@ class MetricContext:
         with coherency targets c^i = e_{u_i} - sum_k L_ik e_{ref_k}."""
         T = np.zeros((self.net.m, self.net.n + 1))
         T[:, 0] = np.sqrt(self.xi) * self.b0
-        T[self.net.gen_positions(), np.arange(1, self.net.n + 1)] = 1.0
+        T[self.net.gen_pos, np.arange(1, self.net.n + 1)] = 1.0
         for k, sp in enumerate(self.ref_pos):
             T[sp, 1:] -= self.L[:, k]
         return T
-
-    @cached_property
-    def ends(self) -> tuple[np.ndarray, np.ndarray]:
-        """Bus positions of the two endpoints of every line, canonical order."""
-        pos = self.net.bus_pos
-        branches = self.net.branches
-        return (np.array([pos[br.i] for br in branches], dtype=np.intp),
-                np.array([pos[br.j] for br in branches], dtype=np.intp))
 
 
 def build_context(
@@ -90,26 +82,6 @@ def build_context(
     if len(set(refs)) != len(refs):
         raise MetricError("reference generators must be distinct")
     return MetricContext(net=net, b0=op.injections, L=model.L, xi=xi, refs=refs)
-
-
-def component_labels(ctx: MetricContext, S) -> np.ndarray:
-    """Bus position -> smallest bus position in its component of (V, S)."""
-    parent = list(range(ctx.net.m))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    ei, ej = (x.tolist() for x in ctx.ends)
-    for e in S:
-        a, b = find(ei[e]), find(ej[e])
-        if a < b:
-            parent[b] = a
-        elif b < a:
-            parent[a] = b
-    return np.array([find(b) for b in range(ctx.net.m)], dtype=np.intp)
 
 
 def _distances(labels: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -157,13 +129,13 @@ class IncrementalEvaluator:
 
     def gains(self, candidates) -> np.ndarray:
         """J(S) - J(S + {e}) for each candidate edge, vectorized."""
-        a, b = (self.labels[x[candidates]] for x in self.ctx.ends)
+        a, b = (self.labels[x[candidates]] for x in self.ctx.net.ends)
         return _merge_gains(self.sums[a], self.sizes[a],
                             self.sums[b], self.sizes[b])
 
     def f_gains(self, candidates) -> np.ndarray:
         """f(S) - f(S + {e}) for each candidate edge, vectorized."""
-        a, b = (self.labels[x[candidates]] for x in self.ctx.ends)
+        a, b = (self.labels[x[candidates]] for x in self.ctx.net.ends)
         na, nb = self.sizes[a], self.sizes[b]
         d = self.b0_sums[a] / na - self.b0_sums[b] / nb
         return na * nb / (na + nb) * d * d
@@ -176,14 +148,14 @@ class IncrementalEvaluator:
         rest_sum, n_rest = self.sums[own] - p_sum, self.sizes[own] - n_p
         cut_J = (current - self.sums[own] @ self.sums[own] / self.sizes[own]
                  + p_sum @ p_sum / n_p + rest_sum @ rest_sum / n_rest)
-        a, b = (self.labels[x[candidates]] for x in self.ctx.ends)
+        a, b = (self.labels[x[candidates]] for x in self.ctx.net.ends)
         far = np.where(a == own, b, a)
         sums, sizes = self.sums[far], self.sizes[far]
         sums[far == own], sizes[far == own] = rest_sum, n_rest
         return cut_J - _merge_gains(p_sum[None], np.array([n_p]), sums, sizes)
 
     def add(self, e: int) -> None:
-        a, b = (int(self.labels[x[e]]) for x in self.ctx.ends)
+        a, b = (int(self.labels[x[e]]) for x in self.ctx.net.ends)
         if a != b:
             keep, gone = min(a, b), max(a, b)
             self.labels[self.labels == gone] = keep
@@ -216,11 +188,11 @@ class IncrementalEvaluator:
 
 
 def f(ctx: MetricContext, S) -> float:
-    return float(_distances(component_labels(ctx, S), ctx.b0[:, None])[0])
+    return float(_distances(component_labels(ctx.net, S), ctx.b0[:, None])[0])
 
 
 def J(ctx: MetricContext, S) -> float:
-    return float(_distances(component_labels(ctx, S), ctx.targets).sum())
+    return float(_distances(component_labels(ctx.net, S), ctx.targets).sum())
 
 
 def island_labels(ctx: MetricContext, S) -> np.ndarray | None:
@@ -231,7 +203,7 @@ def island_labels(ctx: MetricContext, S) -> np.ndarray | None:
     reference; island k holds the k-th reference of ctx.refs.
     """
     S = list(S)
-    labels = component_labels(ctx, S)
+    labels = component_labels(ctx.net, S)
     n_parts = np.count_nonzero(labels == np.arange(ctx.net.m))
     ref_roots = labels[ctx.ref_pos]
     if (ctx.net.m - n_parts != len(S) or n_parts != len(ref_roots)

@@ -1,4 +1,4 @@
-"""Network model: case parsing, incidence matrices and DC power flow.
+"""Network model: case parsing, graph layout and DC power flow.
 
 The native case format is a single JSON document::
 
@@ -13,6 +13,11 @@ A MATPOWER-style importer accepts the numeric ``mpc.bus`` / ``mpc.gen`` /
 drops out-of-service lines and generators (status 0); machine dynamics
 then come from a companion JSON document mapping bus id to
 ``{"inertia_s": ..., "xd_prime_pu": ..., "vm_pu": ...}``.
+
+PowerNetwork owns the graph layout every stage reads: bus positions
+(``bus_pos``, buses sorted by id), the positions of each line's two ends
+(``ends``, canonical line order) and of each generator (``gen_pos``).
+``component_labels`` is the one connectivity walk over that layout.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -95,9 +101,24 @@ class PowerNetwork:
     def g0_vector(self) -> np.ndarray:
         return np.array([b.g0 for b in self.buses])
 
-    def gen_positions(self) -> np.ndarray:
-        """Bus positions (row indices) of the generators, in file order."""
-        return np.array([self.bus_pos[g.bus] for g in self.gens])
+    @cached_property
+    def ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """Bus positions of the two ends of every line, canonical order."""
+        pos = self.bus_pos
+        return (_frozen([pos[br.i] for br in self.branches]),
+                _frozen([pos[br.j] for br in self.branches]))
+
+    @cached_property
+    def gen_pos(self) -> np.ndarray:
+        """Bus position of every generator, in file order."""
+        return _frozen([self.bus_pos[g.bus] for g in self.gens])
+
+
+def _frozen(positions: list[int]) -> np.ndarray:
+    """A read-only intp array: the layout is shared by every stage."""
+    out = np.array(positions, dtype=np.intp)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -105,7 +126,6 @@ class OperatingPoint:
     angles: np.ndarray       # radians per bus
     flows: np.ndarray        # MW per branch, positive from smaller to larger id
     injections: np.ndarray   # b0 = d0 - g0 (MW), balanced at the slack
-    g0_balanced: np.ndarray  # MW generation after slack balancing
 
 
 def _finite(*values: float) -> bool:
@@ -146,27 +166,30 @@ def _validate(net: PowerNetwork) -> PowerNetwork:
                 f"generator at bus {g.bus} has nonpositive inertia or voltage")
     if net.slack_bus not in seen:
         raise CaseError(f"slack bus {net.slack_bus} is not a known bus")
-    if not _connected(net):
+    # the slack bus exists, so m >= 1 and a connected graph labels all 0
+    if component_labels(net, range(net.l)).any():
         raise CaseError("network graph is not connected")
     return net
 
 
-def _connected(net: PowerNetwork) -> bool:
-    if net.m == 0:
-        return False
-    adj: dict[int, list[int]] = {b.id: [] for b in net.buses}
-    for br in net.branches:
-        adj[br.i].append(br.j)
-        adj[br.j].append(br.i)
-    stack = [net.buses[0].id]
-    seen = {net.buses[0].id}
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == net.m
+def component_labels(net: PowerNetwork, S) -> np.ndarray:
+    """Bus position -> smallest bus position in its component of (V, S)."""
+    parent = list(range(net.m))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    ei, ej = (x.tolist() for x in net.ends)
+    for e in S:
+        a, b = find(ei[e]), find(ej[e])
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    return np.array([find(b) for b in range(net.m)], dtype=np.intp)
 
 
 def _canonical_branches(raw: list[tuple[int, int, float]]) -> tuple[Branch, ...]:
@@ -261,7 +284,7 @@ def _parse_matpower(case_text: str, dyn_text: str) -> PowerNetwork:
     try:
         base_mva = float(base.group(1)) if base else 100.0
         dyn = json.loads(dyn_text) if dyn_text else {}
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise CaseError(f"malformed baseMVA or dynamics document: {exc}") from exc
     if not dyn:
         raise CaseError("MATPOWER import requires a dynamics document")
@@ -336,6 +359,8 @@ def parse_case(case_text: str, dyn_text: str | None = None) -> PowerNetwork:
             raise CaseError(
                 f"JSON syntax error at line {exc.lineno}: {exc.msg}"
             ) from exc
+        except RecursionError as exc:
+            raise CaseError("JSON document nested too deeply") from exc
         return _from_native(doc)
     if "mpc." in case_text:
         return _parse_matpower(case_text, dyn_text or "")
@@ -373,13 +398,14 @@ def incidence_matrix(net: PowerNetwork, S=None) -> np.ndarray:
     canonical edge indices; None selects every edge.  No run calls it.
     """
     idx = list(range(net.l)) if S is None else sorted(S)
+    bad = [k for k in idx if not 0 <= k < net.l]
+    if bad:
+        raise CaseError(f"edge index {bad[0]} outside the edge set")
     A = np.zeros((net.m, len(idx)))
-    for col, k in enumerate(idx):
-        if k < 0 or k >= net.l:
-            raise CaseError(f"edge index {k} outside the edge set")
-        br = net.branches[k]
-        A[net.bus_pos[br.i], col] = 1.0
-        A[net.bus_pos[br.j], col] = -1.0
+    cols = np.arange(len(idx))
+    ei, ej = net.ends
+    A[ei[idx], cols] = 1.0
+    A[ej[idx], cols] = -1.0
     return A
 
 
@@ -403,8 +429,7 @@ def _star_mesh(net: PowerNetwork, keep, p=None, error=CaseError):
     import heapq
 
     adj: list[dict[int, float]] = [{} for _ in range(net.m)]
-    for br in net.branches:
-        a, b = net.bus_pos[br.i], net.bus_pos[br.j]
+    for a, b, br in zip(*(x.tolist() for x in net.ends), net.branches):
         y = adj[a].get(b, 0.0) + 1.0 / br.x
         adj[a][b] = adj[b][a] = y
     kept = set(keep)
@@ -458,14 +483,8 @@ def dc_power_flow(net: PowerNetwork) -> OperatingPoint:
     for k, Y, star in reversed(pivots):
         theta[k] = (p_inj[k] + sum(y * theta[j] for j, y in star.items())) / Y
 
-    flows = np.array(
-        [
-            (theta[net.bus_pos[br.i]] - theta[net.bus_pos[br.j]]) / br.x
-            * net.base_mva
-            for br in net.branches
-        ]
-    )
-    return OperatingPoint(
-        angles=np.array(theta), flows=flows, injections=d0 - g0,
-        g0_balanced=g0,
-    )
+    theta = np.array(theta)
+    ei, ej = net.ends
+    x = np.array([br.x for br in net.branches])
+    flows = (theta[ei] - theta[ej]) / x * net.base_mva
+    return OperatingPoint(angles=theta, flows=flows, injections=d0 - g0)

@@ -13,12 +13,8 @@ lives here too: a run only needs the sum that metrics.J adds up.
 
 import numpy as np
 
-from gridisland.metrics import (
-    MetricError,
-    _distances,
-    component_labels,
-    island_labels,
-)
+from gridisland.metrics import MetricError, _distances, island_labels
+from gridisland.netcase import component_labels
 
 
 def balanced_clip(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -51,7 +47,7 @@ def h_i(ctx, S, i: int) -> float:
     """Relaxed non-coherency of generator i: the squared distance from its
     coherency target c^i to the span of the kept lines' incidence columns."""
     c_i = ctx.targets[:, [1 + i]]
-    return float(_distances(component_labels(ctx, S), c_i)[0])
+    return float(_distances(component_labels(ctx.net, S), c_i)[0])
 
 
 def box_limits(net) -> tuple[np.ndarray, np.ndarray]:
@@ -70,7 +66,7 @@ def F(ctx, S, limits=None) -> float:
     (V, S).
     """
     d_max, g_max = limits or box_limits(ctx.net)
-    labels = component_labels(ctx, S)
+    labels = component_labels(ctx.net, S)
     order = np.argsort(labels, kind="stable")
     cuts = np.flatnonzero(np.diff(labels[order])) + 1
     total = 0.0
@@ -93,7 +89,7 @@ def H_i_constrained(ctx, S, i: int, model) -> float:
     if labels is None:
         raise MetricError("edge set does not induce a valid r-island partition")
     net = ctx.net
-    gen_pos = net.gen_positions()
+    gen_pos = net.gen_pos
     allowed = {int(gen_pos[i])} | {int(gen_pos[k]) for k in ctx.refs}
     ci = ctx.targets[:, 1 + i]
     total = 0.0

@@ -15,8 +15,8 @@ from math import comb, log
 
 import numpy as np
 
-from gridisland.metrics import J, MetricError, component_labels, island_labels
-from gridisland.netcase import incidence_matrix
+from gridisland.metrics import J, MetricError, island_labels
+from gridisland.netcase import component_labels, incidence_matrix
 
 
 def enumerate_bases(ctx) -> list[tuple[int, ...]]:
@@ -31,10 +31,10 @@ def enumerate_bases(ctx) -> list[tuple[int, ...]]:
 def random_basis(rng, net, ctx) -> list[int]:
     """A random maximal kept set: lines in random order, each kept unless
     it closes a cycle or joins two references."""
-    ref_pos = net.gen_positions()[list(ctx.refs)]
+    ref_pos = net.gen_pos[list(ctx.refs)]
     S = []
     for e in rng.permutation(net.l).tolist():
-        labels = component_labels(ctx, S + [e])
+        labels = component_labels(net, S + [e])
         if (len(np.unique(labels)) == net.m - len(S) - 1
                 and len(np.unique(labels[ref_pos])) == len(ref_pos)):
             S.append(e)
@@ -121,7 +121,7 @@ def local_search_reference(ev, epsilon: float):
     final evaluator and the J after every swap; ev is left unchanged.
     """
     ctx = ev.ctx
-    ei, ej = ctx.ends
+    ei, ej = ctx.net.ends
     trace = []
     current = ev.J()
     floor = 1e-12 * max(ev.base, 1.0)

@@ -406,7 +406,7 @@ def test_mincut_equal_capacities_minimizes_edge_count(seed):
     op = dc_power_flow(net)
     unit = OperatingPoint(
         angles=op.angles, flows=np.ones(net.l),
-        injections=op.injections, g0_balanced=op.g0_balanced,
+        injections=op.injections,
     )
     T1 = {net.gens[0].bus}
     T2 = {net.gens[1].bus}

@@ -290,6 +290,8 @@ def test_invalid_config_rejected():
     with pytest.raises(Exception):
         RunConfig(case=CASE39, epsilon=1.5).validate()
     with pytest.raises(Exception):
+        RunConfig(case=CASE39, epsilon=1e-7).validate()
+    with pytest.raises(Exception):
         RunConfig(case=CASE39, method="magic").validate()
     with pytest.raises(Exception):
         RunConfig(case=CASE39, xi=[-1.0]).validate()

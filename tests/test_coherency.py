@@ -237,6 +237,7 @@ def test_internal_angles_advance_across_xd(case39):
     for k, g in enumerate(case39.gens):
         theta = op.angles[case39.bus_pos[g.bus]]
         assert delta[k] >= theta - 1e-12  # positive dispatch advances the rotor
+        assert delta[k] == theta + g.xd_prime * (g.pg / case39.base_mva) / g.v
 
 
 def test_slow_modes_are_eigenpairs(pipe39):

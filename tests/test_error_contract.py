@@ -4,20 +4,29 @@ Hypothesis mutates small random cases (native JSON, or MATPOWER tables
 with a dynamics document), flag values and compare reports.  It also
 splices bytes that are not UTF-8 into the files, draws invalid
 ``--method`` and ``--format`` choices, and drops the required ``--case``.
+A report is valid JSON, with no NaN or Infinity, and leaves stderr empty.
+Fixed inputs cover an epsilon below the floor, results too large for
+double precision and JSON nested too deeply to parse.
 """
 
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import gridisland
 from gridisland.cli import main
 
-from casekit import random_case_doc
+from casekit import DATA, random_case_doc
+
+CASE39 = os.path.join(DATA, "case39.json")
 
 DELETE = object()
 VALUES = st.just(DELETE) | st.floats() | st.integers(-3, 300) | st.sampled_from(
@@ -121,3 +130,68 @@ def test_cli_answers_with_a_report_or_one_json_error(
         assert code == 1 and out.getvalue() == ""
         (line,) = err.getvalue().splitlines()
         assert sorted(json.loads(line)) == ["error", "message"]
+    else:
+        assert err.getvalue() == ""
+        if argv[0] == "refsel" or (argv[0] == "run" and fmt == "json"):
+            json.loads(out.getvalue(), parse_constant=reject_constant)
+
+
+def reject_constant(name):
+    raise AssertionError(f"report holds {name}, which is not JSON")
+
+
+def cli_process(argv, timeout=60):
+    """Exit code, stdout and stderr of the CLI in a fresh interpreter; a
+    run that has not returned after `timeout` seconds fails the test."""
+    src = os.path.dirname(os.path.dirname(gridisland.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "gridisland.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def write_inputs(tmp_path) -> dict:
+    """Fixed bad inputs: a 1e308 MW load, 200,000-deep JSON and a
+    MATPOWER case to pair with it as the dynamics document."""
+    with open(CASE39) as fh:
+        doc = json.load(fh)
+    doc["buses"][3]["pd_mw"] = 1e308
+    files = {
+        "big-load": json.dumps(doc),
+        "deep": '{"a":' + "[" * 200_000 + "]" * 200_000 + "}",
+        "matpower": "mpc.bus = [\n1 3 0\n2 1 50\n];\nmpc.gen = [\n1 50\n];\n"
+                    "mpc.branch = [\n1 2 0 0.1\n];\n",
+    }
+    paths = {}
+    for name, text in files.items():
+        paths[name] = str(tmp_path / name)
+        with open(paths[name], "w") as fh:
+            fh.write(text)
+    return paths
+
+
+@pytest.mark.parametrize("argv, error", [
+    # a smaller epsilon accepts swaps that leave the partition unchanged
+    # and cycles forever on this input
+    (["run", "--case", CASE39, "--r", "2", "--epsilon", "1e-15"],
+     "IslandingError"),
+    (["run", "--case", CASE39, "--r", "2", "--method", "spectral",
+      "--epsilon", "9.99e-7"], "IslandingError"),
+    (["run", "--case", CASE39, "--r", "2", "--xi", "1e308"], "MetricError"),
+    (["run", "--case", CASE39, "--r", "2", "--xi", "1e308", "--format",
+      "csv"], "MetricError"),
+    (["run", "--case", "big-load", "--r", "2"], "MetricError"),
+    (["run", "--case", "deep"], "CaseError"),
+    (["refsel", "--case", "deep"], "CaseError"),
+    (["run", "--case", "matpower", "--dyn", "deep"], "CaseError"),
+    (["compare", "deep"], "MetricError"),
+])
+def test_fixed_bad_inputs_end_in_one_json_error(tmp_path, argv, error):
+    paths = write_inputs(tmp_path)
+    code, out, err = cli_process([paths.get(a, a) for a in argv])
+    assert code == 1 and out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"] == error

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridisland.islanding import (
+    MIN_EPSILON,
     IslandingError,
     extract_solution,
     greedy_select,
@@ -113,6 +114,14 @@ def test_local_search_rejects_bad_epsilon(pipe39, case39):
     ev, _ = greedy_select(ctx)
     with pytest.raises(IslandingError):
         local_search(ev, epsilon=0.0)
+
+
+@pytest.mark.parametrize("epsilon", [MIN_EPSILON / 10, float("nan")])
+def test_local_search_rejects_epsilon_below_the_floor(pipe39, epsilon):
+    _, model, ctx = pipe39
+    ev, _ = greedy_select(ctx)
+    with pytest.raises(IslandingError, match="at least"):
+        local_search(ev, epsilon=epsilon)
 
 
 def test_local_search_rejects_a_kept_set_that_is_not_a_basis(pipe39):

@@ -11,9 +11,8 @@ from gridisland.metrics import (
     f,
     island_labels,
     noncoherency,
-    component_labels,
 )
-from gridisland.netcase import incidence_matrix
+from gridisland.netcase import component_labels, incidence_matrix
 
 from casekit import pipeline, random_network
 from constrained_oracle import F, H_i_constrained, box_limits, h_i
@@ -130,7 +129,7 @@ def test_constrained_coherency_matches_kkt_oracle(seed):
     op, model, ctx = pipeline(net, r=3, xi=1e-6)
     S = random_basis(rng, net, ctx)
     A_S = incidence_matrix(net, S)
-    gen_pos = net.gen_positions()
+    gen_pos = net.gen_pos
     for i in range(net.n):
         got = H_i_constrained(ctx, S, i, model)
         allowed = {int(gen_pos[i])} | {int(gen_pos[k]) for k in ctx.refs}
@@ -172,7 +171,7 @@ def test_constrained_coherency_closed_form(pipe39, case39):
     rng = np.random.default_rng(0)
     S = random_basis(rng, case39, ctx)
     labels = island_labels(ctx, S)
-    gen_pos = case39.gen_positions()
+    gen_pos = case39.gen_pos
     for i in range(case39.n):
         if i in ctx.refs:
             continue
@@ -214,7 +213,7 @@ def test_closed_form_evaluator_matches_dense_oracle(seed):
             assert g == pytest.approx(want - dense_J(ctx, S + [e]), abs=tol)
             if e in S:
                 assert g == 0.0
-        np.testing.assert_array_equal(ev.labels, component_labels(ctx, S))
+        np.testing.assert_array_equal(ev.labels, component_labels(net, S))
 
     ev = IncrementalEvaluator(ctx)
     S = []
@@ -250,13 +249,13 @@ def test_swap_values_and_cut_match_dense_oracle(seed):
     ev = IncrementalEvaluator(ctx)
     for e in S:
         ev.add(e)
-    ei, ej = ctx.ends
+    ei, ej = net.ends
 
     def cut_off(v):
         """S without v, its component labels, and the buses that removing
         v cuts off from their reference."""
         rest = [x for x in S if x != v]
-        labels = component_labels(ctx, rest)
+        labels = component_labels(net, rest)
         lost = [lab for lab in labels[[ei[v], ej[v]]]
                 if lab not in labels[ctx.ref_pos]]
         assert len(lost) == 1

@@ -13,7 +13,7 @@ from gridisland.netcase import (
     serialize_case,
 )
 
-from casekit import DATA, random_network
+from casekit import DATA, load_case, random_network
 
 TINY = {
     "base_mva": 100.0,
@@ -57,6 +57,11 @@ def test_round_trip():
          "unknown bus"),
         (lambda d: d["branches"][0].update(x_pu=-0.1), "nonpositive reactance"),
         (lambda d: d["branches"].clear(), "not connected"),
+        # two halves, each with its own lines
+        (lambda d: (d["buses"].extend([{"id": 4, "pd_mw": 5.0},
+                                       {"id": 5, "pd_mw": 5.0}]),
+                    d["branches"].append({"from": 4, "to": 5, "x_pu": 0.1})),
+         "graph is not connected"),
         (lambda d: d["gens"][0].update(inertia_s=0.0), "nonpositive inertia"),
         (lambda d: d["gens"][0].update(vm_pu=0.0), "inertia or voltage"),
         (lambda d: d.update(base_mva=0.0), "finite and positive"),
@@ -257,6 +262,24 @@ def test_incidence_rejects_bad_index():
     net = parse_case(json.dumps(TINY))
     with pytest.raises(CaseError):
         incidence_matrix(net, S=[5])
+
+
+@pytest.mark.parametrize("name", ["case39.json", "case118.json"])
+def test_layout_and_flows_are_the_per_line_loops(name):
+    # the cached layout is read-only, and the flows are bitwise the
+    # per-line expression over bus_pos
+    net = load_case(name)
+    pos = net.bus_pos
+    ei, ej = net.ends
+    assert ei.tolist() == [pos[br.i] for br in net.branches]
+    assert ej.tolist() == [pos[br.j] for br in net.branches]
+    assert net.gen_pos.tolist() == [pos[g.bus] for g in net.gens]
+    assert not (ei.flags.writeable or ej.flags.writeable
+                or net.gen_pos.flags.writeable)
+    theta = dc_power_flow(net).angles.tolist()
+    assert dc_power_flow(net).flows.tolist() == [
+        (theta[pos[br.i]] - theta[pos[br.j]]) / br.x * net.base_mva
+        for br in net.branches]
 
 
 def test_dc_flow_tiny():
