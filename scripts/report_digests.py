@@ -10,7 +10,12 @@ stderr.  The argv set:
   (seed 7);
 - ``refsel --r 3`` and ``refsel --r 8`` on the same cases;
 - 30 random networks (``tests/casekit.random_case_doc``) at r = 2..4
-  with ``--method both``.
+  with ``--method both``;
+- case39 as MATPOWER ``mpc.bus`` / ``mpc.gen`` / ``mpc.branch`` tables
+  with a ``--dyn`` document of its machines, and a variant where one
+  unit has no dynamic data and one line and one unit are out of service:
+  ``run --method both --xi 0,1e-6,1e-5 --dump-model`` at r = 2..4 and
+  ``refsel --r 3`` on each.
 
 The cases come from this checkout (``data/``, ``perfbench/inputs.py``
 read-only, ``tests/casekit.py``) and are written to one fixed directory,
@@ -43,6 +48,37 @@ import numpy as np
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 XI = "0,1e-8,1.78e-7,1e-6,1e-5"
 RANDOM_NETWORKS = 30
+MPC_XI = "0,1e-6,1e-5"
+# the MATPOWER variant: a unit left out of --dyn, a line and a unit at status 0
+NO_DYN_BUS, OFF_LINE, OFF_GEN_BUS = 32, (1, 39), 36
+
+
+def matpower_case(doc: dict, variant: bool) -> tuple[str, str]:
+    """A native case document as MATPOWER tables and a dynamics document."""
+    gen_buses = {g["bus"] for g in doc["gens"]}
+    kind = {b: 2 for b in gen_buses} | {doc["slack_bus"]: 3}
+    bus_rows = [f" {b['id']} {kind.get(b['id'], 1)} {b['pd_mw']!r}"
+                " 0 0 0 1 1 0 345 1 1.1 0.9;" for b in doc["buses"]]
+    gen_rows = [
+        f" {g['bus']} {g['pg_mw']!r} 0 300 -300 {g['vm_pu']!r} 100"
+        f" {0 if variant and g['bus'] == OFF_GEN_BUS else 1}"
+        f" {g['pg_max_mw']!r} 0;"
+        for g in doc["gens"]]
+    branch_rows = [
+        f" {b['from']} {b['to']} 0.0 {b['x_pu']!r} 0.0 0 0 0 0 0"
+        f" {0 if variant and (b['from'], b['to']) == OFF_LINE else 1} -360 360;"
+        for b in doc["branches"]]
+    case = "\n".join(
+        ["function mpc = case39", f"mpc.baseMVA = {doc['base_mva']!r};"]
+        + [f"mpc.{name} = [\n" + "\n".join(rows) + "\n];"
+           for name, rows in (("bus", bus_rows), ("gen", gen_rows),
+                              ("branch", branch_rows))]) + "\n"
+    machines = {
+        str(g["bus"]): {k: g[k] for k in ("inertia_s", "xd_prime_pu", "vm_pu")}
+        for g in doc["gens"] if not (variant and g["bus"] == NO_DYN_BUS)}
+    dyn = json.dumps({"base_freq_hz": doc["base_freq_hz"], "machines": machines},
+                     indent=1, sort_keys=True)
+    return case, dyn
 
 
 def write_cases(out_dir: str) -> dict[str, str]:
@@ -55,6 +91,7 @@ def write_cases(out_dir: str) -> dict[str, str]:
     for name in ("case39", "case118"):
         with open(os.path.join(HERE, "data", f"{name}.json")) as fh:
             texts[name] = fh.read()
+    case39 = json.loads(texts["case39"])
     for draw in inputs.MESHED_DRAWS:
         texts[f"meshed-120-{draw}"] = json.dumps(
             inputs.meshed_case(draw), indent=1, sort_keys=True)
@@ -67,10 +104,15 @@ def write_cases(out_dir: str) -> dict[str, str]:
                               extra_edges=int(rng.integers(1, 12)),
                               n_gens=n_gens)
         texts[f"random-{seed}"] = json.dumps(doc, indent=1, sort_keys=True)
+    texts = {f"{name}.json": text for name, text in texts.items()}
+    for name, variant in (("case39-mpc", False), ("case39-mpc-variant", True)):
+        texts[f"{name}.m"], texts[f"{name}.dyn.json"] = matpower_case(
+            case39, variant)
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
-    for name, text in texts.items():
-        paths[name] = os.path.join(out_dir, f"{name}.json")
+    for file_name, text in texts.items():
+        name = file_name.removesuffix(".json")
+        paths[name] = os.path.join(out_dir, file_name)
         with open(paths[name], "w") as fh:
             fh.write(text)
     return paths
@@ -86,6 +128,11 @@ def argv_set(paths: dict[str, str]) -> list[list[str]]:
     runs += [["run", "--case", paths[f"random-{seed}"], "--method", "both",
               "--r", str(r)]
              for seed in range(RANDOM_NETWORKS) for r in range(2, 5)]
+    for name in ("case39-mpc", "case39-mpc-variant"):
+        case = ["--case", paths[f"{name}.m"], "--dyn", paths[f"{name}.dyn"]]
+        runs += [["run", *case, "--method", "both", "--xi", MPC_XI,
+                  "--r", str(r), "--dump-model"] for r in range(2, 5)]
+        runs += [["refsel", *case, "--r", "3"]]
     return runs
 
 

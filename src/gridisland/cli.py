@@ -221,6 +221,14 @@ def run(config: RunConfig) -> dict:
     return _round_floats(report)
 
 
+def _finite_number(text: str) -> float:
+    """A report number; NaN, Infinity and 1e400 raise MetricError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise MetricError(f"report holds the non-finite number {text}")
+    return value
+
+
 def compare(report: dict) -> str:
     """Aligned Method | J | sqrt(f) MW | H_bar table across methods."""
     try:
@@ -320,7 +328,9 @@ def main(argv=None) -> int:
                                "json")
             else:
                 try:
-                    report = json.loads(_read(args.report, MetricError))
+                    report = json.loads(_read(args.report, MetricError),
+                                        parse_float=_finite_number,
+                                        parse_constant=_finite_number)
                 except (ValueError, RecursionError) as exc:
                     raise MetricError(f"report is not JSON: {exc}") from exc
                 text = compare(report)

@@ -43,31 +43,22 @@ MIN_EPSILON = 1e-6
 
 @dataclass(frozen=True)
 class IslandingSolution:
-    S: tuple[int, ...]
+    """One method's partition, under the names its report uses."""
+
+    kept: tuple[int, ...]
     cutset: tuple[str, ...]
-    islands: tuple[tuple[int, ...], ...]   # bus ids per island
-    groups: tuple[tuple[int, ...], ...]    # generator indices per island
+    islands: tuple[tuple[int, ...], ...]            # bus ids per island
+    generator_groups: tuple[tuple[int, ...], ...]   # generator indices
     L_g: np.ndarray
-    J_value: float
+    J: float
     sqrt_f_mw: float
     H_bar: float
     trace: tuple[float, ...]
-    swap_count: int = 0
+    swaps: int = 0
     method: str = "weak-submodular"
 
     def as_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "kept": sorted(self.S),
-            "cutset": sorted(self.cutset),
-            "islands": [sorted(isl) for isl in self.islands],
-            "generator_groups": [sorted(g) for g in self.groups],
-            "J": self.J_value,
-            "sqrt_f_mw": self.sqrt_f_mw,
-            "H_bar": self.H_bar,
-            "trace": list(self.trace),
-            "swaps": self.swap_count,
-        }
+        return {k: v for k, v in vars(self).items() if k != "L_g"}
 
 
 def greedy_select(ctx: MetricContext) -> tuple[IncrementalEvaluator, list[float]]:
@@ -171,14 +162,15 @@ def local_search(
 
 def partition_solution(
     ctx: MetricContext, kept, labels, cols, method: str = "weak-submodular",
-    trace=(), swap_count: int = 0,
+    trace=(), swaps: int = 0,
 ) -> IslandingSolution:
     """The solution for one partition of the buses into islands.
 
     kept is the sorted tuple of kept lines, labels the island of every bus
     position and cols[k] island k's coherency column.  Islands list bus
     ids in position order, groups generator indices in index order, and
-    the cutset holds every line between two islands; J and f are kept's.
+    the cutset the sorted names of the lines between islands; J and f are
+    kept's.
     """
     net, r = ctx.net, len(cols)
     islands = tuple(
@@ -193,25 +185,25 @@ def partition_solution(
     # lines to trip: only the edges crossing island boundaries; dropped
     # intra-island edges are redundant paths, not cuts
     ei, ej = net.ends
-    cut = tuple(net.branches[e].name
-                for e in np.flatnonzero(labels[ei] != labels[ej]))
+    cut = tuple(sorted(net.branches[e].name
+                       for e in np.flatnonzero(labels[ei] != labels[ej])))
     return IslandingSolution(
-        S=kept,
+        kept=kept,
         cutset=cut,
         islands=islands,
-        groups=groups,
+        generator_groups=groups,
         L_g=L_g,
-        J_value=J(ctx, kept),
+        J=J(ctx, kept),
         sqrt_f_mw=float(np.sqrt(f(ctx, kept))),
         H_bar=noncoherency(ctx.L, L_g),
         trace=tuple(trace),
-        swap_count=swap_count,
+        swaps=swaps,
         method=method,
     )
 
 
 def extract_solution(
-    ctx: MetricContext, S, trace=(), swap_count: int = 0
+    ctx: MetricContext, S, trace=(), swaps: int = 0
 ) -> IslandingSolution:
     """Islands (the k-th holds the k-th reference), cutset and metrics of
     a kept set S that splits the buses into r islands, one reference each."""
@@ -220,7 +212,7 @@ def extract_solution(
     if labels is None:
         raise IslandingError("S is not a forest with one reference per island")
     return partition_solution(ctx, S, labels, range(len(ctx.refs)),
-                              trace=trace, swap_count=swap_count)
+                              trace=trace, swaps=swaps)
 
 
 def solve(ctx: MetricContext, epsilon: float = 1e-3) -> IslandingSolution:
@@ -228,5 +220,5 @@ def solve(ctx: MetricContext, epsilon: float = 1e-3) -> IslandingSolution:
     ev, trace = greedy_select(ctx)
     ev, swap_trace = local_search(ev, epsilon)
     return extract_solution(
-        ctx, ev.S, trace=trace + swap_trace, swap_count=len(swap_trace),
+        ctx, ev.S, trace=trace + swap_trace, swaps=len(swap_trace),
     )

@@ -12,7 +12,9 @@ A MATPOWER-style importer accepts the numeric ``mpc.bus`` / ``mpc.gen`` /
 ``mpc.branch`` tables of a ``.m`` file (other fields are ignored) and
 drops out-of-service lines and generators (status 0); machine dynamics
 then come from a companion JSON document mapping bus id to
-``{"inertia_s": ..., "xd_prime_pu": ..., "vm_pu": ...}``.
+``{"inertia_s": ..., "xd_prime_pu": ..., "vm_pu": ...}``; a unit with no
+entry there is a fixed injection.  Both formats share one construction
+path, ``_from_native``.
 
 PowerNetwork owns the graph layout every stage reads: bus positions
 (``bus_pos``, buses sorted by id), the positions of each line's two ends
@@ -25,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -75,14 +77,6 @@ class PowerNetwork:
     base_freq: float               # rad/s
     slack_bus: int
 
-    # derived lookups, filled in __post_init__
-    bus_pos: dict = field(default_factory=dict, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "bus_pos", {b.id: k for k, b in enumerate(self.buses)}
-        )
-
     @property
     def m(self) -> int:
         return len(self.buses)
@@ -100,6 +94,11 @@ class PowerNetwork:
 
     def g0_vector(self) -> np.ndarray:
         return np.array([b.g0 for b in self.buses])
+
+    @cached_property
+    def bus_pos(self) -> dict[int, int]:
+        """Bus id -> position in `buses`."""
+        return {b.id: k for k, b in enumerate(self.buses)}
 
     @cached_property
     def ends(self) -> tuple[np.ndarray, np.ndarray]:
@@ -155,8 +154,6 @@ def _validate(net: PowerNetwork) -> PowerNetwork:
         if br.i == br.j:
             raise CaseError(f"branch {br.name} is a self-loop")
     for g in net.gens:
-        if g.bus not in seen:
-            raise CaseError(f"generator at unknown bus {g.bus}")
         if not _finite(g.pg, g.pg_max, g.inertia, g.xd_prime, g.v):
             raise CaseError(f"generator at bus {g.bus} has a non-finite field")
         if g.xd_prime <= 0:
@@ -207,7 +204,9 @@ def _bus_id(value) -> int:
     return int(value)
 
 
-def _from_native(doc: dict) -> PowerNetwork:
+def _from_native(doc: dict, static_pg: dict | None = None) -> PowerNetwork:
+    """The network of a native document; static_pg (bus id -> MW of units
+    without dynamic data) adds to g0 and g_max after the generators."""
     try:
         base_mva = float(doc["base_mva"])
         base_freq = 2 * np.pi * float(doc.get("base_freq_hz", 60.0))
@@ -223,26 +222,32 @@ def _from_native(doc: dict) -> PowerNetwork:
             )
             for g in doc["gens"]
         )
-        pg = {}
-        pg_max = {}
+        pg, pg_max = {}, {}
         for g in gens:
             pg[g.bus] = pg.get(g.bus, 0.0) + g.pg
             pg_max[g.bus] = pg_max.get(g.bus, 0.0) + g.pg_max
+        for bus, mw in (static_pg or {}).items():
+            pg[bus] = pg.get(bus, 0.0) + mw
+            pg_max[bus] = pg_max.get(bus, 0.0) + mw
+        keyed = [(_bus_id(b["id"]), b) for b in doc["buses"]]
         buses = tuple(
             Bus(
-                id=_bus_id(b["id"]),
+                id=i,
                 d0=float(b["pd_mw"]),
                 d_max=float(b.get("pd_max_mw", b["pd_mw"])),
-                g0=pg.get(_bus_id(b["id"]), 0.0),
-                g_max=pg_max.get(_bus_id(b["id"]), 0.0),
+                g0=pg.get(i, 0.0),
+                g_max=pg_max.get(i, 0.0),
             )
-            for b in sorted(doc["buses"], key=lambda b: _bus_id(b["id"]))
+            for i, b in sorted(keyed, key=lambda ib: ib[0])
         )
         branches = _canonical_branches([
             (_bus_id(b["from"]), _bus_id(b["to"]), float(b["x_pu"]))
             for b in doc["branches"]])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CaseError(f"malformed case document: {exc}") from exc
+    unknown = pg.keys() - {b.id for b in buses}
+    if unknown:
+        raise CaseError(f"generator at unknown bus {min(unknown)}")
     return _validate(
         PowerNetwork(buses, branches, gens, base_mva, base_freq, slack)
     )
@@ -289,18 +294,16 @@ def _parse_matpower(case_text: str, dyn_text: str) -> PowerNetwork:
     if not dyn:
         raise CaseError("MATPOWER import requires a dynamics document")
 
-    slack = None
-    for row in tables["bus"]:
-        if int(row[1]) == 3:
-            slack = int(row[0])
-    if slack is None:
-        raise CaseError("MATPOWER case has no slack (type 3) bus")
+    slacks = [int(row[0]) for row in tables["bus"] if int(row[1]) == 3]
+    if len(slacks) != 1:
+        raise CaseError(f"MATPOWER case needs one slack (type 3) bus, not "
+                        f"{len(slacks)}: {slacks}")
 
     try:
         doc = {
             "base_mva": base_mva,
             "base_freq_hz": float(dyn.get("base_freq_hz", 60.0)),
-            "slack_bus": slack,
+            "slack_bus": slacks[0],
             "buses": [
                 {"id": int(r[0]), "pd_mw": r[2]} for r in tables["bus"]
             ],
@@ -333,18 +336,7 @@ def _parse_matpower(case_text: str, dyn_text: str) -> PowerNetwork:
             )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CaseError(f"malformed dynamics document: {exc!r}") from exc
-    net = _from_native(doc)
-    if static_pg:
-        buses = tuple(
-            Bus(b.id, b.d0, b.d_max,
-                b.g0 + static_pg.get(b.id, 0.0),
-                b.g_max + static_pg.get(b.id, 0.0))
-            for b in net.buses
-        )
-        net = _validate(PowerNetwork(
-            buses, net.branches, net.gens, net.base_mva, net.base_freq,
-            net.slack_bus))
-    return net
+    return _from_native(doc, static_pg)
 
 
 def parse_case(case_text: str, dyn_text: str | None = None) -> PowerNetwork:
@@ -368,7 +360,8 @@ def parse_case(case_text: str, dyn_text: str | None = None) -> PowerNetwork:
 
 
 def serialize_case(net: PowerNetwork) -> str:
-    """Emit a native JSON document; parse(serialize(net)) round-trips."""
+    """Emit a native JSON document that parses back to net; a network it
+    cannot hold exactly (generation without dynamic data) is a CaseError."""
     doc = {
         "base_mva": net.base_mva,
         "base_freq_hz": net.base_freq / (2 * np.pi),
@@ -387,7 +380,11 @@ def serialize_case(net: PowerNetwork) -> str:
             for g in net.gens
         ],
     }
-    return json.dumps(doc, indent=1, sort_keys=True)
+    text = json.dumps(doc, indent=1, sort_keys=True)
+    if parse_case(text) != net:
+        raise CaseError("the native format cannot hold this network exactly "
+                        "(for example, generation without dynamic data)")
+    return text
 
 
 def incidence_matrix(net: PowerNetwork, S=None) -> np.ndarray:

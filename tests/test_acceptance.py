@@ -61,7 +61,7 @@ def test_criterion_1_structural_fidelity(case39, case118):
         sol = solve(ctx)
         island_of = {b: k for k, isl in enumerate(sol.islands) for b in isl}
         ok = (
-            len(sol.S) == net.m - r
+            len(sol.kept) == net.m - r
             and len(sol.islands) == r
             and sorted(b for isl in sol.islands for b in isl)
             == sorted(b.id for b in net.buses)
@@ -191,7 +191,8 @@ def sweep_case39(net):
     for xi in XI_GRID:
         _, model, ctx = pipeline(net, r=3, xi=float(xi))
         sol = solve(ctx)
-        groups = [set(net.gens[i].bus for i in grp) for grp in sol.groups]
+        groups = [set(net.gens[i].bus for i in grp)
+                  for grp in sol.generator_groups]
         overlap = len(set(sol.cutset) & TARGET_CUT)
         if best is None or overlap > best[1]:
             best = (xi, overlap, sorted(sol.cutset), sol)
@@ -264,10 +265,10 @@ def test_criterion_5_dominance(case39, case118):
     ok = True
     parts = []
     for name, (prop, spec) in results.items():
-        dom = (prop.J_value <= spec.J_value + 1e-12
+        dom = (prop.J <= spec.J + 1e-12
                and prop.sqrt_f_mw < spec.sqrt_f_mw)
         ok &= dom
-        parts.append(f"{name}-bus J {prop.J_value:.4f}<={spec.J_value:.4f} "
+        parts.append(f"{name}-bus J {prop.J:.4f}<={spec.J:.4f} "
                      f"sqrt_f {prop.sqrt_f_mw:.1f}<{spec.sqrt_f_mw:.1f}")
     prop39, spec39 = results["39"]
     reduction = 1.0 - prop39.sqrt_f_mw / spec39.sqrt_f_mw

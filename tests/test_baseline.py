@@ -507,10 +507,10 @@ def test_two_step_structure_case39(pipe39, case39):
     assert len(sol.islands) == 3
     covered = sorted(b for isl in sol.islands for b in isl)
     assert covered == sorted(b.id for b in case39.buses)
-    all_gens = sorted(i for g in sol.groups for i in g)
+    all_gens = sorted(i for g in sol.generator_groups for i in g)
     assert all_gens == list(range(case39.n))
     # generators sit on buses of their own island
-    for isl, grp in zip(sol.islands, sol.groups):
+    for isl, grp in zip(sol.islands, sol.generator_groups):
         for i in grp:
             assert case39.gens[i].bus in isl
     # the reported cutset disconnects exactly along island boundaries
@@ -524,7 +524,7 @@ def test_two_step_deterministic(pipe39, case39):
     op, model, ctx = pipe39
     a = two_step_partition(case39, op, model, 3).evaluate(ctx)
     b = two_step_partition(case39, op, model, 3).evaluate(ctx)
-    assert a.cutset == b.cutset and a.J_value == b.J_value
+    assert a.cutset == b.cutset and a.J == b.J
 
 
 @settings(max_examples=15, deadline=None)
@@ -541,12 +541,12 @@ def test_two_step_structure_random(seed):
     assert covered == sorted(b.id for b in net.buses)
     # the kept lines are exactly those whose ends share an island
     island_of = {b: k for k, isl in enumerate(sol.islands) for b in isl}
-    assert sol.S == tuple(k for k, br in enumerate(net.branches)
+    assert sol.kept == tuple(k for k, br in enumerate(net.branches)
                           if island_of[br.i] == island_of[br.j])
     # every piece of every island holds a generator of its group
-    for isl, grp in zip(sol.islands, sol.groups):
+    for isl, grp in zip(sol.islands, sol.generator_groups):
         gen_buses = {net.gens[i].bus for i in grp}
-        for piece in pieces(net, sol.S, set(isl)):
+        for piece in pieces(net, sol.kept, set(isl)):
             assert piece & gen_buses
 
 

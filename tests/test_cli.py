@@ -111,7 +111,11 @@ def metric_rows(**metrics):
     "not json", "{\"runs\": [", "[1, 2]", json.dumps({"runs": 3}),
     json.dumps(metric_rows(J="x")), json.dumps(metric_rows(sqrt_f_mw=None)),
     json.dumps(metric_rows(H_bar=[1.0])),
-], ids=["text", "cut", "list", "runs", "J", "sqrt_f_mw", "H_bar"])
+    json.dumps(metric_rows(J=float("nan"))),
+    json.dumps(metric_rows(sqrt_f_mw=float("inf"))),
+    json.dumps(metric_rows()).replace('"H_bar": 1.0', '"H_bar": 1e400'),
+], ids=["text", "cut", "list", "runs", "J", "sqrt_f_mw", "H_bar", "NaN",
+        "Infinity", "1e400"])
 def test_compare_bad_report_is_a_json_error(text, tmp_path, capsys):
     path = tmp_path / "report.json"
     path.write_text(text)

@@ -134,6 +134,8 @@ def test_cli_answers_with_a_report_or_one_json_error(
         assert err.getvalue() == ""
         if argv[0] == "refsel" or (argv[0] == "run" and fmt == "json"):
             json.loads(out.getvalue(), parse_constant=reject_constant)
+        if argv[0] == "compare":
+            assert "nan" not in out.getvalue() and "inf" not in out.getvalue()
 
 
 def reject_constant(name):

@@ -34,19 +34,19 @@ from matroid_oracle import (
 
 
 def assert_structural(net, sol, r):
-    assert len(sol.S) == net.m - r
+    assert len(sol.kept) == net.m - r
     assert len(sol.islands) == r
     covered = sorted(b for isl in sol.islands for b in isl)
     assert covered == sorted(b.id for b in net.buses)
     # one reference generator per island
-    gens_by_island = [set(g) for g in sol.groups]
+    gens_by_island = [set(g) for g in sol.generator_groups]
     for k in range(r):
         refs_here = [i for i in range(net.n) if sol.L_g[i].argmax() == k
                      and sol.L_g[i, k] == 1.0]
         assert len(refs_here) >= 1
     # kept edges never cross island boundaries
     island_of = {b: k for k, isl in enumerate(sol.islands) for b in isl}
-    for e in sol.S:
+    for e in sol.kept:
         br = net.branches[e]
         assert island_of[br.i] == island_of[br.j]
     # reported cutset = exactly the crossing edges
@@ -105,7 +105,7 @@ def test_local_search_never_worse(pipe39, case39):
     assert ev2.J() <= before + 1e-9
     assert len(ev2.S) == len(ev.S)
     sol = solve(ctx)
-    assert sol.swap_count == len(strace)
+    assert sol.swaps == len(strace)
     assert sol.trace == tuple(trace + strace)
 
 
@@ -172,8 +172,8 @@ def test_solution_deterministic(pipe39, case39):
     _, model, ctx = pipe39
     a = solve(ctx)
     b = solve(ctx)
-    assert a.S == b.S and a.cutset == b.cutset
-    assert a.J_value == b.J_value
+    assert a.kept == b.kept and a.cutset == b.cutset
+    assert a.J == b.J
 
 
 @settings(max_examples=25, deadline=None)
@@ -312,7 +312,7 @@ def test_swap_count_respects_iteration_budget(seed):
 def test_iteration_budget_case39(pipe39, case39):
     _, model, ctx = pipe39
     sol = solve(ctx)
-    assert sol.swap_count <= local_search_iteration_cap(ctx, 1e-3) + 1
+    assert sol.swaps <= local_search_iteration_cap(ctx, 1e-3) + 1
 
 
 def test_extract_requires_maximal_set(pipe39, case39):

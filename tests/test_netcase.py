@@ -13,7 +13,7 @@ from gridisland.netcase import (
     serialize_case,
 )
 
-from casekit import DATA, load_case, random_network
+from casekit import DATA, load_case, random_case_doc, random_network
 
 TINY = {
     "base_mva": 100.0,
@@ -43,10 +43,22 @@ def test_parse_native_counts():
     assert net.gens[0].inertia == 10.0
 
 
-def test_round_trip():
-    net = parse_case(json.dumps(TINY))
-    again = parse_case(serialize_case(net))
-    assert serialize_case(again) == serialize_case(net)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_round_trip(seed):
+    rng = np.random.default_rng(seed)
+    n_gens = int(rng.integers(1, 6))
+    for doc in (TINY, random_case_doc(rng, m=int(rng.integers(n_gens, 20)),
+                                      extra_edges=int(rng.integers(0, 8)),
+                                      n_gens=n_gens)):
+        net = parse_case(json.dumps(doc))
+        assert parse_case(serialize_case(net)) == net
+
+
+@pytest.mark.parametrize("name", ["case39.json", "case118.json"])
+def test_round_trip_bundled_cases(name):
+    net = load_case(name)
+    assert parse_case(serialize_case(net)) == net
 
 
 @pytest.mark.parametrize(
@@ -178,8 +190,7 @@ def test_integral_float_bus_numbers_parse():
     doc["branches"][0]["from"] = 1.0
     doc["gens"][0]["bus"] = 1.0
     doc["slack_bus"] = 1.0
-    assert serialize_case(parse_case(json.dumps(doc))) == serialize_case(
-        parse_case(json.dumps(TINY)))
+    assert parse_case(json.dumps(doc)) == parse_case(json.dumps(TINY))
 
 
 def test_syntax_error_reports_line():
@@ -218,7 +229,8 @@ DYN = json.dumps(
 def test_matpower_import_matches_native():
     native = parse_case(json.dumps(TINY))
     imported = parse_case(MPC, DYN)
-    assert serialize_case(imported) == serialize_case(native)
+    assert imported == native
+    assert parse_case(serialize_case(imported)) == imported
 
 
 def test_matpower_drops_out_of_service_generators():
@@ -231,8 +243,40 @@ def test_matpower_drops_out_of_service_generators():
     off = (gen + " 2 500 0 300 -300 1.0 100 0 600 0;\n"
            " 3 70 0 300 -300 1.0 100 0 100 0;\n")
     with_off = parse_case(MPC.replace(gen, off), dyn)
-    assert serialize_case(with_off) == serialize_case(parse_case(MPC, dyn))
-    assert serialize_case(with_off) == serialize_case(parse_case(MPC, DYN))
+    assert with_off == parse_case(MPC, dyn) == parse_case(MPC, DYN)
+
+
+# a second in-service unit, at bus 2, which DYN gives no dynamic data
+GEN = " 1 100 0 300 -300 1.0 100 1 150 0;\n"
+MPC_STATIC = MPC.replace(GEN, GEN + " 2 60 0 300 -300 1.0 100 1 80 0;\n")
+
+
+def test_matpower_unit_without_dynamics_is_a_fixed_injection():
+    plain, net = parse_case(MPC, DYN), parse_case(MPC_STATIC, DYN)
+    assert net.gens == plain.gens   # the generator at bus 1, and no other
+    # its Pg adds to the bus's generation and to its maximum
+    assert [(b.g0, b.g_max) for b in net.buses] == [
+        (100.0, 150.0), (60.0, 60.0), (0.0, 0.0)]
+    assert dc_power_flow(plain).injections.tolist() == [-100.0, 60.0, 40.0]
+    assert dc_power_flow(net).injections.tolist() == [-40.0, 0.0, 40.0]
+
+
+def test_matpower_unit_without_dynamics_at_unknown_bus_is_a_case_error():
+    text = MPC.replace(GEN, GEN + " 9 60 0 300 -300 1.0 100 1 80 0;\n")
+    with pytest.raises(CaseError, match="unknown bus 9"):
+        parse_case(text, DYN)
+
+
+def test_serialize_refuses_generation_without_dynamics():
+    net = parse_case(MPC_STATIC, DYN)
+    with pytest.raises(CaseError, match="cannot hold this network exactly"):
+        serialize_case(net)
+
+
+def test_matpower_two_slack_buses_are_a_case_error():
+    text = MPC.replace(" 2 1 60 ", " 2 3 60 ")
+    with pytest.raises(CaseError, match=r"one slack \(type 3\) bus, not 2: \[1, 2\]"):
+        parse_case(text, DYN)
 
 
 def test_matpower_requires_dynamics():
