@@ -15,7 +15,12 @@ stderr.  The argv set:
   with a ``--dyn`` document of its machines, and a variant where one
   unit has no dynamic data and one line and one unit are out of service:
   ``run --method both --xi 0,1e-6,1e-5 --dump-model`` at r = 2..4 and
-  ``refsel --r 3`` on each.
+  ``refsel --r 3`` on each;
+- on case39 and case118: ``run --method both --xi 0,1e-6,1e-5
+  --dump-model --refs`` with two lists of distinct generator buses at
+  r = 2 and 3, neither in the greedy selection's order; ``--method
+  spectral`` alone; ``--method weak-submodular --epsilon 1e-2``; and
+  ``--method both`` with ``--format csv`` and ``--format table``.
 
 The cases come from this checkout (``data/``, ``perfbench/inputs.py``
 read-only, ``tests/casekit.py``) and are written to one fixed directory,
@@ -51,6 +56,11 @@ RANDOM_NETWORKS = 30
 MPC_XI = "0,1e-6,1e-5"
 # the MATPOWER variant: a unit left out of --dyn, a line and a unit at status 0
 NO_DYN_BUS, OFF_LINE, OFF_GEN_BUS = 32, (1, 39), 36
+# reference buses per case and r: the greedy ones reordered, and others
+REFS = {
+    "case39": {2: ("39,34", "36,30"), 3: ("39,38,34", "33,30,37")},
+    "case118": {2: ("87,10", "100,25"), 3: ("54,10,87", "111,46,12")},
+}
 
 
 def matpower_case(doc: dict, variant: bool) -> tuple[str, str]:
@@ -133,6 +143,16 @@ def argv_set(paths: dict[str, str]) -> list[list[str]]:
         runs += [["run", *case, "--method", "both", "--xi", MPC_XI,
                   "--r", str(r), "--dump-model"] for r in range(2, 5)]
         runs += [["refsel", *case, "--r", "3"]]
+    for name, by_r in REFS.items():
+        case = ["--case", paths[name]]
+        runs += [["run", *case, "--method", "both", "--xi", MPC_XI,
+                  "--r", str(r), "--dump-model", "--refs", refs]
+                 for r, lists in by_r.items() for refs in lists]
+        runs += [["run", *case, "--method", "spectral"],
+                 ["run", *case, "--method", "weak-submodular",
+                  "--epsilon", "1e-2"]]
+        runs += [["run", *case, "--method", "both", "--format", fmt]
+                 for fmt in ("csv", "table")]
     return runs
 
 

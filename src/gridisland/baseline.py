@@ -219,20 +219,18 @@ def two_step_islanding(
     op: OperatingPoint,
     model: CoherencyModel,
     ctx: MetricContext,
-    r: int,
 ) -> IslandingSolution:
-    """two_step_partition(net, op, model, r).evaluate(ctx).  No run calls
+    """two_step_partition(net, op, model).evaluate(ctx).  No run calls
     it; it stays while perfbench's span table still names it."""
-    return two_step_partition(net, op, model, r).evaluate(ctx)
+    return two_step_partition(net, op, model).evaluate(ctx)
 
 
 def two_step_partition(
     net: PowerNetwork,
     op: OperatingPoint,
     model: CoherencyModel,
-    r: int,
 ) -> TwoStepPartition:
-    """Recursive bipartition until r islands.
+    """Recursive bipartition until r = len(model.refs) islands.
 
     When more than one subsystem could be split next, the one whose
     internal coupling cut is cheapest is split first, ties to the earliest
@@ -242,6 +240,7 @@ def two_step_partition(
     subsystem's generator grouping is computed once, when first needed.
     Nothing here depends on the trade-off weight xi.
     """
+    r = len(model.refs)
     if r < 2:
         raise BaselineError("the spectral baseline needs r >= 2")
     W_full = coupling_weights(net, model)

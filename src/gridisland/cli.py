@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,30 +59,6 @@ KNOWN_ERRORS = (
 REPORT_DIGITS = 12   # decimals every report float is rounded to
 
 
-@dataclass
-class RunConfig:
-    case: str
-    dyn: str | None = None
-    r: int = 3
-    xi: list[float] = field(default_factory=lambda: [1e-6])
-    epsilon: float = 1e-3
-    method: str = "weak-submodular"
-    refs: list[int] | None = None     # bus ids
-    dump_model: bool = False
-
-    def validate(self) -> None:
-        if self.r < 1:
-            raise IslandingError("island count r must be at least 1")
-        if not self.xi:
-            raise MetricError("no trade-off weight given")
-        if not all(0 <= x < float("inf") for x in self.xi):
-            raise MetricError("trade-off weight must be finite and nonnegative")
-        if not MIN_EPSILON <= self.epsilon < 1:
-            raise IslandingError(f"epsilon must lie in [{MIN_EPSILON:g}, 1)")
-        if self.method not in ("weak-submodular", "spectral", "both"):
-            raise IslandingError(f"unknown method {self.method!r}")
-
-
 def _parse_xi(text: str) -> list[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip()]
@@ -112,12 +87,13 @@ def _parse_refs(text: str) -> list[int]:
 
 
 def _read(path: str, error: type[Exception] = CaseError) -> str:
-    """The UTF-8 text of path; undecodable bytes raise `error`."""
+    """The UTF-8 text of path; a file that cannot be read or decoded
+    raises `error`."""
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise CaseError(f"cannot read {path}: {exc}") from exc
+        raise error(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise error(f"{path} is not UTF-8 text: {exc}") from exc
 
@@ -164,34 +140,45 @@ def _round_floats(obj):
     return obj
 
 
-def run(config: RunConfig) -> dict:
-    config.validate()
+def run(args: argparse.Namespace) -> dict:
+    """The report of a parsed ``run`` command line; r = len(refs) islands."""
+    r = _parse_scalar(args.r, int, "--r", IslandingError)
+    xis = _parse_xi(args.xi)
+    epsilon = _parse_scalar(args.epsilon, float, "--epsilon", IslandingError)
+    bus_refs = None if args.refs is None else _parse_refs(args.refs)
+    if r < 1:
+        raise IslandingError("island count r must be at least 1")
+    if not xis:
+        raise MetricError("no trade-off weight given")
+    if not all(0 <= x < float("inf") for x in xis):
+        raise MetricError("trade-off weight must be finite and nonnegative")
+    if not MIN_EPSILON <= epsilon < 1:
+        raise IslandingError(f"epsilon must lie in [{MIN_EPSILON:g}, 1)")
     # model and references are xi-independent
-    net, op, greedy, pivot = _references(config.case, config.dyn, config.r)
+    net, op, greedy, pivot = _references(args.case, args.dyn, r)
     gen_bus = [g.bus for g in net.gens]
-    if config.refs is not None:
+    if bus_refs is not None:
         refs = []
-        for b in config.refs:
+        for b in bus_refs:
             if b not in gen_bus:
                 raise SelectionError(f"no generator at bus {b}")
             refs.append(gen_bus.index(b))
-        if len(set(refs)) != config.r:
-            raise SelectionError(f"need {config.r} distinct reference buses")
+        if len(set(refs)) != r:
+            raise SelectionError(f"need {r} distinct reference buses")
     else:
         refs = list(greedy.refs)
-    model = build_model(net, op, config.r, refs)
+    model = build_model(net, op, refs)
 
     runs = []
     split = None  # the baseline's partition is xi-independent
-    for xi in config.xi:
+    for xi in xis:
         ctx = build_context(net, op, model, xi)
         methods = {}
-        if config.method in ("weak-submodular", "both"):
-            methods["weak-submodular"] = solve(
-                ctx, epsilon=config.epsilon).as_dict()
-        if config.method in ("spectral", "both"):
+        if args.method in ("weak-submodular", "both"):
+            methods["weak-submodular"] = solve(ctx, epsilon=epsilon).as_dict()
+        if args.method in ("spectral", "both"):
             if split is None:
-                split = two_step_partition(net, op, model, config.r)
+                split = two_step_partition(net, op, model)
             sol = split.evaluate(ctx).as_dict()
             sol["recursion_order"] = "weakest-coupling-first"  # reconstruction
             methods["spectral"] = sol
@@ -199,8 +186,8 @@ def run(config: RunConfig) -> dict:
 
     report = {
         "config": {
-            "case": config.case, "r": config.r, "xi": config.xi,
-            "epsilon": config.epsilon, "method": config.method,
+            "case": args.case, "r": r, "xi": xis,
+            "epsilon": epsilon, "method": args.method,
         },
         "case": {"buses": net.m, "branches": net.l, "generators": net.n},
         "refs": {
@@ -210,7 +197,7 @@ def run(config: RunConfig) -> dict:
         },
         "runs": runs,
     }
-    if config.dump_model:
+    if args.dump_model:
         report["model"] = {
             "K": model.K.tolist(),
             "M": model.M.tolist(),
@@ -274,31 +261,26 @@ def _render(report: dict, fmt: str) -> str:
     raise MetricError(f"unknown output format {fmt!r}")
 
 
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--case", required=True)
-    p.add_argument("--dyn", help="dynamics JSON for MATPOWER-table cases")
-    p.add_argument("--r", default="3")
-    p.add_argument("--xi", default="1e-6",
-                   help="trade-off weight, or comma-separated sweep list")
-    p.add_argument("--epsilon", default="1e-3")
-    p.add_argument("--method", default="weak-submodular",
-                   choices=["weak-submodular", "spectral", "both"])
-    p.add_argument("--refs", help="override reference buses, e.g. 39,34,38")
-    p.add_argument("--out")
-    p.add_argument("--dump-model", action="store_true")
-    p.add_argument("--format", dest="fmt", default="json",
-                   choices=["json", "csv", "table"])
-
-
 def main(argv=None) -> int:
     parser = _Parser(prog="gridisland", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_run_flags(sub.add_parser("run", help="run one or both methods"))
-    rp = sub.add_parser("refsel", help="report reference generator choices")
-    rp.add_argument("--case", required=True)
-    rp.add_argument("--dyn")
-    rp.add_argument("--r", default="3")
-    rp.add_argument("--out")
+    common = _Parser(add_help=False)
+    common.add_argument("--case", required=True)
+    common.add_argument("--dyn", help="dynamics JSON for MATPOWER-table cases")
+    common.add_argument("--r", default="3")
+    common.add_argument("--out")
+    rp = sub.add_parser("run", parents=[common], help="run one or both methods")
+    rp.add_argument("--xi", default="1e-6",
+                    help="trade-off weight, or comma-separated sweep list")
+    rp.add_argument("--epsilon", default="1e-3")
+    rp.add_argument("--method", default="weak-submodular",
+                    choices=["weak-submodular", "spectral", "both"])
+    rp.add_argument("--refs", help="override reference buses, e.g. 39,34,38")
+    rp.add_argument("--dump-model", action="store_true")
+    rp.add_argument("--format", dest="fmt", default="json",
+                    choices=["json", "csv", "table"])
+    sub.add_parser("refsel", parents=[common],
+                   help="report reference generator choices")
     cp = sub.add_parser("compare", help="render a report as a table")
     cp.add_argument("report")
     try:
@@ -308,17 +290,7 @@ def main(argv=None) -> int:
             if out_path:
                 _check_out(out_path)
             if args.command == "run":
-                config = RunConfig(
-                    case=args.case, dyn=args.dyn,
-                    r=_parse_scalar(args.r, int, "--r", IslandingError),
-                    xi=_parse_xi(args.xi),
-                    epsilon=_parse_scalar(args.epsilon, float, "--epsilon",
-                                          IslandingError),
-                    method=args.method,
-                    refs=None if args.refs is None else _parse_refs(args.refs),
-                    dump_model=args.dump_model,
-                )
-                text = _render(run(config), args.fmt)
+                text = _render(run(args), args.fmt)
             elif args.command == "refsel":
                 r = _parse_scalar(args.r, int, "--r", SelectionError)
                 net, _, greedy, pivot = _references(args.case, args.dyn, r)

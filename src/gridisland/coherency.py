@@ -109,6 +109,10 @@ def slow_modes(m: np.ndarray, K: np.ndarray, r: int) -> tuple[np.ndarray, np.nda
     d = np.sqrt(m)
     Ks = np.outer(d, d)
     np.divide(K, Ks, out=Ks)
+    # eigh fails on, or returns NaN for, a matrix holding inf
+    if not np.isfinite(Ks).all():
+        raise ModelError("coupling matrix is not finite: an input is too "
+                         "large for double precision")
     vals, vecs = np.linalg.eigh(Ks)
     order = sorted(range(n), key=lambda k: (abs(vals[k]), vals[k], k))
     pick = order[:r]
@@ -125,11 +129,10 @@ def coherency_matrix(U: np.ndarray, refs) -> np.ndarray:
     return np.linalg.solve(U1.T, U.T).T
 
 
-def build_model(
-    net: PowerNetwork, op: OperatingPoint, r: int, refs
-) -> CoherencyModel:
+def build_model(net: PowerNetwork, op: OperatingPoint, refs) -> CoherencyModel:
+    """The model whose r = len(refs) islands are each anchored by one reference."""
     K = build_K(net, op, kron_reduce(net))
     M = inertia(net)
-    sigma, U = slow_modes(M, K, r)
+    sigma, U = slow_modes(M, K, len(refs))
     L = coherency_matrix(U, refs)
     return CoherencyModel(M=M, K=K, sigma_r=sigma, U=U, L=L, refs=tuple(refs))

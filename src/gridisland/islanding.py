@@ -54,8 +54,8 @@ class IslandingSolution:
     sqrt_f_mw: float
     H_bar: float
     trace: tuple[float, ...]
-    swaps: int = 0
-    method: str = "weak-submodular"
+    swaps: int
+    method: str
 
     def as_dict(self) -> dict:
         return {k: v for k, v in vars(self).items() if k != "L_g"}

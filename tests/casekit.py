@@ -108,6 +108,6 @@ def pipeline(net, r=3, xi=1e-6, refs=None):
             inertia(net), build_K(net, op, kron_reduce(net)), r
         )
         refs = select_references_greedy(U, r).refs
-    model = build_model(net, op, r, refs)
+    model = build_model(net, op, refs)
     ctx = build_context(net, op, model, xi)
     return op, model, ctx

@@ -260,7 +260,7 @@ def test_criterion_5_dominance(case39, case118):
     for name, net in (("39", case39), ("118", case118)):
         op, model, ctx = pipeline(net, r=3, xi=CHOSEN_XI)
         prop = solve(ctx)
-        spec = two_step_partition(net, op, model, 3).evaluate(ctx)
+        spec = two_step_partition(net, op, model).evaluate(ctx)
         results[name] = (prop, spec)
     ok = True
     parts = []
@@ -296,7 +296,7 @@ def test_criterion_7_performance(case118):
     start = time.monotonic()
     op, model, ctx = pipeline(case118, r=3, xi=CHOSEN_XI)
     solve(ctx)
-    two_step_partition(case118, op, model, 3).evaluate(ctx)
+    two_step_partition(case118, op, model).evaluate(ctx)
     elapsed = time.monotonic() - start
     ok = elapsed < 120.0
     assert report(7, ok, f"({elapsed:.1f}s)"), f"118-bus took {elapsed:.1f}s"

@@ -16,7 +16,7 @@ from gridisland.baseline import (
     generator_bipartition,
     two_step_partition,
 )
-from gridisland.cli import RunConfig, run
+from gridisland.cli import main
 from gridisland.coherency import internal_angles, kron_reduce
 from gridisland.netcase import OperatingPoint, dc_power_flow, parse_case
 
@@ -494,17 +494,18 @@ def test_case39_first_split_isolates_equivalent_unit(pipe39, case39):
     assert frozenset({39}) in sides
 
 
-def test_two_step_needs_r_at_least_two(pipe39, case39):
-    op, model, ctx = pipe39
-    with pytest.raises(BaselineError):
-        two_step_partition(case39, op, model, 1)
+def test_two_step_needs_r_at_least_two(case39):
+    op, model, _ = pipeline(case39, r=1)
+    with pytest.raises(BaselineError, match="r >= 2"):
+        two_step_partition(case39, op, model)
 
 
 def test_two_step_structure_case39(pipe39, case39):
     op, model, ctx = pipe39
-    sol = two_step_partition(case39, op, model, 3).evaluate(ctx)
+    sol = two_step_partition(case39, op, model).evaluate(ctx)
     assert sol.method == "spectral"
     assert len(sol.islands) == 3
+    assert all(sol.islands) and all(sol.generator_groups)
     covered = sorted(b for isl in sol.islands for b in isl)
     assert covered == sorted(b.id for b in case39.buses)
     all_gens = sorted(i for g in sol.generator_groups for i in g)
@@ -522,8 +523,8 @@ def test_two_step_structure_case39(pipe39, case39):
 
 def test_two_step_deterministic(pipe39, case39):
     op, model, ctx = pipe39
-    a = two_step_partition(case39, op, model, 3).evaluate(ctx)
-    b = two_step_partition(case39, op, model, 3).evaluate(ctx)
+    a = two_step_partition(case39, op, model).evaluate(ctx)
+    b = two_step_partition(case39, op, model).evaluate(ctx)
     assert a.cutset == b.cutset and a.J == b.J
 
 
@@ -535,8 +536,9 @@ def test_two_step_structure_random(seed):
     net = random_network(rng, m=int(rng.integers(r + 3, 14)),
                          extra_edges=int(rng.integers(0, 5)), n_gens=r + 1)
     op, model, ctx = pipeline(net, r=r)
-    sol = two_step_partition(net, op, model, r).evaluate(ctx)
+    sol = two_step_partition(net, op, model).evaluate(ctx)
     assert len(sol.islands) == r
+    assert all(sol.islands) and all(sol.generator_groups)
     covered = sorted(b for isl in sol.islands for b in isl)
     assert covered == sorted(b.id for b in net.buses)
     # the kept lines are exactly those whose ends share an island
@@ -564,7 +566,7 @@ def test_two_step_groups_each_subsystem_once(pipe118, case118, monkeypatch):
 
     monkeypatch.setattr(baseline, "generator_bipartition", counted)
     op, model, _ = pipeline(case118, r=8)
-    two_step_partition(case118, op, model, 8)
+    two_step_partition(case118, op, model)
     assert len(calls) == len(set(calls)) == 9
 
 
@@ -582,7 +584,10 @@ def test_pendant_bus_stays_with_its_host(tmp_path):
         net = parse_case(json.dumps(doc))
         doc["branches"].pop()
         for r in (2, 3):
-            report = run(RunConfig(case=str(path), r=r, method="spectral"))
+            out = tmp_path / "report.json"
+            assert main(["run", "--case", str(path), "--r", str(r),
+                         "--method", "spectral", "--out", str(out)]) == 0
+            report = json.loads(out.read_text())
             sol = report["runs"][0]["methods"]["spectral"]
             for isl in sol["islands"]:
                 assert len(pieces(net, sol["kept"], set(isl))) == 1, (host, r)

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from gridisland.cli import REPORT_DIGITS, RunConfig, main
+from gridisland.cli import REPORT_DIGITS, main
 
 from casekit import load_case
 
@@ -107,6 +107,9 @@ def metric_rows(**metrics):
     return {"runs": [{"xi": 1e-6, "methods": {"a": sol, "b": sol}}]}
 
 
+MISSING, DIRECTORY = object(), object()   # report paths that hold no text
+
+
 @pytest.mark.parametrize("text", [
     "not json", "{\"runs\": [", "[1, 2]", json.dumps({"runs": 3}),
     json.dumps(metric_rows(J="x")), json.dumps(metric_rows(sqrt_f_mw=None)),
@@ -114,11 +117,15 @@ def metric_rows(**metrics):
     json.dumps(metric_rows(J=float("nan"))),
     json.dumps(metric_rows(sqrt_f_mw=float("inf"))),
     json.dumps(metric_rows()).replace('"H_bar": 1.0', '"H_bar": 1e400'),
+    MISSING, DIRECTORY,
 ], ids=["text", "cut", "list", "runs", "J", "sqrt_f_mw", "H_bar", "NaN",
-        "Infinity", "1e400"])
+        "Infinity", "1e400", "missing", "directory"])
 def test_compare_bad_report_is_a_json_error(text, tmp_path, capsys):
     path = tmp_path / "report.json"
-    path.write_text(text)
+    if text is DIRECTORY:
+        path.mkdir()
+    elif text is not MISSING:
+        path.write_text(text)
     code, out, err = run_cli(["compare", str(path)], capsys)
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "MetricError"
@@ -240,9 +247,11 @@ def test_out_is_untouched_when_the_run_fails(command, tmp_path, capsys):
 
 
 def test_missing_case_errors(capsys):
-    code, _, err = run_cli(["run", "--case", "/no/such/file.json"], capsys)
-    assert code == 1
-    assert json.loads(err)["error"] == "CaseError"
+    for args in (["--case", "/no/such/file.json"],
+                 ["--case", CASE39, "--dyn", "/no/such/file.json"]):
+        code, _, err = run_cli(["run", *args], capsys)
+        assert code == 1
+        assert json.loads(err)["error"] == "CaseError"
 
 
 NOT_UTF8 = b"\xff\xfe{"
@@ -288,17 +297,51 @@ def test_help_still_exits_zero(args, capsys):
     assert "usage: gridisland" in capsys.readouterr().out
 
 
-def test_invalid_config_rejected():
-    with pytest.raises(Exception):
-        RunConfig(case=CASE39, r=0).validate()
-    with pytest.raises(Exception):
-        RunConfig(case=CASE39, epsilon=1.5).validate()
-    with pytest.raises(Exception):
-        RunConfig(case=CASE39, epsilon=1e-7).validate()
-    with pytest.raises(Exception):
-        RunConfig(case=CASE39, method="magic").validate()
-    with pytest.raises(Exception):
-        RunConfig(case=CASE39, xi=[-1.0]).validate()
+def test_invalid_config_rejected(capsys):
+    for flags, error in ((["--r", "0"], "IslandingError"),
+                         (["--epsilon", "1.5"], "IslandingError"),
+                         (["--epsilon", "1e-7"], "IslandingError"),
+                         (["--method", "magic"], "UsageError"),
+                         (["--xi=-1.0"], "MetricError")):
+        code, out, err = run_cli(["run", "--case", CASE39, *flags], capsys)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == error, flags
+
+
+# inputs with more than one fault: the first fault in the CLI's checking
+# order (--out, then --r, --xi, --epsilon, --refs as parsed, then their
+# ranges, then the case) names the error
+@pytest.mark.parametrize("command,error,message", [
+    ("run --case {case} --r x --out {tmp}/no/r.json",
+     "UsageError", "cannot write {tmp}/no/r.json: no such directory"),
+    ("run --case {tmp}/missing.json --r x",
+     "IslandingError", "--r must be an integer: 'x'"),
+    ("run --case {case} --r 0 --xi x", "MetricError",
+     "trade-off weights must be comma-separated numbers: 'x'"),
+    ("run --case {case} --r 0 --epsilon x",
+     "IslandingError", "--epsilon must be a number: 'x'"),
+    ("run --case {case} --xi= --epsilon 2",
+     "MetricError", "no trade-off weight given"),
+    ("run --case {case} --xi=-1 --epsilon 2",
+     "MetricError", "trade-off weight must be finite and nonnegative"),
+    ("run --case {case} --epsilon nan --refs a", "SelectionError",
+     "reference buses must be comma-separated bus ids: 'a'"),
+    ("run --case {tmp}/missing.json --r 0",
+     "IslandingError", "island count r must be at least 1"),
+    ("run --case {case} --method magic --r x",
+     "UsageError", "argument --method: invalid choice: 'magic'"),
+    ("refsel --case {case} --r x",
+     "SelectionError", "--r must be an integer: 'x'"),
+    ("refsel --case {tmp}/missing.json --r x",
+     "SelectionError", "--r must be an integer: 'x'"),
+])
+def test_error_precedence(command, error, message, tmp_path, capsys):
+    code, out, err = run_cli(
+        command.format(case=CASE39, tmp=tmp_path).split(), capsys)
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == error
+    assert doc["message"].startswith(message.format(tmp=tmp_path))
 
 
 def test_reported_metrics_revalidate(capsys):

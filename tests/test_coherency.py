@@ -298,7 +298,7 @@ def test_coherency_rejects_dependent_reference_rows():
 
 def test_build_model_case39(case39):
     op = dc_power_flow(case39)
-    model = build_model(case39, op, 3, [0, 4, 8])
+    model = build_model(case39, op, [0, 4, 8])
     assert model.U.shape == (10, 3)
     assert model.L.shape == (10, 3)
     assert abs(model.sigma_r[0]) < 1e-8  # drift mode present

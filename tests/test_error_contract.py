@@ -156,13 +156,17 @@ def cli_process(argv, timeout=60):
 
 
 def write_inputs(tmp_path) -> dict:
-    """Fixed bad inputs: a 1e308 MW load, 200,000-deep JSON and a
-    MATPOWER case to pair with it as the dynamics document."""
+    """Fixed bad inputs: a 1e308 MW load, a 1e308 p.u. machine voltage,
+    200,000-deep JSON and a MATPOWER case to pair with it as the
+    dynamics document."""
     with open(CASE39) as fh:
-        doc = json.load(fh)
-    doc["buses"][3]["pd_mw"] = 1e308
+        text = fh.read()
+    big_load, big_voltage = json.loads(text), json.loads(text)
+    big_load["buses"][3]["pd_mw"] = 1e308
+    big_voltage["gens"][0]["vm_pu"] = 1e308
     files = {
-        "big-load": json.dumps(doc),
+        "big-load": json.dumps(big_load),
+        "big-voltage": json.dumps(big_voltage),
         "deep": '{"a":' + "[" * 200_000 + "]" * 200_000 + "}",
         "matpower": "mpc.bus = [\n1 3 0\n2 1 50\n];\nmpc.gen = [\n1 50\n];\n"
                     "mpc.branch = [\n1 2 0 0.1\n];\n",
@@ -190,6 +194,9 @@ def write_inputs(tmp_path) -> dict:
     (["refsel", "--case", "deep"], "CaseError"),
     (["run", "--case", "matpower", "--dyn", "deep"], "CaseError"),
     (["compare", "deep"], "MetricError"),
+    # K overflows to inf, on which the eigensolver fails
+    (["run", "--case", "big-voltage", "--r", "2"], "ModelError"),
+    (["refsel", "--case", "big-voltage"], "ModelError"),
 ])
 def test_fixed_bad_inputs_end_in_one_json_error(tmp_path, argv, error):
     paths = write_inputs(tmp_path)

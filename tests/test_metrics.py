@@ -92,7 +92,7 @@ def test_build_context_rejects_negative_weight(case39):
     from gridisland.coherency import build_model
 
     op = dc_power_flow(case39)
-    model = build_model(case39, op, 3, [0, 4, 8])
+    model = build_model(case39, op, [0, 4, 8])
     with pytest.raises(MetricError):
         build_context(case39, op, model, -1.0)
 
