@@ -20,7 +20,11 @@ stderr.  The argv set:
   --dump-model --refs`` with two lists of distinct generator buses at
   r = 2 and 3, neither in the greedy selection's order; ``--method
   spectral`` alone; ``--method weak-submodular --epsilon 1e-2``; and
-  ``--method both`` with ``--format csv`` and ``--format table``.
+  ``--method both`` with ``--format csv`` and ``--format table``;
+- ``run --method spectral --r 8`` on case118, meshed-120 draw 1 and
+  tied x2: seven constrained min cuts each;
+- on case39, ``run --format table`` alone (one row, so the one-line
+  error) and ``run --method spectral --xi 1e-6,1e-5 --format table``.
 
 The cases come from this checkout (``data/``, ``perfbench/inputs.py``
 read-only, ``tests/casekit.py``) and are written to one fixed directory,
@@ -153,6 +157,11 @@ def argv_set(paths: dict[str, str]) -> list[list[str]]:
                   "--epsilon", "1e-2"]]
         runs += [["run", *case, "--method", "both", "--format", fmt]
                  for fmt in ("csv", "table")]
+    runs += [["run", "--case", paths[name], "--method", "spectral", "--r", "8"]
+             for name in ("case118", "meshed-120-1", "tied-x2")]
+    runs += [["run", "--case", paths["case39"], "--format", "table"],
+             ["run", "--case", paths["case39"], "--method", "spectral",
+              "--xi", "1e-6,1e-5", "--format", "table"]]
     return runs
 
 

@@ -39,10 +39,6 @@ def coupling_weights(net: PowerNetwork, model: CoherencyModel) -> np.ndarray:
     return W
 
 
-def _cut_value(W: np.ndarray, mask: np.ndarray) -> float:
-    return float(W[np.ix_(mask, ~mask)].sum())
-
-
 def generator_bipartition(W: np.ndarray, nodes=None) -> tuple[list[int], list[int], float]:
     """Split a generator set across the minimum dynamic-coupling cut.
 
@@ -94,7 +90,7 @@ def generator_bipartition(W: np.ndarray, nodes=None) -> tuple[list[int], list[in
     # deterministic orientation: side containing the smallest label first
     if min(t2) < min(t1):
         t1, t2 = t2, t1
-    return t1, t2, _cut_value(W, mask)
+    return t1, t2, float(W[np.ix_(mask, ~mask)].sum())
 
 
 def _max_flow(res: dict, src, snk) -> tuple[float, set]:
@@ -139,32 +135,31 @@ def constrained_mincut(
     T2,
     edges=None,
 ) -> tuple[set[int], set[int], list[int]]:
-    """Minimum |flow| cut separating bus sets T1 and T2.
+    """Minimum |flow| cut separating the bus positions T1 and T2.
 
     T1's buses contract into the source, T2's into the sink; capacities
     are the absolute DC line flows.  The source side starts as the minimal
     minimum cut: T1 plus the buses the residual network of a maximum flow
     still reaches from the source.  Every piece of the rest that holds no
     T2 bus then joins it, so each connected piece of either side holds a
-    terminal.  Returns the two bus sets and the cut edges (canonical
-    indices).  `edges` restricts to a subsystem: T1, T2 and the ends of
-    those lines.
+    terminal.  Returns the two sets of bus positions and the cut edges
+    (canonical indices).  `edges` restricts to a subsystem: T1, T2 and the
+    ends of those lines.
     """
     T1, T2 = set(T1), set(T2)
     if not T1 or not T2:
         raise BaselineError("both constraint sets must be nonempty")
     if T1 & T2:
         raise BaselineError("constraint sets overlap")
-    if edges is None:
-        edges = range(net.l)
+    edges = list(range(net.l) if edges is None else edges)
+    ends = list(zip(edges, *(x[edges].tolist() for x in net.ends)))
     # contract T1 into the source and T2 into the sink; parallel lines and
     # both directions of a line add into one residual arc each way
-    src, snk = "source", "sink"
+    src, snk = -1, -2
     res: dict = {src: {}, snk: {}}
-    for k in edges:
-        br = net.branches[k]
-        a = src if br.i in T1 else snk if br.i in T2 else br.i
-        b = src if br.j in T1 else snk if br.j in T2 else br.j
+    for k, i, j in ends:
+        a = src if i in T1 else snk if i in T2 else i
+        b = src if j in T1 else snk if j in T2 else j
         if a == b:
             continue
         cap = abs(float(op.flows[k]))
@@ -182,10 +177,7 @@ def constrained_mincut(
                 stack.append(v)
     S2 = (S2 - {snk}) | T2
     S1 = (set(res) - {src, snk} - S2) | T1
-    cut_edges = [
-        k for k in edges
-        if (net.branches[k].i in S1) != (net.branches[k].j in S1)
-    ]
+    cut_edges = [k for k, i, j in ends if (i in S1) != (j in S1)]
     achieved = sum(abs(float(op.flows[k])) for k in cut_edges)
     if abs(achieved - cut_value) > 1e-9 * max(1.0, cut_value):
         raise BaselineError(
@@ -263,12 +255,11 @@ def two_step_partition(
         idx, _, (t1, t2, _) = subsystems.pop(best[1])
         inside = sub == idx
         _, S2, _ = constrained_mincut(
-            net, op,
-            {net.gens[i].bus for i in t1}, {net.gens[i].bus for i in t2},
+            net, op, net.gen_pos[t1], net.gen_pos[t2],
             edges=np.flatnonzero(inside[ei] & inside[ej]).tolist(),
         )
         new = len(subsystems) + 1
-        sub[[net.bus_pos[b] for b in S2]] = new
+        sub[list(S2)] = new
         subsystems += [[idx, t1, None], [new, t2, None]]
 
     # islands in a deterministic order: by first bus position, which is the

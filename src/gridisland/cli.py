@@ -57,6 +57,7 @@ KNOWN_ERRORS = (
     BaselineError, UsageError,
 )
 REPORT_DIGITS = 12   # decimals every report float is rounded to
+TOO_FEW_ROWS = "comparison needs at least two method results"
 
 
 def _parse_xi(text: str) -> list[float]:
@@ -154,6 +155,8 @@ def run(args: argparse.Namespace) -> dict:
         raise MetricError("trade-off weight must be finite and nonnegative")
     if not MIN_EPSILON <= epsilon < 1:
         raise IslandingError(f"epsilon must lie in [{MIN_EPSILON:g}, 1)")
+    if args.fmt == "table" and args.method != "both" and len(xis) < 2:
+        raise MetricError(TOO_FEW_ROWS)
     # model and references are xi-independent
     net, op, greedy, pivot = _references(args.case, args.dyn, r)
     gen_bus = [g.bus for g in net.gens]
@@ -230,7 +233,7 @@ def compare(report: dict) -> str:
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise MetricError(f"malformed report: {exc}") from exc
     if len(rows) < 2:
-        raise MetricError("comparison needs at least two method results")
+        raise MetricError(TOO_FEW_ROWS)
     head = f"{'Method':<16} {'xi':>10} {'J':>10} {'sqrt_f_MW':>12} {'H_bar':>10}"
     return "\n".join([head, "-" * len(head)] + rows) + "\n"
 

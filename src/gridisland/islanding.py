@@ -29,6 +29,7 @@ from .metrics import (
     island_labels,
     noncoherency,
 )
+from .netcase import forest_walk
 
 
 class IslandingError(Exception):
@@ -95,26 +96,6 @@ def greedy_select(ctx: MetricContext) -> tuple[IncrementalEvaluator, list[float]
     return ev, trace
 
 
-def _rooted_forest(ctx: MetricContext, S) -> tuple[np.ndarray, dict]:
-    """Preorder position of every bus of forest S rooted at the
-    references, and per line of S the range [lo, hi) of positions below
-    it: a stack-based preorder visits each subtree in one run."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(ctx.net.m)]
-    for e, i, j in zip(S, *(x[S].tolist() for x in ctx.net.ends)):
-        adj[i].append((j, e))
-        adj[j].append((i, e))
-    at, below, k = np.empty(ctx.net.m, dtype=np.intp), {}, 0
-    stack = [(int(p), -1) for p in ctx.ref_pos]   # (bus, line to parent)
-    while stack:
-        u, line = stack.pop()
-        if u < 0:   # marker: the run of buses below `line` ends here
-            below[line] = (below[line], k)
-        else:
-            below[line], at[u], k = k, k, k + 1
-            stack += [(-1, line)] + [(w, e) for w, e in adj[u] if e != line]
-    return at, below
-
-
 def local_search(
     ev: IncrementalEvaluator, epsilon: float
 ) -> tuple[IncrementalEvaluator, list[float]]:
@@ -129,7 +110,8 @@ def local_search(
     if not epsilon >= MIN_EPSILON:
         raise IslandingError(f"epsilon must be at least {MIN_EPSILON:g}")
     ctx = ev.ctx
-    if island_labels(ctx, ev.S) is None:
+    walk = forest_walk(ctx.net, ev.S, ctx.ref_pos)
+    if walk is None:
         raise IslandingError("S is not a forest with one reference per tree")
     trace = []
     current = ev.J()
@@ -137,7 +119,7 @@ def local_search(
     # "improvement" is rounding noise, which would swap forever
     floor = 1e-12 * max(ev.base, 1.0)
     while current > floor:
-        at, below = _rooted_forest(ctx, ev.S)
+        _, at, below = walk
         out_set = np.delete(np.arange(ctx.net.l), ev.S)
         out_i, out_j = (at[x[out_set]] for x in ctx.net.ends)
         for v in sorted(ev.S):
@@ -154,6 +136,7 @@ def local_search(
                 ev.add(int(feas[better[0]]))
                 current = ev.J()
                 trace.append(current)
+                walk = forest_walk(ctx.net, ev.S, ctx.ref_pos)
                 break
         else:
             break

@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .coherency import CoherencyModel
-from .netcase import OperatingPoint, PowerNetwork, component_labels
+from .netcase import OperatingPoint, PowerNetwork, component_labels, forest_walk
 
 
 class MetricError(Exception):
@@ -196,22 +196,10 @@ def J(ctx: MetricContext, S) -> float:
 
 
 def island_labels(ctx: MetricContext, S) -> np.ndarray | None:
-    """Bus -> island index if S induces a valid r-island partition, else None.
-
-    S is a forest exactly when m minus its number of components is |S|.
-    The partition is valid when every component holds exactly one
-    reference; island k holds the k-th reference of ctx.refs.
-    """
-    S = list(S)
-    labels = component_labels(ctx.net, S)
-    n_parts = np.count_nonzero(labels == np.arange(ctx.net.m))
-    ref_roots = labels[ctx.ref_pos]
-    if (ctx.net.m - n_parts != len(S) or n_parts != len(ref_roots)
-            or len(set(ref_roots.tolist())) != len(ref_roots)):
-        return None
-    island = np.empty(ctx.net.m, dtype=int)
-    island[ref_roots] = np.arange(len(ref_roots))
-    return island[labels]
+    """Bus -> island index if S is a forest with exactly one reference per
+    tree, else None; island k holds the k-th reference of ctx.refs."""
+    walk = forest_walk(ctx.net, S, ctx.ref_pos)
+    return None if walk is None else walk[0]
 
 
 def noncoherency(L: np.ndarray, L_g: np.ndarray) -> float:

@@ -19,7 +19,8 @@ path, ``_from_native``.
 PowerNetwork owns the graph layout every stage reads: bus positions
 (``bus_pos``, buses sorted by id), the positions of each line's two ends
 (``ends``, canonical line order) and of each generator (``gen_pos``).
-``component_labels`` is the one connectivity walk over that layout.
+``component_labels`` labels the components of any line set, and
+``forest_walk`` roots a forest at given buses.
 """
 
 from __future__ import annotations
@@ -187,6 +188,37 @@ def component_labels(net: PowerNetwork, S) -> np.ndarray:
         elif b < a:
             parent[a] = b
     return np.array([find(b) for b in range(net.m)], dtype=np.intp)
+
+
+def forest_walk(net: PowerNetwork, S, roots) -> tuple | None:
+    """Root the forest of lines S at the bus positions `roots`.
+
+    A stack-based preorder visits each subtree in one run.  Returns per
+    bus the index in `roots` of its root and its preorder position, and
+    per line of S the range [lo, hi) of positions below it; or None
+    unless every bus is reached once.  A bus reached twice means a cycle,
+    a repeated line or two roots in one tree; one never reached, a tree
+    with no root.
+    """
+    S = list(S)
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(net.m)]
+    for e, i, j in zip(S, *(x[S].tolist() for x in net.ends)):
+        adj[i].append((j, e))
+        adj[j].append((i, e))
+    tree = np.full(net.m, -1, dtype=np.intp)
+    at, below, k = np.empty(net.m, dtype=np.intp), {}, 0
+    stack = [(int(p), -1, t) for t, p in enumerate(roots)]   # (bus, line up, root)
+    while stack:
+        u, line, t = stack.pop()
+        if u < 0:   # marker: the run of buses below `line` ends here
+            below[line] = (below[line], k)
+        elif tree[u] >= 0:
+            return None
+        else:
+            below[line], tree[u], at[u], k = k, t, k, k + 1
+            stack += [(-1, line, t)] + [(w, e, t) for w, e in adj[u] if e != line]
+    below.pop(-1, None)   # the roots' entry
+    return (tree, at, below) if k == net.m else None
 
 
 def _canonical_branches(raw: list[tuple[int, int, float]]) -> tuple[Branch, ...]:

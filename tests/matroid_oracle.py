@@ -6,8 +6,10 @@ random ones, and check the paper's guarantees against exhaustive
 computation: the greedy bound with the sparse-eigenvalue estimate of the
 submodularity ratio (Das & Kempe, "Submodular meets Spectral", ICML 2011)
 and the local search's iteration budget.  local_search_reference is the
-local search with one evaluator per kept line.  They are desk-scale
-oracles; nothing in the library calls them.
+local search with one evaluator per kept line, island_labels_reference
+the union-find test of a basis, and connected_partitions lists every
+partition a basis can induce.  They are desk-scale oracles; nothing in
+the library calls them.
 """
 
 import itertools
@@ -26,6 +28,90 @@ def enumerate_bases(ctx) -> list[tuple[int, ...]]:
     size = ctx.net.m - len(ctx.refs)
     return [combo for combo in itertools.combinations(range(ctx.net.l), size)
             if island_labels(ctx, combo) is not None]
+
+
+def island_labels_reference(ctx, S):
+    """metrics.island_labels by union-find.
+
+    S is a forest exactly when m minus its number of components is |S|.
+    The partition is valid when every component holds exactly one
+    reference; island k holds the k-th reference of ctx.refs.
+    """
+    S = list(S)
+    labels = component_labels(ctx.net, S)
+    n_parts = np.count_nonzero(labels == np.arange(ctx.net.m))
+    ref_roots = labels[ctx.ref_pos]
+    if (ctx.net.m - n_parts != len(S) or n_parts != len(ref_roots)
+            or len(set(ref_roots.tolist())) != len(ref_roots)):
+        return None
+    island = np.empty(ctx.net.m, dtype=int)
+    island[ref_roots] = np.arange(len(ref_roots))
+    return island[labels]
+
+
+def connected_partitions(ctx):
+    """Every partition of the buses into connected islands holding one
+    reference each, as island labels (island k holds ctx.refs[k]).
+
+    Branch and absorb (the (s,t)-cut listing of Provan & Shier,
+    Algorithmica 15, 1996): grow island k from its reference; branch on
+    its lowest frontier bus, which goes in or is excluded for good; after
+    each step absorb every piece of the other buses left that holds no
+    later reference, or drop the branch if that piece holds an excluded
+    bus.  An island with no frontier left is final, and the buses left
+    are split the same way into islands k + 1, ...
+    """
+    net, refs = ctx.net, ctx.ref_pos.tolist()
+    adj = [set() for _ in range(net.m)]
+    for i, j in zip(*(x.tolist() for x in net.ends)):
+        adj[i].add(j)
+        adj[j].add(i)
+    labels = np.empty(net.m, dtype=int)
+
+    def pieces(buses):
+        left = set(buses)
+        while left:
+            piece, stack = set(), [left.pop()]
+            while stack:
+                b = stack.pop()
+                piece.add(b)
+                stack += [w for w in adj[b] if w in left]
+                left -= adj[b]
+            yield piece
+
+    def absorb(island, rest, later, out):
+        for piece in pieces(rest - island):
+            if not piece & later:
+                if piece & out:
+                    return None
+                island |= piece
+        return island
+
+    def split(k, rest):
+        if k == len(refs) - 1:   # every piece left holds a reference
+            labels[list(rest)] = k
+            yield labels.copy()
+            return
+        later = set(refs[k + 1:])
+
+        def grow(island, out):
+            frontier = set().union(*(adj[b] for b in island)) & rest
+            frontier -= island | out
+            if not frontier:
+                labels[list(island)] = k
+                yield from split(k + 1, rest - island)
+                return
+            b = min(frontier)
+            bigger = absorb(island | {b}, rest, later, out)
+            if bigger is not None:
+                yield from grow(bigger, out)
+            yield from grow(island, out | {b})
+
+        start = absorb({refs[k]}, rest, later, later)
+        if start is not None:
+            yield from grow(start, later)
+
+    yield from split(0, set(range(net.m)))
 
 
 def random_basis(rng, net, ctx) -> list[int]:

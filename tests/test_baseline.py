@@ -364,10 +364,21 @@ def line_net(ids, gen_buses):
     return parse_case(json.dumps(doc))
 
 
+def bus_positions(net, *id_sets):
+    """Each set of bus ids as the set of their positions."""
+    return [{net.bus_pos[b] for b in ids} for ids in id_sets]
+
+
+def bus_ids(net, *position_sets):
+    """Each set of bus positions as the set of their bus ids."""
+    return [{net.buses[p].id for p in pos} for pos in position_sets]
+
+
 def test_mincut_bridge():
     net = line_net([1, 2, 3, 4], [1, 4])
     op = dc_power_flow(net)
-    S1, S2, cut = constrained_mincut(net, op, {1, 2}, {3, 4})
+    S1, S2, cut = constrained_mincut(net, op, *bus_positions(net, {1, 2}, {3, 4}))
+    S1, S2 = bus_ids(net, S1, S2)
     assert S1 == {1, 2} and S2 == {3, 4}
     assert [net.branches[k].name for k in cut] == ["2-3"]
 
@@ -375,9 +386,9 @@ def test_mincut_bridge():
 def test_mincut_rejects_bad_constraint_sets(case39):
     op = dc_power_flow(case39)
     with pytest.raises(BaselineError, match="overlap"):
-        constrained_mincut(case39, op, {1, 2}, {2, 3})
+        constrained_mincut(case39, op, *bus_positions(case39, {1, 2}, {2, 3}))
     with pytest.raises(BaselineError, match="nonempty"):
-        constrained_mincut(case39, op, set(), {2})
+        constrained_mincut(case39, op, *bus_positions(case39, set(), {2}))
 
 
 def test_mincut_flow_mismatch_is_a_typed_error(monkeypatch):
@@ -394,7 +405,8 @@ def test_mincut_flow_mismatch_is_a_typed_error(monkeypatch):
     monkeypatch.setattr(baseline, "_max_flow", off_by_one)
     net = line_net([1, 2, 3, 4], [1, 4])
     with pytest.raises(BaselineError, match="disagrees"):
-        constrained_mincut(net, dc_power_flow(net), {1, 2}, {3, 4})
+        constrained_mincut(net, dc_power_flow(net),
+                           *bus_positions(net, {1, 2}, {3, 4}))
 
 
 @settings(max_examples=15, deadline=None)
@@ -410,7 +422,7 @@ def test_mincut_equal_capacities_minimizes_edge_count(seed):
     )
     T1 = {net.gens[0].bus}
     T2 = {net.gens[1].bus}
-    _, _, cut = constrained_mincut(net, unit, T1, T2)
+    _, _, cut = constrained_mincut(net, unit, net.gen_pos[:1], net.gen_pos[1:2])
     # exhaustive: all bus splits respecting the constraints
     others = [b.id for b in net.buses if b.id not in T1 | T2]
     best = net.l + 1
@@ -446,7 +458,8 @@ def test_mincut_is_the_minimal_exhaustive_minimum(seed):
         bool(b) for b in rng.integers(0, 2, net.n - 2)])
     T1 = {g.bus for g, s in zip(net.gens, on_first) if s}
     T2 = {g.bus for g, s in zip(net.gens, on_first) if not s}
-    S1, S2, cut = constrained_mincut(net, op, T1, T2)
+    S1, S2, cut = constrained_mincut(net, op, *bus_positions(net, T1, T2))
+    S1, S2 = bus_ids(net, S1, S2)
     flow = np.abs(op.flows)
     others = [b.id for b in net.buses if b.id not in T1 | T2]
     splits = []
@@ -469,12 +482,12 @@ def test_mincut_is_the_minimal_exhaustive_minimum(seed):
 
 @pytest.mark.parametrize("copies", [8, 24])
 def test_mincut_peak_memory_linear_in_the_network(copies, monkeypatch):
-    # T1/T2: the generator buses of the first and second half of the copies
+    # T1/T2: the generator bus positions of the first and second half of
+    # the copies
     net = tied_network(monkeypatch, copies)
     op = dc_power_flow(net)
     half = net.n // 2   # the generators are listed copy by copy
-    T1 = {g.bus for g in net.gens[:half]}
-    T2 = {g.bus for g in net.gens[half:]}
+    T1, T2 = net.gen_pos[:half].tolist(), net.gen_pos[half:].tolist()
     tracemalloc.start()
     try:
         constrained_mincut(net, op, T1, T2)

@@ -310,7 +310,7 @@ def test_invalid_config_rejected(capsys):
 
 # inputs with more than one fault: the first fault in the CLI's checking
 # order (--out, then --r, --xi, --epsilon, --refs as parsed, then their
-# ranges, then the case) names the error
+# ranges, then a table's row count, then the case) names the error
 @pytest.mark.parametrize("command,error,message", [
     ("run --case {case} --r x --out {tmp}/no/r.json",
      "UsageError", "cannot write {tmp}/no/r.json: no such directory"),
@@ -330,6 +330,8 @@ def test_invalid_config_rejected(capsys):
      "IslandingError", "island count r must be at least 1"),
     ("run --case {case} --method magic --r x",
      "UsageError", "argument --method: invalid choice: 'magic'"),
+    ("run --case {tmp}/no/such.json --format table",
+     "MetricError", "comparison needs at least two method results"),
     ("refsel --case {case} --r x",
      "SelectionError", "--r must be an integer: 'x'"),
     ("refsel --case {tmp}/missing.json --r x",

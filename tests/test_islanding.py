@@ -15,10 +15,12 @@ from gridisland.islanding import (
     local_search,
     solve,
 )
+from gridisland.baseline import two_step_partition
 from gridisland.metrics import (
     IncrementalEvaluator,
     J,
     MetricError,
+    _distances,
     build_context,
     island_labels,
 )
@@ -27,6 +29,7 @@ from gridisland.netcase import incidence_matrix, parse_case, serialize_case
 from casekit import DATA, pipeline, random_case_doc, random_network
 from matroid_oracle import (
     check_greedy_bound,
+    connected_partitions,
     enumerate_bases,
     local_search_iteration_cap,
     local_search_reference,
@@ -282,6 +285,47 @@ def test_enumerate_bases_matches_rank_oracle(seed):
         if basis_oracle(net, refs, combo)
     }
     assert got == expect
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_connected_partitions_match_enumerated_bases(seed):
+    # every partition a basis induces, each once, and no other
+    rng = np.random.default_rng(seed)
+    r = 2 + seed % 2
+    net = random_network(rng, m=int(rng.integers(r + 1, 9)),
+                         extra_edges=int(rng.integers(0, 4)), n_gens=r + 1)
+    _, _, ctx = pipeline(net, r=r, refs=tuple(range(r)))
+    listed = [tuple(labels) for labels in connected_partitions(ctx)]
+    assert len(listed) == len(set(listed))
+    assert set(listed) == {tuple(island_labels(ctx, S))
+                           for S in enumerate_bases(ctx)}
+
+
+XI_GRID = (0.0, 1e-8, 1e-7, 1.78e-7, 1e-6, 1e-5)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_case39_exact_optimum_bounds_both_methods(case39, r):
+    # J depends only on the partition, so J* is the least J over every
+    # connected partition with one reference per island.  Each partition
+    # is labelled by its smallest bus position, as component_labels
+    # labels the buses, so its J is computed as metrics.J computes it.
+    op, model, ctx = pipeline(case39, r=r)
+    split = two_step_partition(case39, op, model)
+    firsts = []
+    for labels in connected_partitions(ctx):
+        first = np.array([np.flatnonzero(labels == k)[0] for k in range(r)])
+        firsts.append(first[labels])
+    rows = []
+    for xi in XI_GRID:
+        ctx = build_context(case39, op, model, xi)
+        J_star = min(float(_distances(lab, ctx.targets).sum())
+                     for lab in firsts)
+        ours, theirs = solve(ctx).J, split.evaluate(ctx).J
+        assert J_star <= ours
+        rows.append(f"xi={xi:g} J*={J_star:.6g} weak-submodular "
+                    f"{ours / J_star:.3f} spectral {theirs / J_star:.3f}")
+    print(f"case39 r={r}, {len(firsts)} partitions, J/J*:", *rows, sep="\n  ")
 
 
 @settings(max_examples=10, deadline=None)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,7 @@ from casekit import pipeline, random_network
 from constrained_oracle import F, H_i_constrained, box_limits, h_i
 from dense_oracle import dense_J, orthonormal_span, subspace_distance_sq
 from matroid_oracle import (
+    island_labels_reference,
     lambda_min_C,
     lambda_min_sparse,
     random_basis,
@@ -68,6 +71,41 @@ def test_forest_distance_closed_form(seed):
         comp = np.flatnonzero(labels == k)
         expect += len(comp) * float(np.mean(b[comp])) ** 2
     assert f(ctx, S) == pytest.approx(expect, rel=1e-9, abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6))
+def test_island_labels_match_union_find_reference(seed):
+    # the rooted walk and the union-find count agree on bases, on sets one
+    # line off a basis either way, on repeated lines, on any line order,
+    # and on references the basis was not built for
+    rng = np.random.default_rng(seed)
+    n_gens = int(rng.integers(2, 6))   # so that other references exist
+    net = random_network(rng, m=int(rng.integers(n_gens, 13)),
+                         extra_edges=int(rng.integers(0, 5)), n_gens=n_gens)
+    r = int(rng.integers(1, n_gens + 1))
+    refs = tuple(rng.choice(n_gens, size=r, replace=False).tolist())
+    _, _, ctx = pipeline(net, r=r, refs=refs)
+    others = refs
+    while others == refs:
+        others = tuple(rng.choice(
+            n_gens, size=int(rng.integers(1, n_gens + 1)),
+            replace=False).tolist())
+    S = random_basis(rng, net, ctx)
+    cases = [(ctx, S), (ctx, S[::-1]), (ctx, tuple(S)), (ctx, []),
+             (ctx, list(range(net.l))),
+             (dataclasses.replace(ctx, refs=others), S)]
+    out = np.setdiff1d(np.arange(net.l), S)
+    if len(out):
+        cases.append((ctx, S + [int(rng.choice(out))]))
+    if S:
+        k = int(rng.integers(len(S)))
+        cases += [(ctx, S[:k] + S[k + 1:]), (ctx, S + [S[k]])]
+    for c, lines in cases:
+        got, want = island_labels(c, lines), island_labels_reference(c, lines)
+        assert (got is None) == (want is None), (c.refs, lines)
+        if want is not None:
+            np.testing.assert_array_equal(got, want)
 
 
 def test_subspace_distance_basics():
