@@ -24,7 +24,12 @@ stderr.  The argv set:
 - ``run --method spectral --r 8`` on case118, meshed-120 draw 1 and
   tied x2: seven constrained min cuts each;
 - on case39, ``run --format table`` alone (one row, so the one-line
-  error) and ``run --method spectral --xi 1e-6,1e-5 --format table``.
+  error) and ``run --method spectral --xi 1e-6,1e-5 --format table``;
+- ``refsel --r 8`` on tied x24 (seed 1), the tied118-refsel benchmark's
+  own input;
+- ``run --method both --r 4 --xi 0,1e-6`` on tied x4 (seed 7);
+- ``run --method both --dump-model`` on case118 with a parallel twin
+  added to the line between generator buses 25 and 26.
 
 The cases come from this checkout (``data/``, ``perfbench/inputs.py``
 read-only, ``tests/casekit.py``) and are written to one fixed directory,
@@ -60,6 +65,8 @@ RANDOM_NETWORKS = 30
 MPC_XI = "0,1e-6,1e-5"
 # the MATPOWER variant: a unit left out of --dyn, a line and a unit at status 0
 NO_DYN_BUS, OFF_LINE, OFF_GEN_BUS = 32, (1, 39), 36
+# the line between two generator buses of case118 that gets a parallel twin
+TWIN_LINE = {"from": 25, "to": 26, "x_pu": 0.05}
 # reference buses per case and r: the greedy ones reordered, and others
 REFS = {
     "case39": {2: ("39,34", "36,30"), 3: ("39,38,34", "33,30,37")},
@@ -109,8 +116,13 @@ def write_cases(out_dir: str) -> dict[str, str]:
     for draw in inputs.MESHED_DRAWS:
         texts[f"meshed-120-{draw}"] = json.dumps(
             inputs.meshed_case(draw), indent=1, sort_keys=True)
-    inputs.TIED_COPIES = 2
-    texts["tied-x2"] = inputs.tied_case(inputs.load_case118(HERE), 7)
+    case118 = inputs.load_case118(HERE)
+    for copies, seed in ((24, 1), (4, 7), (2, 7)):
+        inputs.TIED_COPIES = copies
+        texts[f"tied-x{copies}"] = inputs.tied_case(case118, seed)
+    texts["case118-twin"] = json.dumps(
+        {**case118, "branches": case118["branches"] + [TWIN_LINE]},
+        indent=1, sort_keys=True)
     for seed in range(RANDOM_NETWORKS):
         rng = np.random.default_rng(seed)
         n_gens = int(rng.integers(4, 8))
@@ -162,6 +174,11 @@ def argv_set(paths: dict[str, str]) -> list[list[str]]:
     runs += [["run", "--case", paths["case39"], "--format", "table"],
              ["run", "--case", paths["case39"], "--method", "spectral",
               "--xi", "1e-6,1e-5", "--format", "table"]]
+    runs += [["refsel", "--case", paths["tied-x24"], "--r", "8"],
+             ["run", "--case", paths["tied-x4"], "--method", "both", "--r", "4",
+              "--xi", "0,1e-6"],
+             ["run", "--case", paths["case118-twin"], "--method", "both",
+              "--dump-model"]]
     return runs
 
 

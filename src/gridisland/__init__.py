@@ -7,10 +7,7 @@ A two-step spectral-clustering baseline is included for comparison.
 """
 
 from .netcase import (
-    Branch,
-    Bus,
     CaseError,
-    Gen,
     OperatingPoint,
     PowerNetwork,
     dc_power_flow,
@@ -29,11 +26,8 @@ from .islanding import IslandingError, IslandingSolution, solve
 from .baseline import BaselineError, two_step_partition
 
 __all__ = [
-    "Branch",
-    "Bus",
     "CaseError",
     "CoherencyModel",
-    "Gen",
     "IslandingError",
     "IslandingSolution",
     "MetricContext",

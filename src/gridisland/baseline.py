@@ -32,7 +32,7 @@ def coupling_weights(net: PowerNetwork, model: CoherencyModel) -> np.ndarray:
     w_ij = |K_ij| (1/H_i + 1/H_j), w_ii = 0, from the model's coupling
     matrix K and the machine inertias H in seconds; symmetric as K is.
     """
-    Hinv = np.array([1.0 / g.inertia for g in net.gens])
+    Hinv = 1.0 / net.inertia
     W = np.abs(model.K)
     W *= Hinv[:, None] + Hinv[None, :]
     np.fill_diagonal(W, 0.0)

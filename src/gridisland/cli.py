@@ -159,7 +159,7 @@ def run(args: argparse.Namespace) -> dict:
         raise MetricError(TOO_FEW_ROWS)
     # model and references are xi-independent
     net, op, greedy, pivot = _references(args.case, args.dyn, r)
-    gen_bus = [g.bus for g in net.gens]
+    gen_bus = net.gen_bus.tolist()
     if bus_refs is not None:
         refs = []
         for b in bus_refs:
@@ -297,7 +297,7 @@ def main(argv=None) -> int:
             elif args.command == "refsel":
                 r = _parse_scalar(args.r, int, "--r", SelectionError)
                 net, _, greedy, pivot = _references(args.case, args.dyn, r)
-                gen_bus = [g.bus for g in net.gens]
+                gen_bus = net.gen_bus.tolist()
                 text = _render({"greedy": [gen_bus[i] for i in greedy.refs],
                                 "pivoting": [gen_bus[i] for i in pivot.refs]},
                                "json")

@@ -32,10 +32,27 @@ class CoherencyModel:
 
 def internal_angles(net: PowerNetwork, op: OperatingPoint) -> np.ndarray:
     """Classical-model rotor angles: bus angle advanced across xd'."""
-    xd = np.array([g.xd_prime for g in net.gens])
-    pg = np.array([g.pg for g in net.gens])
-    v = np.array([g.v for g in net.gens])
-    return op.angles[net.gen_pos] + xd * (pg / net.base_mva) / v
+    return (op.angles[net.gen_pos]
+            + net.xd_prime * (net.pg / net.base_mva) / net.v)
+
+
+def _kept_pair_updates(lines, stars, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The updates to the weights between kept buses, in `_star_mesh`'s
+    order: its lines, then each star's pairs s < t, whose update is
+    frac_s * y_t.  Returns the cell a * n + b (a < b) and the value of
+    each update."""
+    sizes = np.array([len(kept) for kept in stars], dtype=np.intp)
+    flat = np.array([t for kept in stars for t in kept]).reshape(-1, 3)
+    a, frac, y = flat[:, 0].astype(np.intp), flat[:, 1], flat[:, 2]
+    # per neighbour, the count of neighbours after it in its star
+    later = np.repeat(np.cumsum(sizes), sizes) - np.arange(len(a)) - 1
+    s = np.repeat(np.arange(len(a)), later)
+    t = s + 1 + np.arange(len(s)) - np.repeat(np.cumsum(later) - later, later)
+    line = np.array(lines).reshape(-1, 3)
+    first = np.concatenate([line[:, 0].astype(np.intp), a[s]])
+    second = np.concatenate([line[:, 1].astype(np.intp), a[t]])
+    cell = np.minimum(first, second) * n + np.maximum(first, second)
+    return cell, np.concatenate([line[:, 2], frac[s] * y[t]])
 
 
 def kron_reduce(net: PowerNetwork) -> np.ndarray:
@@ -46,21 +63,28 @@ def kron_reduce(net: PowerNetwork) -> np.ndarray:
     which give the Schur complement of the susceptance Laplacian.  The
     result keeps the Laplacian sign convention: the off-diagonal entry
     for generators (i, j) is minus their effective coupling susceptance,
-    and the diagonal is the row's total coupling.  The elimination writes
-    one value to both directions of a pair, so the result is exactly
-    symmetric.  xd' enters the model only through the internal rotor
-    angles, not this reduction.
+    and the diagonal is minus the off-diagonal row sum.  Each coupling is
+    summed in one cell, its lines first and then its fills in elimination
+    order, and mirrored, so the result is exactly symmetric.  xd' enters
+    the model only through the internal rotor angles, not this reduction.
     """
     gen = net.gen_pos.tolist()
-    if len(set(gen)) != len(gen):
+    n = len(gen)
+    if len(set(gen)) != n:
         raise ModelError("two generators share a bus")
-    adj, _ = _star_mesh(net, gen, error=ModelError)
-    col = {p: a for a, p in enumerate(gen)}
-    B_red = np.zeros((len(gen), len(gen)))
-    for a, p in enumerate(gen):
-        for q, y in adj[p].items():
-            B_red[a, col[q]] = -y
-        B_red[a, a] = sum(adj[p].values())
+    lines, stars = _star_mesh(net, gen, error=ModelError)[1:]
+    cell, values = _kept_pair_updates(lines, stars, n)
+    del lines, stars
+    B_red = np.zeros((n, n))
+    flat = B_red.reshape(-1)
+    np.add.at(flat, cell, values)
+    # mirror and negate only the touched cells; a whole-matrix B + B.T
+    # would allocate a second n x n array
+    w = flat[cell]
+    mirror = cell % n * n + cell // n
+    flat[mirror] = w
+    np.fill_diagonal(B_red, B_red.sum(axis=1))
+    flat[cell] = flat[mirror] = -w
     return B_red
 
 
@@ -74,8 +98,7 @@ def build_K(net: PowerNetwork, op: OperatingPoint, B_red: np.ndarray) -> np.ndar
     if B_red.shape != (n, n):
         raise ModelError("reduced susceptance has wrong dimensions")
     delta = internal_angles(net, op)
-    V = np.array([g.v for g in net.gens])
-    K = np.multiply.outer(-V, V)
+    K = np.multiply.outer(-net.v, net.v)
     K *= B_red
     cos = np.subtract.outer(delta, delta)
     K *= np.cos(cos, out=cos)
@@ -86,7 +109,7 @@ def build_K(net: PowerNetwork, op: OperatingPoint, B_red: np.ndarray) -> np.ndar
 
 def inertia(net: PowerNetwork) -> np.ndarray:
     """Generator inertias 2 H_i / omega0: the diagonal of the inertia matrix."""
-    return np.array([2.0 * g.inertia / net.base_freq for g in net.gens])
+    return 2.0 * net.inertia / net.base_freq
 
 
 def slow_modes(m: np.ndarray, K: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:

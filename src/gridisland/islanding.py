@@ -157,7 +157,7 @@ def partition_solution(
     """
     net, r = ctx.net, len(cols)
     islands = tuple(
-        tuple(net.buses[pos].id for pos in np.flatnonzero(labels == k))
+        tuple(net.bus_ids[labels == k].tolist())
         for k in range(r)
     )
     island_of_gen = labels[net.gen_pos]
@@ -168,8 +168,9 @@ def partition_solution(
     # lines to trip: only the edges crossing island boundaries; dropped
     # intra-island edges are redundant paths, not cuts
     ei, ej = net.ends
-    cut = tuple(sorted(net.branches[e].name
-                       for e in np.flatnonzero(labels[ei] != labels[ej])))
+    crossing = labels[ei] != labels[ej]
+    cut = tuple(sorted(f"{i}-{j}" for i, j in zip(net.line_i[crossing].tolist(),
+                                                  net.line_j[crossing].tolist())))
     return IslandingSolution(
         kept=kept,
         cutset=cut,

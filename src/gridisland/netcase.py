@@ -16,20 +16,24 @@ then come from a companion JSON document mapping bus id to
 entry there is a fixed injection.  Both formats share one construction
 path, ``_from_native``.
 
-PowerNetwork owns the graph layout every stage reads: bus positions
-(``bus_pos``, buses sorted by id), the positions of each line's two ends
-(``ends``, canonical line order) and of each generator (``gen_pos``).
-``component_labels`` labels the components of any line set, and
-``forest_walk`` roots a forest at given buses.
+PowerNetwork holds the network as read-only numpy columns: per bus in
+id order, per line in canonical order (by smaller end id, then larger end
+id, then file order) and per generator in file order.  It also owns the
+graph layout every stage reads: bus positions (``bus_pos``), the
+positions of each line's two ends (``ends``) and of each generator
+(``gen_pos``).  ``component_labels`` labels the components of any line
+set, and ``forest_walk`` roots a forest at given buses.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -38,87 +42,58 @@ class CaseError(Exception):
     """Malformed or inconsistent case input."""
 
 
-@dataclass(frozen=True, slots=True)
-class Bus:
-    id: int
-    d0: float          # MW demand at the operating point
-    d_max: float       # MW maximum desired load
-    g0: float = 0.0    # MW dispatched generation (filled from gens)
-    g_max: float = 0.0
-
-
-@dataclass(frozen=True, slots=True)
-class Branch:
-    index: int         # canonical edge index
-    i: int             # smaller endpoint bus id
-    j: int             # larger endpoint bus id
-    x: float           # series reactance, p.u.
-
-    @property
-    def name(self) -> str:
-        return f"{self.i}-{self.j}"
-
-
-@dataclass(frozen=True, slots=True)
-class Gen:
-    bus: int
-    pg: float          # MW
-    pg_max: float      # MW
-    inertia: float     # seconds on system base
-    xd_prime: float    # p.u.
-    v: float = 1.0     # p.u. voltage behind transient reactance
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowerNetwork:
-    buses: tuple[Bus, ...]
-    branches: tuple[Branch, ...]   # canonical order
-    gens: tuple[Gen, ...]
+    bus_ids: np.ndarray    # per bus, ascending
+    d0: np.ndarray         # MW demand at the operating point
+    d_max: np.ndarray      # MW maximum desired load
+    g0: np.ndarray         # MW dispatched generation, summed over the bus's units
+    g_max: np.ndarray
+    line_i: np.ndarray     # per line, canonical order: the smaller end's bus id
+    line_j: np.ndarray     # the larger end's bus id
+    x: np.ndarray          # series reactance, p.u.
+    gen_bus: np.ndarray    # per generator, file order: its bus id
+    pg: np.ndarray         # MW
+    pg_max: np.ndarray     # MW
+    inertia: np.ndarray    # seconds on system base
+    xd_prime: np.ndarray   # p.u.
+    v: np.ndarray          # p.u. voltage behind transient reactance
     base_mva: float
-    base_freq: float               # rad/s
+    base_freq: float       # rad/s
     slack_bus: int
+    ends: tuple[np.ndarray, np.ndarray]   # bus positions of each line's ends
+    gen_pos: np.ndarray    # bus position of each generator
+
+    __hash__ = None
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PowerNetwork):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
     @property
     def m(self) -> int:
-        return len(self.buses)
+        return len(self.bus_ids)
 
     @property
     def l(self) -> int:
-        return len(self.branches)
+        return len(self.x)
 
     @property
     def n(self) -> int:
-        return len(self.gens)
-
-    def d0_vector(self) -> np.ndarray:
-        return np.array([b.d0 for b in self.buses])
-
-    def g0_vector(self) -> np.ndarray:
-        return np.array([b.g0 for b in self.buses])
+        return len(self.gen_bus)
 
     @cached_property
     def bus_pos(self) -> dict[int, int]:
-        """Bus id -> position in `buses`."""
-        return {b.id: k for k, b in enumerate(self.buses)}
-
-    @cached_property
-    def ends(self) -> tuple[np.ndarray, np.ndarray]:
-        """Bus positions of the two ends of every line, canonical order."""
-        pos = self.bus_pos
-        return (_frozen([pos[br.i] for br in self.branches]),
-                _frozen([pos[br.j] for br in self.branches]))
-
-    @cached_property
-    def gen_pos(self) -> np.ndarray:
-        """Bus position of every generator, in file order."""
-        return _frozen([self.bus_pos[g.bus] for g in self.gens])
+        """Bus id -> bus position."""
+        return dict(zip(self.bus_ids.tolist(), range(self.m)))
 
 
-def _frozen(positions: list[int]) -> np.ndarray:
-    """A read-only intp array: the layout is shared by every stage."""
-    out = np.array(positions, dtype=np.intp)
-    out.flags.writeable = False
-    return out
+def _frozen(column: np.ndarray) -> np.ndarray:
+    """Read-only: the columns and the layout are shared by every stage."""
+    column.flags.writeable = False
+    return column
 
 
 @dataclass(frozen=True)
@@ -132,37 +107,61 @@ def _finite(*values: float) -> bool:
     return all(math.isfinite(v) for v in values)
 
 
-def _validate(net: PowerNetwork) -> PowerNetwork:
+def _first(mask: np.ndarray) -> int | None:
+    """Index of the first True in mask, or None."""
+    k = int(np.argmax(mask)) if len(mask) else 0
+    return k if len(mask) and mask[k] else None
+
+
+def _validate(net: PowerNetwork, line_known: np.ndarray) -> PowerNetwork:
+    """Each check in order: the scalars, then per bus, per line and per
+    generator the first element that fails any of its checks (checked in
+    the order written), then the slack and connectivity.  line_known marks
+    the lines whose two ends are known buses."""
     if not (_finite(net.base_mva, net.base_freq)
             and net.base_mva > 0 and net.base_freq > 0):
         raise CaseError("base MVA and base frequency must be finite and positive")
-    seen = set()
-    for b in net.buses:
-        if b.id in seen:
-            raise CaseError(f"duplicate bus id {b.id}")
-        seen.add(b.id)
-        if not _finite(b.d0, b.d_max, b.g0, b.g_max):
-            raise CaseError(f"non-finite load/generation at bus {b.id}")
-        if b.d0 < 0 or b.d_max < 0 or b.g0 < 0 or b.g_max < 0:
-            raise CaseError(f"negative load/generation limit at bus {b.id}")
-    for br in net.branches:
-        if br.i not in seen or br.j not in seen:
-            raise CaseError(f"branch {br.name} references unknown bus")
-        if not _finite(br.x):
-            raise CaseError(f"branch {br.name} has non-finite reactance")
-        if br.x <= 0:
-            raise CaseError(f"branch {br.name} has nonpositive reactance")
-        if br.i == br.j:
-            raise CaseError(f"branch {br.name} is a self-loop")
-    for g in net.gens:
-        if not _finite(g.pg, g.pg_max, g.inertia, g.xd_prime, g.v):
-            raise CaseError(f"generator at bus {g.bus} has a non-finite field")
-        if g.xd_prime <= 0:
-            raise CaseError(f"generator at bus {g.bus} has nonpositive xd'")
-        if g.inertia <= 0 or g.v <= 0:
-            raise CaseError(
-                f"generator at bus {g.bus} has nonpositive inertia or voltage")
-    if net.slack_bus not in seen:
+    ids = net.bus_ids
+    duplicate = np.zeros(net.m, dtype=bool)
+    duplicate[1:] = ids[1:] == ids[:-1]
+    loads = (net.d0, net.d_max, net.g0, net.g_max)
+    nonfinite = ~np.logical_and.reduce([np.isfinite(c) for c in loads])
+    negative = np.logical_or.reduce([c < 0 for c in loads])
+    k = _first(duplicate | nonfinite | negative)
+    if k is not None:
+        bus = int(ids[k])
+        if duplicate[k]:
+            raise CaseError(f"duplicate bus id {bus}")
+        if nonfinite[k]:
+            raise CaseError(f"non-finite load/generation at bus {bus}")
+        raise CaseError(f"negative load/generation limit at bus {bus}")
+    nonfinite = ~np.isfinite(net.x)
+    nonpositive = net.x <= 0
+    loop = net.line_i == net.line_j
+    k = _first(~line_known | nonfinite | nonpositive | loop)
+    if k is not None:
+        name = f"{int(net.line_i[k])}-{int(net.line_j[k])}"
+        if not line_known[k]:
+            raise CaseError(f"branch {name} references unknown bus")
+        if nonfinite[k]:
+            raise CaseError(f"branch {name} has non-finite reactance")
+        if nonpositive[k]:
+            raise CaseError(f"branch {name} has nonpositive reactance")
+        raise CaseError(f"branch {name} is a self-loop")
+    machines = (net.pg, net.pg_max, net.inertia, net.xd_prime, net.v)
+    nonfinite = ~np.logical_and.reduce([np.isfinite(c) for c in machines])
+    bad_xd = net.xd_prime <= 0
+    bad_hv = (net.inertia <= 0) | (net.v <= 0)
+    k = _first(nonfinite | bad_xd | bad_hv)
+    if k is not None:
+        bus = int(net.gen_bus[k])
+        if nonfinite[k]:
+            raise CaseError(f"generator at bus {bus} has a non-finite field")
+        if bad_xd[k]:
+            raise CaseError(f"generator at bus {bus} has nonpositive xd'")
+        raise CaseError(
+            f"generator at bus {bus} has nonpositive inertia or voltage")
+    if net.slack_bus not in net.bus_pos:
         raise CaseError(f"slack bus {net.slack_bus} is not a known bus")
     # the slack bus exists, so m >= 1 and a connected graph labels all 0
     if component_labels(net, range(net.l)).any():
@@ -221,68 +220,129 @@ def forest_walk(net: PowerNetwork, S, roots) -> tuple | None:
     return (tree, at, below) if k == net.m else None
 
 
-def _canonical_branches(raw: list[tuple[int, int, float]]) -> tuple[Branch, ...]:
-    # sort by (min id, max id, file order); parallel lines stay distinct
-    keyed = sorted(
-        (min(i, j), max(i, j), pos, x) for pos, (i, j, x) in enumerate(raw)
-    )
-    return tuple(Branch(k, i, j, x) for k, (i, j, _, x) in enumerate(keyed))
+_INT64 = np.iinfo(np.int64)
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
 
 
 def _bus_id(value) -> int:
-    """A bus number: an integral int or float, never a bool or a string."""
+    """A bus number: an integral int or float that fits in int64, never a
+    bool or a string."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
         raise ValueError(f"bus number {value!r} is not an integer")
+    if not _INT64.min <= value <= _INT64.max:
+        raise ValueError(f"bus number {value!r} does not fit in int64")
     return int(value)
+
+
+def _ids(values: list) -> np.ndarray:
+    """Bus numbers as int64; plain ints at once, anything else by `_bus_id`."""
+    if set(map(type, values)) <= {int}:
+        try:
+            return np.array(values, dtype=np.int64)
+        except OverflowError:
+            pass
+    return np.fromiter(map(_bus_id, values), np.int64, len(values))
+
+
+def _floats(values: list) -> np.ndarray:
+    return np.fromiter(map(float, values), float, len(values))
+
+
+def _columns(rows, spec) -> list[np.ndarray]:
+    """One column per (get, convert) field of spec, over every row.
+
+    A column at a time; if anything fails, again row by row, fields in
+    order, so the error raised is the first one in document order.
+    """
+    try:
+        return [convert(list(map(get, rows))) for get, convert in spec]
+    except _MALFORMED:
+        for row in rows:
+            for get, convert in spec:
+                convert([get(row)])
+        raise
+
+
+def _lookup(bus_ids: np.ndarray, numbers: np.ndarray):
+    """Position of each bus number in the sorted bus_ids, and whether the
+    number is there."""
+    pos = np.searchsorted(bus_ids, numbers)
+    if not len(bus_ids):
+        return pos, np.zeros(len(numbers), dtype=bool)
+    np.minimum(pos, len(bus_ids) - 1, out=pos)
+    return pos, bus_ids[pos] == numbers
+
+
+_GEN_FIELDS = (
+    (itemgetter("bus"), _ids),
+    (itemgetter("pg_mw"), _floats),
+    (lambda g: g.get("pg_max_mw", g["pg_mw"]), _floats),
+    (itemgetter("inertia_s"), _floats),
+    (itemgetter("xd_prime_pu"), _floats),
+    (lambda g: g.get("vm_pu", 1.0), _floats),
+)
+_LOAD_FIELDS = (
+    (itemgetter("pd_mw"), _floats),
+    (lambda b: b.get("pd_max_mw", b["pd_mw"]), _floats),
+)
+_LINE_FIELDS = (
+    (itemgetter("from"), _ids), (itemgetter("to"), _ids),
+    (itemgetter("x_pu"), _floats),
+)
 
 
 def _from_native(doc: dict, static_pg: dict | None = None) -> PowerNetwork:
     """The network of a native document; static_pg (bus id -> MW of units
-    without dynamic data) adds to g0 and g_max after the generators."""
+    without dynamic data) adds to g0 and g_max after the generators.
+
+    Fields convert in one fixed order, so a document with several faults
+    reports the first: generators row by row, bus ids in file order,
+    loads in bus id order, then lines row by row.
+    """
     try:
         base_mva = float(doc["base_mva"])
         base_freq = 2 * np.pi * float(doc.get("base_freq_hz", 60.0))
         slack = _bus_id(doc["slack_bus"])
-        gens = tuple(
-            Gen(
-                bus=_bus_id(g["bus"]),
-                pg=float(g["pg_mw"]),
-                pg_max=float(g.get("pg_max_mw", g["pg_mw"])),
-                inertia=float(g["inertia_s"]),
-                xd_prime=float(g["xd_prime_pu"]),
-                v=float(g.get("vm_pu", 1.0)),
-            )
-            for g in doc["gens"]
-        )
-        pg, pg_max = {}, {}
-        for g in gens:
-            pg[g.bus] = pg.get(g.bus, 0.0) + g.pg
-            pg_max[g.bus] = pg_max.get(g.bus, 0.0) + g.pg_max
-        for bus, mw in (static_pg or {}).items():
-            pg[bus] = pg.get(bus, 0.0) + mw
-            pg_max[bus] = pg_max.get(bus, 0.0) + mw
-        keyed = [(_bus_id(b["id"]), b) for b in doc["buses"]]
-        buses = tuple(
-            Bus(
-                id=i,
-                d0=float(b["pd_mw"]),
-                d_max=float(b.get("pd_max_mw", b["pd_mw"])),
-                g0=pg.get(i, 0.0),
-                g_max=pg_max.get(i, 0.0),
-            )
-            for i, b in sorted(keyed, key=lambda ib: ib[0])
-        )
-        branches = _canonical_branches([
-            (_bus_id(b["from"]), _bus_id(b["to"]), float(b["x_pu"]))
-            for b in doc["branches"]])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        gen_bus, pg, pg_max, inertia, xd_prime, v = _columns(
+            doc["gens"], _GEN_FIELDS)
+        buses = doc["buses"]
+        (ids,) = _columns(buses, ((itemgetter("id"), _ids),))
+        order = np.argsort(ids, kind="stable")
+        rows = list(buses)
+        d0, d_max = _columns([rows[k] for k in order.tolist()], _LOAD_FIELDS)
+        line_from, line_to, x = _columns(doc["branches"], _LINE_FIELDS)
+    except _MALFORMED as exc:
         raise CaseError(f"malformed case document: {exc}") from exc
-    unknown = pg.keys() - {b.id for b in buses}
+    bus_ids = ids[order]
+    gen_pos, known = _lookup(bus_ids, gen_bus)
+    unknown = set(gen_bus[~known].tolist())
+    if static_pg:
+        unknown |= static_pg.keys() - set(bus_ids.tolist())
     if unknown:
         raise CaseError(f"generator at unknown bus {min(unknown)}")
-    return _validate(
-        PowerNetwork(buses, branches, gens, base_mva, base_freq, slack)
-    )
+    # summed per bus in generator order, then the static units: a bus's
+    # twin, if any, is a duplicate that the validation rejects
+    g0, g_max = np.zeros(len(bus_ids)), np.zeros(len(bus_ids))
+    np.add.at(g0, gen_pos, pg)
+    np.add.at(g_max, gen_pos, pg_max)
+    for bus, mw in (static_pg or {}).items():
+        k = int(np.searchsorted(bus_ids, bus))
+        g0[k] += mw
+        g_max[k] += mw
+    lo, hi = np.minimum(line_from, line_to), np.maximum(line_from, line_to)
+    canonical = np.lexsort((np.arange(len(x)), hi, lo))
+    line_i, line_j = lo[canonical], hi[canonical]
+    ei, known_i = _lookup(bus_ids, line_i)
+    ej, known_j = _lookup(bus_ids, line_j)
+    columns = dict(
+        bus_ids=bus_ids, d0=d0, d_max=d_max, g0=g0, g_max=g_max,
+        line_i=line_i, line_j=line_j, x=x[canonical], gen_bus=gen_bus, pg=pg,
+        pg_max=pg_max, inertia=inertia, xd_prime=xd_prime, v=v, gen_pos=gen_pos)
+    net = PowerNetwork(
+        **{name: _frozen(c) for name, c in columns.items()},
+        base_mva=base_mva, base_freq=base_freq, slack_bus=slack,
+        ends=(_frozen(ei), _frozen(ej)))
+    return _validate(net, known_i & known_j)
 
 
 _MPC_TABLE = re.compile(
@@ -394,23 +454,19 @@ def parse_case(case_text: str, dyn_text: str | None = None) -> PowerNetwork:
 def serialize_case(net: PowerNetwork) -> str:
     """Emit a native JSON document that parses back to net; a network it
     cannot hold exactly (generation without dynamic data) is a CaseError."""
+    def rows(keys, *columns):
+        return [dict(zip(keys, values))
+                for values in zip(*(c.tolist() for c in columns))]
+
     doc = {
         "base_mva": net.base_mva,
         "base_freq_hz": net.base_freq / (2 * np.pi),
         "slack_bus": net.slack_bus,
-        "buses": [
-            {"id": b.id, "pd_mw": b.d0, "pd_max_mw": b.d_max} for b in net.buses
-        ],
-        "branches": [
-            {"from": br.i, "to": br.j, "x_pu": br.x} for br in net.branches
-        ],
-        "gens": [
-            {
-                "bus": g.bus, "pg_mw": g.pg, "pg_max_mw": g.pg_max,
-                "inertia_s": g.inertia, "xd_prime_pu": g.xd_prime, "vm_pu": g.v,
-            }
-            for g in net.gens
-        ],
+        "buses": rows(("id", "pd_mw", "pd_max_mw"), net.bus_ids, net.d0, net.d_max),
+        "branches": rows(("from", "to", "x_pu"), net.line_i, net.line_j, net.x),
+        "gens": rows(("bus", "pg_mw", "pg_max_mw", "inertia_s", "xd_prime_pu",
+                      "vm_pu"), net.gen_bus, net.pg, net.pg_max, net.inertia,
+                     net.xd_prime, net.v),
     }
     text = json.dumps(doc, indent=1, sort_keys=True)
     if parse_case(text) != net:
@@ -441,55 +497,92 @@ def incidence_matrix(net: PowerNetwork, S=None) -> np.ndarray:
 def _star_mesh(net: PowerNetwork, keep, p=None, error=CaseError):
     """Eliminate every bus position outside keep by star-mesh transforms.
 
-    The network is the Laplacian of the line weights 1/x, held as a
-    dict-of-dicts.  Eliminating bus k with neighbour weights y_kj and
-    pivot Y_k = sum_j y_kj adds y_ki y_kj / Y_k to the weight of every
-    neighbour pair (i, j): one step of Gaussian elimination, so the
-    graph that remains is the Schur complement onto the buses left.
-    Buses go in minimum-degree order, ties to the lowest position.  When
-    p (a per-bus list) is given, each neighbour i also gains
-    y_ki p_k / Y_k, the right-hand side of the same elimination.
+    The network is the Laplacian of the line weights 1/x.  Eliminating
+    bus k with neighbour weights y_kj and pivot Y_k = sum_j y_kj adds
+    y_ki y_kj / Y_k to the weight of every neighbour pair (i, j): one step
+    of Gaussian elimination, so the graph that remains is the Schur
+    complement onto the kept buses.  Buses go in minimum-degree order,
+    ties to the lowest position.  When p (a per-bus list) is given, each
+    neighbour i also gains y_ki p_k / Y_k, the right-hand side of the
+    same elimination.
 
-    Returns the remaining weights (position -> {neighbour: weight}, empty
-    rows for eliminated buses) and the pivots (k, Y_k, {j: y_kj}) in
-    elimination order.  A pivot that is not finite and positive raises
-    `error`.
+    Only the free buses hold a row, {neighbour: weight} with kept
+    neighbours included, in first-touch order; a weight between a free
+    and a kept bus is kept in the free row alone.  No step reads a weight
+    between two kept buses, so those are returned as their updates
+    instead, with kept buses named by their index in keep:
+
+    - lines: (a, b, y) per line between two kept buses, canonical order;
+    - stars: per eliminated bus with two or more kept neighbours, those
+      neighbours in star order as (a, y_ka / Y_k, y_ka).  Its pair s < t
+      adds frac_s * y_t to the weight between a_s and a_t.
+
+    Summed in that order, lines then stars, they give every kept weight
+    bitwise.  Also returns the pivots (k, Y_k, {j: y_kj}) in elimination
+    order.  A pivot that is not finite and positive raises `error`.
     """
-    import heapq
-
-    adj: list[dict[int, float]] = [{} for _ in range(net.m)]
-    for a, b, br in zip(*(x.tolist() for x in net.ends), net.branches):
-        y = adj[a].get(b, 0.0) + 1.0 / br.x
-        adj[a][b] = adj[b][a] = y
-    kept = set(keep)
-    heap = [(len(adj[k]), k) for k in range(net.m) if k not in kept]
+    m = net.m
+    slot = [-1] * m   # index in keep; -1 marks a free bus
+    for a, k in enumerate(keep):
+        slot[k] = a
+    adj: list[dict | None] = [{} if a < 0 else None for a in slot]
+    lines = []
+    with np.errstate(over="ignore"):   # a tiny x gives an infinite pivot below
+        weights = (1.0 / net.x).tolist()
+    for a, b, y in zip(*(x.tolist() for x in net.ends), weights):
+        row_a, row_b = adj[a], adj[b]
+        if row_a is not None:
+            row_a[b] = w = row_a.get(b, 0.0) + y
+            if row_b is not None:
+                row_b[a] = w
+        elif row_b is not None:
+            row_b[a] = row_b.get(a, 0.0) + y
+        else:
+            lines.append((slot[a], slot[b], y))
+    # keys deg * m + k order as (deg, k)
+    heap = [len(row) * m + k for k, row in enumerate(adj) if row is not None]
     heapq.heapify(heap)
-    pivots = []
+    pop, push = heapq.heappop, heapq.heappush
+    pivots, stars = [], []
     while heap:
-        deg, k = heapq.heappop(heap)
+        deg, k = divmod(pop(heap), m)
         star = adj[k]
         if deg != len(star):   # stale entry; eliminated rows are empty
             continue
         Y = sum(star.values())
         if not 0.0 < Y < math.inf:
             raise error(f"singular or non-finite susceptance pivot at bus "
-                        f"{net.buses[k].id}")
+                        f"{int(net.bus_ids[k])}")
         nbrs = list(star.items())
+        kept = []
         for s, (i, y_ki) in enumerate(nbrs):
-            row = adj[i]
-            del row[k]
             frac = y_ki / Y
             if p is not None:
                 p[i] += frac * p[k]
-            for j, y_kj in nbrs[s + 1:]:
-                w = row.get(j, 0.0) + frac * y_kj
-                row[j] = adj[j][i] = w
+            row = adj[i]
+            if row is None:
+                kept.append((slot[i], frac, y_ki))
+                for j, y_kj in nbrs[s + 1:]:
+                    row_j = adj[j]
+                    if row_j is not None:
+                        row_j[i] = row_j.get(i, 0.0) + frac * y_kj
+            else:
+                del row[k]
+                get = row.get
+                for j, y_kj in nbrs[s + 1:]:
+                    row[j] = w = get(j, 0.0) + frac * y_kj
+                    row_j = adj[j]
+                    if row_j is not None:
+                        row_j[i] = w
         for i, _ in nbrs:
-            if i not in kept:
-                heapq.heappush(heap, (len(adj[i]), i))
+            row = adj[i]
+            if row is not None:
+                push(heap, len(row) * m + i)
+        if len(kept) > 1:
+            stars.append(kept)
         adj[k] = {}
         pivots.append((k, Y, star))
-    return adj, pivots
+    return pivots, lines, stars
 
 
 def dc_power_flow(net: PowerNetwork) -> OperatingPoint:
@@ -502,18 +595,17 @@ def dc_power_flow(net: PowerNetwork) -> OperatingPoint:
     injections sum to zero.
     """
     slack = net.bus_pos[net.slack_bus]
-    g0 = net.g0_vector().copy()
-    d0 = net.d0_vector()
+    g0 = net.g0.copy()
+    d0 = net.d0
     g0[slack] += d0.sum() - g0.sum()
 
     p_inj = ((g0 - d0) / net.base_mva).tolist()
-    _, pivots = _star_mesh(net, [slack], p_inj)
+    pivots, _, _ = _star_mesh(net, [slack], p_inj)
     theta = [0.0] * net.m
     for k, Y, star in reversed(pivots):
-        theta[k] = (p_inj[k] + sum(y * theta[j] for j, y in star.items())) / Y
+        theta[k] = (p_inj[k] + sum([y * theta[j] for j, y in star.items()])) / Y
 
     theta = np.array(theta)
     ei, ej = net.ends
-    x = np.array([br.x for br in net.branches])
-    flows = (theta[ei] - theta[ej]) / x * net.base_mva
+    flows = (theta[ei] - theta[ej]) / net.x * net.base_mva
     return OperatingPoint(angles=theta, flows=flows, injections=d0 - g0)

@@ -51,6 +51,11 @@ def named_network(name, monkeypatch):
     return load_case(f"{name}.json")
 
 
+def line_ends(net):
+    """(smaller, larger) bus id of every line as ints, canonical order."""
+    return list(zip(net.line_i.tolist(), net.line_j.tolist()))
+
+
 def random_network(rng, m=8, extra_edges=3, n_gens=3):
     """Random connected test network built through the public parser."""
     return parse_case(json.dumps(random_case_doc(rng, m, extra_edges, n_gens)))

@@ -52,8 +52,7 @@ def h_i(ctx, S, i: int) -> float:
 
 def box_limits(net) -> tuple[np.ndarray, np.ndarray]:
     """Per-bus (d_max, g_max) in MW, in bus-position order."""
-    return (np.array([b.d_max for b in net.buses]),
-            np.array([b.g_max for b in net.buses]))
+    return net.d_max, net.g_max
 
 
 def F(ctx, S, limits=None) -> float:
@@ -61,7 +60,7 @@ def F(ctx, S, limits=None) -> float:
 
     Distance from b0 to the intersection of span(A(S)) with the box
     [-g_max, d_max].  limits is (d_max, g_max), by default those of
-    ctx.net.buses.  They are nonnegative, so the intersection contains the
+    ctx.net.  They are nonnegative, so the intersection contains the
     origin and is never empty.  The projection is exact per component of
     (V, S).
     """

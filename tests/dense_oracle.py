@@ -61,9 +61,8 @@ def dense_J(ctx, S) -> float:
 def susceptance_laplacian(net) -> np.ndarray:
     """Dense m x m Laplacian of the line weights 1/x, by bus position."""
     W = np.zeros((net.m, net.m))
-    for br in net.branches:
-        a, b = net.bus_pos[br.i], net.bus_pos[br.j]
-        y = 1.0 / br.x
+    for a, b, x in zip(*(e.tolist() for e in net.ends), net.x.tolist()):
+        y = 1.0 / x
         W[a, a] += y
         W[b, b] += y
         W[a, b] -= y
@@ -74,8 +73,8 @@ def susceptance_laplacian(net) -> np.ndarray:
 def dense_dc_angles(net) -> np.ndarray:
     """Bus angles solving B'theta = P with the slack balanced and at zero."""
     slack = net.bus_pos[net.slack_bus]
-    g0 = net.g0_vector()
-    d0 = net.d0_vector()
+    g0 = net.g0.copy()
+    d0 = net.d0
     g0[slack] += d0.sum() - g0.sum()
     keep = [k for k in range(net.m) if k != slack]
     theta = np.zeros(net.m)
@@ -88,7 +87,7 @@ def dense_dc_angles(net) -> np.ndarray:
 def dense_kron(net) -> np.ndarray:
     """Schur complement of the Laplacian onto the generator buses."""
     W = susceptance_laplacian(net)
-    gen = [net.bus_pos[g.bus] for g in net.gens]
+    gen = net.gen_pos.tolist()
     other = [p for p in range(net.m) if p not in set(gen)]
     gb = W[np.ix_(gen, other)]
     B = W[np.ix_(gen, gen)] - gb @ np.linalg.solve(

@@ -64,10 +64,10 @@ def test_criterion_1_structural_fidelity(case39, case118):
             len(sol.kept) == net.m - r
             and len(sol.islands) == r
             and sorted(b for isl in sol.islands for b in isl)
-            == sorted(b.id for b in net.buses)
+            == sorted(net.bus_ids.tolist())
             and all(
                 sum(1 for i in ctx.refs
-                    if island_of[net.gens[i].bus] == k) == 1
+                    if island_of[int(net.gen_bus[i])] == k) == 1
                 for k in range(r))
         )
         bad += not ok
@@ -150,8 +150,8 @@ def test_criterion_3_reference_selection(pipe39, pipe118, case39, case118):
     p39 = select_references_pivoting(model39.U, 3).refs
     g118 = select_references_greedy(model118.U, 3).refs
     p118 = select_references_pivoting(model118.U, 3).refs
-    buses39 = {case39.gens[i].bus for i in g39}
-    buses118 = {case118.gens[i].bus for i in g118}
+    buses39 = {int(case39.gen_bus[i]) for i in g39}
+    buses118 = {int(case118.gen_bus[i]) for i in g118}
     ok = (
         buses39 == {39, 34, 38}          # generators G1, G5, G9
         and buses118 == {10, 54, 87}
@@ -161,9 +161,9 @@ def test_criterion_3_reference_selection(pipe39, pipe118, case39, case118):
     assert report(3, ok, f"(39-bus {sorted(buses39)}, "
                          f"118-bus {sorted(buses118)})"), (
         f"39-bus greedy {sorted(buses39)} pivot "
-        f"{sorted(case39.gens[i].bus for i in p39)}; 118-bus greedy "
+        f"{sorted(int(case39.gen_bus[i]) for i in p39)}; 118-bus greedy "
         f"{sorted(buses118)} pivot "
-        f"{sorted(case118.gens[i].bus for i in p118)}")
+        f"{sorted(int(case118.gen_bus[i]) for i in p118)}")
 
 
 TARGET_CUT = {"1-2", "3-4", "4-5", "10-11", "12-13", "16-17"}
@@ -191,7 +191,7 @@ def sweep_case39(net):
     for xi in XI_GRID:
         _, model, ctx = pipeline(net, r=3, xi=float(xi))
         sol = solve(ctx)
-        groups = [set(net.gens[i].bus for i in grp)
+        groups = [set(int(net.gen_bus[i]) for i in grp)
                   for grp in sol.generator_groups]
         overlap = len(set(sol.cutset) & TARGET_CUT)
         if best is None or overlap > best[1]:

@@ -22,6 +22,7 @@ from gridisland.netcase import OperatingPoint, dc_power_flow, parse_case
 
 from casekit import (
     DATA,
+    line_ends,
     named_network,
     pipeline,
     random_case_doc,
@@ -33,11 +34,12 @@ from casekit import (
 def pieces(net, lines, buses):
     """The connected pieces of a bus-id set over the given lines."""
     adj = {b: [] for b in buses}
+    ends = line_ends(net)
     for k in lines:
-        br = net.branches[k]
-        if br.i in adj and br.j in adj:
-            adj[br.i].append(br.j)
-            adj[br.j].append(br.i)
+        i, j = ends[k]
+        if i in adj and j in adj:
+            adj[i].append(j)
+            adj[j].append(i)
     seen, out = set(), []
     for start in sorted(adj):
         if start in seen:
@@ -247,8 +249,8 @@ def test_coupling_weights_match_elementwise_formula(pipe118, case118):
     op, model, _ = pipe118
     B_red = kron_reduce(case118)
     delta = internal_angles(case118, op)
-    V = [g.v for g in case118.gens]
-    Minv = [1.0 / g.inertia for g in case118.gens]
+    V = case118.v.tolist()
+    Minv = [1.0 / h for h in case118.inertia.tolist()]
     n = case118.n
     ref = np.zeros((n, n))
     for i in range(n):
@@ -269,7 +271,7 @@ def test_coupling_weights_match_elementwise_formula(pipe118, case118):
 def test_coupling_weights_are_bitwise_abs_K(name, monkeypatch):
     net = named_network(name, monkeypatch)
     _, model, _ = pipeline(net)
-    Hinv = np.array([1.0 / g.inertia for g in net.gens])
+    Hinv = np.array([1.0 / h for h in net.inertia.tolist()])
     expect = np.abs(model.K) * (Hinv[:, None] + Hinv[None, :])
     np.fill_diagonal(expect, 0.0)
     W = coupling_weights(net, model)
@@ -371,7 +373,7 @@ def bus_positions(net, *id_sets):
 
 def bus_ids(net, *position_sets):
     """Each set of bus positions as the set of their bus ids."""
-    return [{net.buses[p].id for p in pos} for pos in position_sets]
+    return [{int(net.bus_ids[p]) for p in pos} for pos in position_sets]
 
 
 def test_mincut_bridge():
@@ -380,7 +382,7 @@ def test_mincut_bridge():
     S1, S2, cut = constrained_mincut(net, op, *bus_positions(net, {1, 2}, {3, 4}))
     S1, S2 = bus_ids(net, S1, S2)
     assert S1 == {1, 2} and S2 == {3, 4}
-    assert [net.branches[k].name for k in cut] == ["2-3"]
+    assert ["%d-%d" % line_ends(net)[k] for k in cut] == ["2-3"]
 
 
 def test_mincut_rejects_bad_constraint_sets(case39):
@@ -420,16 +422,16 @@ def test_mincut_equal_capacities_minimizes_edge_count(seed):
         angles=op.angles, flows=np.ones(net.l),
         injections=op.injections,
     )
-    T1 = {net.gens[0].bus}
-    T2 = {net.gens[1].bus}
+    T1 = {int(net.gen_bus[0])}
+    T2 = {int(net.gen_bus[1])}
     _, _, cut = constrained_mincut(net, unit, net.gen_pos[:1], net.gen_pos[1:2])
     # exhaustive: all bus splits respecting the constraints
-    others = [b.id for b in net.buses if b.id not in T1 | T2]
+    others = [b for b in net.bus_ids.tolist() if b not in T1 | T2]
     best = net.l + 1
     for bits in itertools.product([0, 1], repeat=len(others)):
         side1 = set(T1) | {b for b, s in zip(others, bits) if s == 0}
         count = sum(
-            (br.i in side1) != (br.j in side1) for br in net.branches
+            (i in side1) != (j in side1) for i, j in line_ends(net)
         )
         best = min(best, count)
     assert len(cut) == best
@@ -456,17 +458,17 @@ def test_mincut_is_the_minimal_exhaustive_minimum(seed):
     op = dc_power_flow(net)
     on_first = rng.permutation([True, False] + [
         bool(b) for b in rng.integers(0, 2, net.n - 2)])
-    T1 = {g.bus for g, s in zip(net.gens, on_first) if s}
-    T2 = {g.bus for g, s in zip(net.gens, on_first) if not s}
+    T1 = {b for b, s in zip(net.gen_bus.tolist(), on_first) if s}
+    T2 = {b for b, s in zip(net.gen_bus.tolist(), on_first) if not s}
     S1, S2, cut = constrained_mincut(net, op, *bus_positions(net, T1, T2))
     S1, S2 = bus_ids(net, S1, S2)
     flow = np.abs(op.flows)
-    others = [b.id for b in net.buses if b.id not in T1 | T2]
+    others = [b for b in net.bus_ids.tolist() if b not in T1 | T2]
     splits = []
     for bits in itertools.product([0, 1], repeat=len(others)):
         side1 = T1 | {b for b, s in zip(others, bits) if s == 0}
-        value = sum(flow[k] for k, br in enumerate(net.branches)
-                    if (br.i in side1) != (br.j in side1))
+        value = sum(flow[k] for k, (i, j) in enumerate(line_ends(net))
+                    if (i in side1) != (j in side1))
         splits.append((side1, value))
     best = min(v for _, v in splits)
     tol = 1e-9 * max(1.0, best)
@@ -474,10 +476,10 @@ def test_mincut_is_the_minimal_exhaustive_minimum(seed):
     # the minimal min cut (the intersection of every optimal source side)
     # plus the pieces of its complement that hold no T2 bus
     minimal = set.intersection(*(side for side, v in splits if v <= best + tol))
-    rest = {b.id for b in net.buses} - minimal
+    rest = set(net.bus_ids.tolist()) - minimal
     assert S1 == minimal.union(*(
         piece for piece in pieces(net, range(net.l), rest) if not piece & T2))
-    assert S2 == {b.id for b in net.buses} - S1
+    assert S2 == set(net.bus_ids.tolist()) - S1
 
 
 @pytest.mark.parametrize("copies", [8, 24])
@@ -503,7 +505,7 @@ def test_case39_first_split_isolates_equivalent_unit(pipe39, case39):
     _, model, _ = pipe39
     W = coupling_weights(case39, model)
     t1, t2, _ = generator_bipartition(W)
-    sides = {frozenset(case39.gens[i].bus for i in side) for side in (t1, t2)}
+    sides = {frozenset(int(case39.gen_bus[i]) for i in side) for side in (t1, t2)}
     assert frozenset({39}) in sides
 
 
@@ -520,17 +522,17 @@ def test_two_step_structure_case39(pipe39, case39):
     assert len(sol.islands) == 3
     assert all(sol.islands) and all(sol.generator_groups)
     covered = sorted(b for isl in sol.islands for b in isl)
-    assert covered == sorted(b.id for b in case39.buses)
+    assert covered == sorted(case39.bus_ids.tolist())
     all_gens = sorted(i for g in sol.generator_groups for i in g)
     assert all_gens == list(range(case39.n))
     # generators sit on buses of their own island
     for isl, grp in zip(sol.islands, sol.generator_groups):
         for i in grp:
-            assert case39.gens[i].bus in isl
+            assert int(case39.gen_bus[i]) in isl
     # the reported cutset disconnects exactly along island boundaries
     island_of = {b: k for k, isl in enumerate(sol.islands) for b in isl}
-    crossing = sorted(br.name for br in case39.branches
-                      if island_of[br.i] != island_of[br.j])
+    crossing = sorted(f"{i}-{j}" for i, j in line_ends(case39)
+                      if island_of[i] != island_of[j])
     assert sorted(sol.cutset) == crossing
 
 
@@ -553,14 +555,14 @@ def test_two_step_structure_random(seed):
     assert len(sol.islands) == r
     assert all(sol.islands) and all(sol.generator_groups)
     covered = sorted(b for isl in sol.islands for b in isl)
-    assert covered == sorted(b.id for b in net.buses)
+    assert covered == sorted(net.bus_ids.tolist())
     # the kept lines are exactly those whose ends share an island
     island_of = {b: k for k, isl in enumerate(sol.islands) for b in isl}
-    assert sol.kept == tuple(k for k, br in enumerate(net.branches)
-                          if island_of[br.i] == island_of[br.j])
+    assert sol.kept == tuple(k for k, (i, j) in enumerate(line_ends(net))
+                          if island_of[i] == island_of[j])
     # every piece of every island holds a generator of its group
     for isl, grp in zip(sol.islands, sol.generator_groups):
-        gen_buses = {net.gens[i].bus for i in grp}
+        gen_buses = {int(net.gen_bus[i]) for i in grp}
         for piece in pieces(net, sol.kept, set(isl)):
             assert piece & gen_buses
 

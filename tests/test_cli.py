@@ -211,8 +211,8 @@ def test_dump_model(capsys):
     assert np.array(model["L"]).shape == (10, 3)
     assert np.array(model["K"]).shape == (10, 10)
     net = load_case("case39.json")
-    assert model["M"] == [round(2.0 * g.inertia / net.base_freq, REPORT_DIGITS)
-                          for g in net.gens]
+    assert model["M"] == [round(2.0 * h / net.base_freq, REPORT_DIGITS)
+                          for h in net.inertia.tolist()]
 
 
 @pytest.mark.parametrize("command", ["run", "refsel"])

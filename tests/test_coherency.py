@@ -1,4 +1,5 @@
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -15,15 +16,22 @@ from gridisland.coherency import (
     kron_reduce,
     slow_modes,
 )
-from gridisland.netcase import CaseError, dc_power_flow, parse_case
+from gridisland.netcase import CaseError, _star_mesh, dc_power_flow, parse_case
 
-from casekit import named_network, random_network, tied_network
+from casekit import (
+    ROOT,
+    named_network,
+    random_case_doc,
+    random_network,
+    tied_network,
+)
 from dense_oracle import (
     dense_dc_angles,
     dense_kron,
     dense_slow_modes,
     susceptance_laplacian,
 )
+from prelude_reference import dc_power_flow_reference, kron_reduce_reference
 
 
 def two_gen_net(x=0.2):
@@ -72,7 +80,7 @@ def test_reduction_matches_elimination_oracle(seed):
     rng = np.random.default_rng(seed)
     net = random_network(rng, m=int(rng.integers(4, 10)),
                          extra_edges=int(rng.integers(0, 4)))
-    keep = [net.bus_pos[g.bus] for g in net.gens]
+    keep = net.gen_pos.tolist()
     expected = elementwise_elimination(susceptance_laplacian(net), keep)
     np.testing.assert_allclose(kron_reduce(net), expected, atol=1e-9)
 
@@ -80,7 +88,7 @@ def test_reduction_matches_elimination_oracle(seed):
 @pytest.mark.parametrize("name", ["case39", "case118", "tied x2"])
 def test_reduction_matches_elimination_oracle_on_cases(name, monkeypatch):
     net = named_network(name, monkeypatch)
-    keep = [net.bus_pos[g.bus] for g in net.gens]
+    keep = net.gen_pos.tolist()
     expected = elementwise_elimination(susceptance_laplacian(net), keep)
     np.testing.assert_allclose(kron_reduce(net), expected,
                                rtol=1e-12, atol=1e-12 * np.abs(expected).max())
@@ -196,7 +204,7 @@ def loop_build_K(net, op, B_red):
     """build_K as the O(n^2) loop over entries it replaced; the reference."""
     n = net.n
     delta = internal_angles(net, op)
-    V = np.array([g.v for g in net.gens])
+    V = np.array(net.v.tolist())
     K = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
@@ -234,10 +242,12 @@ def test_reduction_and_coupling_invariants(seed):
 def test_internal_angles_advance_across_xd(case39):
     op = dc_power_flow(case39)
     delta = internal_angles(case39, op)
-    for k, g in enumerate(case39.gens):
-        theta = op.angles[case39.bus_pos[g.bus]]
+    gens = zip(case39.gen_bus.tolist(), case39.xd_prime.tolist(),
+               case39.pg.tolist(), case39.v.tolist())
+    for k, (bus, xd, pg, v) in enumerate(gens):
+        theta = op.angles[case39.bus_pos[bus]]
         assert delta[k] >= theta - 1e-12  # positive dispatch advances the rotor
-        assert delta[k] == theta + g.xd_prime * (g.pg / case39.base_mva) / g.v
+        assert delta[k] == theta + xd * (pg / case39.base_mva) / v
 
 
 def test_slow_modes_are_eigenpairs(pipe39):
@@ -302,3 +312,72 @@ def test_build_model_case39(case39):
     assert model.U.shape == (10, 3)
     assert model.L.shape == (10, 3)
     assert abs(model.sigma_r[0]) < 1e-8  # drift mode present
+
+
+def assert_prelude_is_bitwise_the_dict_reference(net):
+    """DC pivots, angles, flows and injections, B_red's off-diagonal and
+    K bitwise the dict-of-dicts eliminations'; B_red's diagonal, the
+    negated off-diagonal row sum, to rounding."""
+    op, B = dc_power_flow(net), kron_reduce(net)
+    ref_op, ref_pivots = dc_power_flow_reference(net)
+    pivots = _star_mesh(net, [net.bus_pos[net.slack_bus]])[0]
+    assert [(k, Y, list(star.items())) for k, Y, star in pivots] == [
+        (k, Y, list(star.items())) for k, Y, star in ref_pivots]
+    for name in ("angles", "flows", "injections"):
+        assert getattr(op, name).tobytes() == getattr(ref_op, name).tobytes(), name
+    R = kron_reduce_reference(net)
+    off = ~np.eye(net.n, dtype=bool)
+    assert B[off].tobytes() == R[off].tobytes()
+    np.testing.assert_allclose(np.diag(B), np.diag(R), rtol=1e-12, atol=0.0)
+    assert build_K(net, op, B).tobytes() == build_K(net, ref_op, R).tobytes()
+
+
+@pytest.mark.parametrize("name", ["case39", "case118", "meshed-120 1",
+                                  "meshed-120 2", "tied x2", "tied x4",
+                                  "tied x24"])
+def test_prelude_is_bitwise_the_dict_reference_on_cases(name, monkeypatch):
+    if name.startswith("meshed-120"):
+        monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+        import inputs
+
+        net = parse_case(json.dumps(inputs.meshed_case(int(name.split()[1]))))
+    else:
+        net = named_network(name, monkeypatch)
+    assert_prelude_is_bitwise_the_dict_reference(net)
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_prelude_is_bitwise_the_dict_reference_with_parallel_lines(seed):
+    # parallel twins of random lines, and lines (some doubled) between two
+    # generator buses, whose weights the reduction never reads
+    rng = np.random.default_rng(seed)
+    n_gens = int(rng.integers(1, 7))
+    doc = random_case_doc(rng, m=int(rng.integers(n_gens + 1, 20)),
+                          extra_edges=int(rng.integers(0, 8)), n_gens=n_gens)
+    lines = doc["branches"]
+    for _ in range(int(rng.integers(0, 5))):
+        twin = dict(lines[int(rng.integers(len(lines)))])
+        twin["x_pu"] = float(rng.uniform(0.01, 0.2))
+        lines.insert(int(rng.integers(len(lines) + 1)), twin)
+    gen_buses = [g["bus"] for g in doc["gens"]]
+    for _ in range(int(rng.integers(0, 4)) if n_gens > 1 else 0):
+        a, b = rng.choice(gen_buses, size=2, replace=False).tolist()
+        for _ in range(int(rng.integers(1, 3))):
+            lines.append({"from": a, "to": b,
+                          "x_pu": float(rng.uniform(0.01, 0.2))})
+    assert_prelude_is_bitwise_the_dict_reference(parse_case(json.dumps(doc)))
+
+
+def test_kron_peak_memory_at_ten_thousand_buses(monkeypatch):
+    # traced: B_red, n^2 floats, plus the rows of the eliminated buses and
+    # the kept-pair updates, which stay well below n^2 at this size
+    net = tied_network(monkeypatch, 84)
+    assert net.n == 1596
+    tracemalloc.start()
+    try:
+        kron_reduce(net)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * 8 * net.n ** 2

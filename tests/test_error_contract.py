@@ -6,7 +6,8 @@ splices bytes that are not UTF-8 into the files, draws invalid
 ``--method`` and ``--format`` choices, and drops the required ``--case``.
 A report is valid JSON, with no NaN or Infinity, and leaves stderr empty.
 Fixed inputs cover an epsilon below the floor, results too large for
-double precision and JSON nested too deeply to parse.
+double precision, JSON nested too deeply to parse and a bus number that
+does not fit in int64.
 """
 
 import io
@@ -157,16 +158,22 @@ def cli_process(argv, timeout=60):
 
 def write_inputs(tmp_path) -> dict:
     """Fixed bad inputs: a 1e308 MW load, a 1e308 p.u. machine voltage,
-    200,000-deep JSON and a MATPOWER case to pair with it as the
-    dynamics document."""
+    bus 1 renumbered 2**70, 200,000-deep JSON and a MATPOWER case to pair
+    with it as the dynamics document."""
     with open(CASE39) as fh:
         text = fh.read()
-    big_load, big_voltage = json.loads(text), json.loads(text)
+    big_load, big_voltage, big_id = (json.loads(text) for _ in range(3))
     big_load["buses"][3]["pd_mw"] = 1e308
     big_voltage["gens"][0]["vm_pu"] = 1e308
+    for row, key in ([(b, "id") for b in big_id["buses"]]
+                     + [(br, end) for br in big_id["branches"]
+                        for end in ("from", "to")]):
+        if row[key] == 1:
+            row[key] = 2**70
     files = {
         "big-load": json.dumps(big_load),
         "big-voltage": json.dumps(big_voltage),
+        "big-id": json.dumps(big_id),
         "deep": '{"a":' + "[" * 200_000 + "]" * 200_000 + "}",
         "matpower": "mpc.bus = [\n1 3 0\n2 1 50\n];\nmpc.gen = [\n1 50\n];\n"
                     "mpc.branch = [\n1 2 0 0.1\n];\n",
@@ -197,6 +204,9 @@ def write_inputs(tmp_path) -> dict:
     # K overflows to inf, on which the eigensolver fails
     (["run", "--case", "big-voltage", "--r", "2"], "ModelError"),
     (["refsel", "--case", "big-voltage"], "ModelError"),
+    # a bus number must fit in int64
+    (["run", "--case", "big-id"], "CaseError"),
+    (["refsel", "--case", "big-id"], "CaseError"),
 ])
 def test_fixed_bad_inputs_end_in_one_json_error(tmp_path, argv, error):
     paths = write_inputs(tmp_path)

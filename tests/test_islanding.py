@@ -26,7 +26,7 @@ from gridisland.metrics import (
 )
 from gridisland.netcase import incidence_matrix, parse_case, serialize_case
 
-from casekit import DATA, pipeline, random_case_doc, random_network
+from casekit import DATA, line_ends, pipeline, random_case_doc, random_network
 from matroid_oracle import (
     check_greedy_bound,
     connected_partitions,
@@ -40,7 +40,7 @@ def assert_structural(net, sol, r):
     assert len(sol.kept) == net.m - r
     assert len(sol.islands) == r
     covered = sorted(b for isl in sol.islands for b in isl)
-    assert covered == sorted(b.id for b in net.buses)
+    assert covered == sorted(net.bus_ids.tolist())
     # one reference generator per island
     gens_by_island = [set(g) for g in sol.generator_groups]
     for k in range(r):
@@ -49,12 +49,13 @@ def assert_structural(net, sol, r):
         assert len(refs_here) >= 1
     # kept edges never cross island boundaries
     island_of = {b: k for k, isl in enumerate(sol.islands) for b in isl}
+    ends = line_ends(net)
     for e in sol.kept:
-        br = net.branches[e]
-        assert island_of[br.i] == island_of[br.j]
+        i, j = ends[e]
+        assert island_of[i] == island_of[j]
     # reported cutset = exactly the crossing edges
     crossing = sorted(
-        br.name for br in net.branches if island_of[br.i] != island_of[br.j]
+        f"{i}-{j}" for i, j in ends if island_of[i] != island_of[j]
     )
     assert sorted(sol.cutset) == crossing
 
@@ -277,7 +278,7 @@ def test_enumerate_bases_matches_rank_oracle(seed):
     net = random_network(rng, m=5, extra_edges=int(rng.integers(0, 3)),
                          n_gens=2)
     op, model, ctx = pipeline(net, r=2, refs=(0, 1))
-    refs = tuple(g.bus for g in net.gens)
+    refs = tuple(net.gen_bus.tolist())
     got = set(enumerate_bases(ctx))
     size = net.m - len(refs)
     expect = {

@@ -16,7 +16,7 @@ from gridisland.metrics import (
 )
 from gridisland.netcase import component_labels, incidence_matrix
 
-from casekit import pipeline, random_network
+from casekit import line_ends, pipeline, random_network
 from constrained_oracle import F, H_i_constrained, box_limits, h_i
 from dense_oracle import dense_J, orthonormal_span, subspace_distance_sq
 from matroid_oracle import (
@@ -396,12 +396,12 @@ def test_constrained_imbalance_zero_when_island_balanced(case39):
     # a single island holding the whole balanced system sheds nothing
     op, model, ctx = pipeline(case39, r=1, xi=0.0)
     P_edges = []
-    seen = {case39.buses[0].id}
+    seen = {int(case39.bus_ids[0])}
     while len(seen) < case39.m:
-        for k, br in enumerate(case39.branches):
-            if k not in P_edges and ((br.i in seen) != (br.j in seen)):
+        for k, (i, j) in enumerate(line_ends(case39)):
+            if k not in P_edges and ((i in seen) != (j in seen)):
                 P_edges.append(k)
-                seen.update((br.i, br.j))
+                seen.update((i, j))
     assert F(ctx, P_edges) == pytest.approx(0.0, abs=1e-6)
 
 

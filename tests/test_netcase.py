@@ -1,10 +1,13 @@
+import gc
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gridisland import netcase
 from gridisland.netcase import (
     CaseError,
     dc_power_flow,
@@ -13,7 +16,15 @@ from gridisland.netcase import (
     serialize_case,
 )
 
-from casekit import DATA, load_case, random_case_doc, random_network
+from casekit import (
+    DATA,
+    ROOT,
+    line_ends,
+    load_case,
+    random_case_doc,
+    random_network,
+)
+from prelude_reference import assert_same_network, from_native_reference
 
 TINY = {
     "base_mva": 100.0,
@@ -39,8 +50,8 @@ TINY = {
 def test_parse_native_counts():
     net = parse_case(json.dumps(TINY))
     assert (net.m, net.l, net.n) == (3, 3, 1)
-    assert net.buses[1].d0 == 60.0
-    assert net.gens[0].inertia == 10.0
+    assert net.d0[1] == 60.0
+    assert net.inertia[0] == 10.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -253,9 +264,11 @@ MPC_STATIC = MPC.replace(GEN, GEN + " 2 60 0 300 -300 1.0 100 1 80 0;\n")
 
 def test_matpower_unit_without_dynamics_is_a_fixed_injection():
     plain, net = parse_case(MPC, DYN), parse_case(MPC_STATIC, DYN)
-    assert net.gens == plain.gens   # the generator at bus 1, and no other
+    # the generator at bus 1, and no other
+    for name in ("gen_bus", "pg", "pg_max", "inertia", "xd_prime", "v"):
+        assert np.array_equal(getattr(net, name), getattr(plain, name))
     # its Pg adds to the bus's generation and to its maximum
-    assert [(b.g0, b.g_max) for b in net.buses] == [
+    assert list(zip(net.g0.tolist(), net.g_max.tolist())) == [
         (100.0, 150.0), (60.0, 60.0), (0.0, 0.0)]
     assert dc_power_flow(plain).injections.tolist() == [-100.0, 60.0, 40.0]
     assert dc_power_flow(net).injections.tolist() == [-40.0, 0.0, 40.0]
@@ -286,9 +299,7 @@ def test_matpower_requires_dynamics():
 
 def test_canonical_edge_order():
     net = parse_case(json.dumps(TINY))
-    names = [br.name for br in net.branches]
-    assert names == ["1-2", "1-3", "2-3"]
-    assert [br.index for br in net.branches] == [0, 1, 2]
+    assert line_ends(net) == [(1, 2), (1, 3), (2, 3)]
 
 
 def test_incidence_signs():
@@ -315,15 +326,15 @@ def test_layout_and_flows_are_the_per_line_loops(name):
     net = load_case(name)
     pos = net.bus_pos
     ei, ej = net.ends
-    assert ei.tolist() == [pos[br.i] for br in net.branches]
-    assert ej.tolist() == [pos[br.j] for br in net.branches]
-    assert net.gen_pos.tolist() == [pos[g.bus] for g in net.gens]
+    assert ei.tolist() == [pos[i] for i, _ in line_ends(net)]
+    assert ej.tolist() == [pos[j] for _, j in line_ends(net)]
+    assert net.gen_pos.tolist() == [pos[b] for b in net.gen_bus.tolist()]
     assert not (ei.flags.writeable or ej.flags.writeable
                 or net.gen_pos.flags.writeable)
     theta = dc_power_flow(net).angles.tolist()
     assert dc_power_flow(net).flows.tolist() == [
-        (theta[pos[br.i]] - theta[pos[br.j]]) / br.x * net.base_mva
-        for br in net.branches]
+        (theta[pos[i]] - theta[pos[j]]) / x * net.base_mva
+        for (i, j), x in zip(line_ends(net), net.x.tolist())]
 
 
 def test_dc_flow_tiny():
@@ -350,9 +361,276 @@ def test_dc_flow_conservation_random(seed):
 
 def test_case39_totals(case39):
     assert (case39.m, case39.l, case39.n) == (39, 46, 10)
-    assert case39.d0_vector().sum() == pytest.approx(6254.23, abs=0.5)
+    assert case39.d0.sum() == pytest.approx(6254.23, abs=0.5)
 
 
 def test_case118_totals(case118):
     assert (case118.m, case118.l) == (118, 186)
-    assert case118.d0_vector().sum() == pytest.approx(4242.0, abs=0.5)
+    assert case118.d0.sum() == pytest.approx(4242.0, abs=0.5)
+
+
+def test_bus_number_beyond_int64_is_named():
+    doc = json.loads(json.dumps(TINY))
+    doc["buses"].append({"id": 2**70, "pd_mw": 0.0})
+    doc["branches"].append({"from": 3, "to": 2**70, "x_pu": 0.1})
+    with pytest.raises(CaseError, match=f"bus number {2**70} does not fit in int64"):
+        parse_case(json.dumps(doc))
+    doc["branches"][-1]["to"] = doc["buses"][-1]["id"] = 2**63 - 1
+    assert parse_case(json.dumps(doc)).bus_ids[-1] == 2**63 - 1
+
+
+def test_network_columns_are_read_only_and_equality_is_a_bool():
+    net, other = parse_case(json.dumps(TINY)), parse_case(json.dumps(TINY))
+    assert (net == other) is True and (net != other) is False
+    doc = json.loads(json.dumps(TINY))
+    doc["branches"][0]["x_pu"] = 0.3
+    assert (net == parse_case(json.dumps(doc))) is False
+    with pytest.raises(TypeError):
+        hash(net)
+    with pytest.raises(ValueError):
+        net.x[0] = 1.0
+
+
+# Faults injected into random native documents.  Each takes the document
+# and a random generator and edits the document in place.
+BAD_IDS = [True, False, "3", 1.5, float("inf"), float("nan"), None, -1, 0,
+           2.0, 10**6]
+BAD_FLOATS = [float("nan"), float("inf"), float("-inf"), -1.0, 0.0, "5", None,
+              True, "x", [], 10**400]
+
+
+def _row(doc, table, rng):
+    """A random row of the table; a throwaway dict if an earlier fault
+    left no row to edit."""
+    rows = doc.get(table)
+    row = rows[int(rng.integers(len(rows)))] if isinstance(rows, list) and rows else {}
+    return row if isinstance(row, dict) else {}
+
+
+def _pick(rng, values):
+    return values[int(rng.integers(len(values)))]
+
+
+def _id_fault(doc, rng):
+    where = int(rng.integers(5))
+    value = _pick(rng, BAD_IDS)
+    if where == 0:
+        doc["slack_bus"] = value
+    else:
+        table, key = [("buses", "id"), ("gens", "bus"), ("branches", "from"),
+                      ("branches", "to")][where - 1]
+        _row(doc, table, rng)[key] = value
+
+
+def _scalar_fault(doc, rng):
+    doc[_pick(rng, ["base_mva", "base_freq_hz"])] = _pick(rng, BAD_FLOATS)
+
+
+def _load_fault(doc, rng):
+    _row(doc, "buses", rng)[_pick(rng, ["pd_mw", "pd_max_mw"])] = _pick(
+        rng, BAD_FLOATS)
+
+
+def _gen_fault(doc, rng):
+    key = _pick(rng, ["pg_mw", "pg_max_mw", "inertia_s", "xd_prime_pu", "vm_pu"])
+    _row(doc, "gens", rng)[key] = _pick(rng, BAD_FLOATS)
+
+
+def _line_fault(doc, rng):
+    row = _row(doc, "branches", rng)
+    kind = int(rng.integers(3))
+    if kind == 0:
+        row["x_pu"] = _pick(rng, BAD_FLOATS)
+    elif kind == 1 and row:
+        row["to"] = row["from"]   # a self-loop
+    else:
+        row[_pick(rng, ["from", "to"])] = 1000
+
+
+def _duplicate_fault(doc, rng):
+    # a twin of a bus; the twin, the original or neither has a bad load
+    twin = dict(_row(doc, "buses", rng))
+    if not isinstance(doc.get("buses"), list):
+        return
+    doc["buses"].insert(int(rng.integers(len(doc["buses"]) + 1)), twin)
+    bad = int(rng.integers(3))
+    if bad < 2:
+        target = twin if bad == 0 else next(
+            b for b in doc["buses"] if b is not twin and b.get("id") == twin.get("id"))
+        target["pd_mw"] = _pick(rng, [float("nan"), -1.0, "x"])
+
+
+def _missing_fault(doc, rng):
+    table = _pick(rng, ["buses", "gens", "branches", None])
+    row = doc if table is None else _row(doc, table, rng)
+    if row:
+        del row[_pick(rng, sorted(row))]
+
+
+def _shape_fault(doc, rng):
+    table = _pick(rng, ["buses", "gens", "branches"])
+    if int(rng.integers(2)) and isinstance(doc.get(table), list) and doc[table]:
+        doc[table][int(rng.integers(len(doc[table])))] = _pick(
+            rng, [5, "x", [], None])
+    else:
+        doc[table] = _pick(rng, [5, {}, "ab", None, []])
+
+
+def _unknown_gen_fault(doc, rng):
+    _row(doc, "gens", rng)["bus"] = 1000
+
+
+def _unknown_slack_fault(doc, rng):
+    doc["slack_bus"] = 1000
+
+
+def _disconnect_fault(doc, rng):
+    # two buses, with a line between them, joined to nothing else
+    for table in ("buses", "branches"):
+        if not isinstance(doc.get(table), list):
+            doc[table] = []
+    doc["buses"] += [{"id": 1001, "pd_mw": 1.0}, {"id": 1002, "pd_mw": 1.0}]
+    doc["branches"].append({"from": 1001, "to": 1002, "x_pu": 0.1})
+
+
+def _negative_generation_fault(doc, rng):
+    _row(doc, "gens", rng)["pg_mw"] = -1e4
+
+
+def _order_fault(doc, rng):
+    # two fields that fail to convert, the later field in the earlier row:
+    # only a conversion in document order reports the right one
+    table, keys = _pick(rng, [
+        ("gens", ["bus", "pg_mw", "pg_max_mw", "inertia_s", "xd_prime_pu",
+                  "vm_pu"]),
+        ("branches", ["from", "to", "x_pu"]),
+        ("buses", ["id", "pd_mw", "pd_max_mw"])])
+    rows = doc.get(table)
+    rows = [row for row in rows if isinstance(row, dict)] if isinstance(rows, list) else []
+    if len(rows) < 2:
+        return
+    r1, r2 = sorted(rng.choice(len(rows), size=2, replace=False).tolist())
+    k1, k2 = sorted(rng.choice(len(keys), size=2, replace=False).tolist())
+    rows[r1][keys[k2]] = f"bad {r1} {keys[k2]}"
+    if rng.random() < 0.5:
+        rows[r2][keys[k1]] = f"bad {r2} {keys[k1]}"
+    else:
+        del rows[r2][keys[k1]]
+
+
+def _shared_bus_fault(doc, rng):
+    # more units at one generator's bus: its g0 sums them in file order
+    unit = _row(doc, "gens", rng)
+    if "bus" in unit and isinstance(doc.get("gens"), list):
+        for _ in range(int(rng.integers(1, 4))):
+            doc["gens"].insert(int(rng.integers(len(doc["gens"]) + 1)),
+                               {**unit, "pg_mw": float(rng.uniform(0, 1)),
+                                "pg_max_mw": float(rng.uniform(1, 2))})
+
+
+FAULTS = [_order_fault, _shared_bus_fault, _id_fault, _scalar_fault, _load_fault, _gen_fault, _line_fault,
+          _duplicate_fault, _missing_fault, _shape_fault, _unknown_gen_fault,
+          _unknown_slack_fault, _disconnect_fault, _negative_generation_fault]
+
+
+def _layout(doc, rng):
+    """The same network with rows shuffled, lines reversed and parallel
+    twins added, so the parse has orders and ties to get right."""
+    for table in ("buses", "branches"):
+        doc[table] = [doc[table][k] for k in rng.permutation(len(doc[table]))]
+    for br in doc["branches"]:
+        if rng.random() < 0.5:
+            br["from"], br["to"] = br["to"], br["from"]
+    for _ in range(int(rng.integers(0, 3))):
+        twin = dict(_row(doc, "branches", rng))
+        twin["x_pu"] = float(rng.uniform(0.01, 0.2))
+        doc["branches"].insert(int(rng.integers(len(doc["branches"]) + 1)), twin)
+
+
+def _outcome(parse, *args):
+    """('ok', network) or (exception class, message)."""
+    try:
+        return "ok", parse(*args)
+    except Exception as exc:   # any class, so that both must agree on it
+        return type(exc), str(exc)
+
+
+def _assert_same_outcome(got, want):
+    if want[0] == "ok":
+        assert got[0] == "ok", got
+        assert_same_network(got[1], want[1])
+    else:
+        assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.sampled_from(FAULTS), max_size=2))
+def test_parse_matches_the_record_reference(seed, faults):
+    rng = np.random.default_rng(seed)
+    n_gens = int(rng.integers(1, 5))
+    doc = random_case_doc(rng, m=int(rng.integers(n_gens + 1, 12)),
+                          extra_edges=int(rng.integers(0, 4)), n_gens=n_gens)
+    _layout(doc, rng)
+    for fault in faults:
+        fault(doc, rng)
+    text = json.dumps(doc)
+    _assert_same_outcome(_outcome(parse_case, text),
+                         _outcome(from_native_reference, json.loads(text)))
+
+
+def _matpower(doc, rng):
+    """doc's network as MATPOWER tables and a dynamics document, with
+    out-of-service rows, units without dynamic data and a stray unit."""
+    kind = {g["bus"]: 2 for g in doc["gens"]} | {doc["slack_bus"]: 3}
+    buses = [f"{b['id']} {kind.get(b['id'], 1)} {b['pd_mw']!r}"
+             for b in doc["buses"]]
+    gens, machines = [], {}
+    for g in doc["gens"]:
+        status = int(rng.random() < 0.9)
+        gens.append(f"{g['bus']} {g['pg_mw']!r} 0 0 0 1 100 {status} "
+                    f"{g['pg_max_mw']!r}")
+        if rng.random() < 0.8:
+            machines[str(g["bus"])] = {"inertia_s": g["inertia_s"],
+                                       "xd_prime_pu": g["xd_prime_pu"]}
+    if rng.random() < 0.2:   # a unit at a bus the case does not have
+        gens.append(f"{len(doc['buses']) + 4} 10.0 0 0 0 1 100 1 10.0")
+    if rng.random() < 0.2:
+        buses.append(_pick(rng, buses))   # a duplicate bus row
+    lines = [f"{br['from']} {br['to']} 0 {br['x_pu']!r} 0 0 0 0 0 0 "
+             f"{int(rng.random() < 0.95)}" for br in doc["branches"]]
+    case = "".join(f"mpc.{name} = [\n" + "\n".join(rows) + "\n];\n"
+                   for name, rows in (("bus", buses), ("gen", gens),
+                                      ("branch", lines)))
+    return case, json.dumps({"machines": machines})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_matpower_import_matches_the_record_reference(seed):
+    rng = np.random.default_rng(seed)
+    n_gens = int(rng.integers(1, 5))
+    doc = random_case_doc(rng, m=int(rng.integers(n_gens + 1, 12)),
+                          extra_edges=int(rng.integers(0, 4)), n_gens=n_gens)
+    _layout(doc, rng)
+    case, dyn = _matpower(doc, rng)
+    got = _outcome(parse_case, case, dyn)
+    with mock.patch.object(netcase, "_from_native", from_native_reference):
+        want = _outcome(parse_case, case, dyn)
+    _assert_same_outcome(got, want)
+
+
+def test_parsed_network_holds_no_per_element_objects(monkeypatch):
+    # one object per bus, line and generator would be 7,824 here
+    bench = os.path.join(ROOT, "perfbench")
+    monkeypatch.syspath_prepend(bench)
+    import inputs
+
+    monkeypatch.setattr(inputs, "TIED_COPIES", 24)
+    text = inputs.tied_case(inputs.load_case118(ROOT), 1)
+    gc.collect()
+    before = len(gc.get_objects())
+    net = parse_case(text)
+    gc.collect()
+    assert net.m == 2832
+    assert len(gc.get_objects()) - before < 100
