@@ -93,7 +93,7 @@ def generator_bipartition(W: np.ndarray, nodes=None) -> tuple[list[int], list[in
     return t1, t2, float(W[np.ix_(mask, ~mask)].sum())
 
 
-def _max_flow(res: dict, src, snk) -> tuple[float, set]:
+def _max_flow(res: dict, src, snk) -> float:
     """Maximum src-snk flow by shortest augmenting paths (Edmonds-Karp).
 
     res maps each node to {neighbour: residual capacity} and holds the
@@ -101,8 +101,7 @@ def _max_flow(res: dict, src, snk) -> tuple[float, set]:
     pushes the bottleneck residual, which leaves that arc at exactly zero,
     so, as in exact arithmetic, the shortest-path distances never shrink
     and the search ends after O(VE) augmentations.  Returns the flow
-    value and the nodes the last, failing search reached: the source side
-    of the minimal minimum cut.
+    value.
     """
     value = 0.0
     while True:
@@ -115,7 +114,7 @@ def _max_flow(res: dict, src, snk) -> tuple[float, set]:
                     parent[v] = u
                     queue.append(v)
         if snk not in parent:
-            return value, set(parent)
+            return value
         path = []
         v = snk
         while v != src:
@@ -140,11 +139,14 @@ def constrained_mincut(
     T1's buses contract into the source, T2's into the sink; capacities
     are the absolute DC line flows.  The source side starts as the minimal
     minimum cut: T1 plus the buses the residual network of a maximum flow
-    still reaches from the source.  Every piece of the rest that holds no
-    T2 bus then joins it, so each connected piece of either side holds a
-    terminal.  Returns the two sets of bus positions and the cut edges
-    (canonical indices).  `edges` restricts to a subsystem: T1, T2 and the
-    ends of those lines.
+    still reaches from the source.  Ties between minimum cuts go by one
+    rule, not by rounding: a residual at or below 1e-9 * max(1, cut value)
+    counts as saturated, the tolerance the flow check below also uses.
+    Every piece of the rest that holds no T2 bus then joins the source
+    side, so each connected piece of either side holds a terminal.
+    Returns the two sets of bus positions and the cut edges (canonical
+    indices).  `edges` restricts to a subsystem: T1, T2 and the ends of
+    those lines.
     """
     T1, T2 = set(T1), set(T2)
     if not T1 or not T2:
@@ -166,7 +168,14 @@ def constrained_mincut(
         ra, rb = res.setdefault(a, {}), res.setdefault(b, {})
         ra[b] = ra.get(b, 0.0) + cap
         rb[a] = rb.get(a, 0.0) + cap
-    cut_value, side = _max_flow(res, src, snk)
+    cut_value = _max_flow(res, src, snk)
+    tol = 1e-9 * max(1.0, cut_value)
+    side, stack = {src}, [src]
+    while stack:
+        for v, c in res[stack.pop()].items():
+            if c > tol and v not in side:
+                side.add(v)
+                stack.append(v)
     # sink-side pieces without a T2 bus join the source side; the cut
     # stays minimum, as their lines to that side carry no flow
     S2, stack = {snk}, [snk]
@@ -179,7 +188,7 @@ def constrained_mincut(
     S1 = (set(res) - {src, snk} - S2) | T1
     cut_edges = [k for k, i, j in ends if (i in S1) != (j in S1)]
     achieved = sum(abs(float(op.flows[k])) for k in cut_edges)
-    if abs(achieved - cut_value) > 1e-9 * max(1.0, cut_value):
+    if abs(achieved - cut_value) > tol:
         raise BaselineError(
             f"max-flow value {cut_value:.12g} disagrees with the returned "
             f"cut {achieved:.12g}")

@@ -107,17 +107,27 @@ def _finite(*values: float) -> bool:
     return all(math.isfinite(v) for v in values)
 
 
-def _first(mask: np.ndarray) -> int | None:
-    """Index of the first True in mask, or None."""
-    k = int(np.argmax(mask)) if len(mask) else 0
-    return k if len(mask) and mask[k] else None
+def _raise_first(rows, name) -> None:
+    """The one first-fault rule for a record kind.
+
+    rows is an ordered list of (mask, message) over the kind's elements;
+    raise CaseError with the message of the first element that fails any
+    row, taking that element's first failing row, its "{}" filled by
+    name(k).  The order of the rows is the precedence of the checks.
+    """
+    failing = np.logical_or.reduce([mask for mask, _ in rows])
+    if failing.any():
+        k = int(failing.argmax())
+        text = next(text for mask, text in rows if mask[k])
+        raise CaseError(text.format(name(k)))
 
 
 def _validate(net: PowerNetwork, line_known: np.ndarray) -> PowerNetwork:
     """Each check in order: the scalars, then per bus, per line and per
-    generator the first element that fails any of its checks (checked in
-    the order written), then the slack and connectivity.  line_known marks
-    the lines whose two ends are known buses."""
+    generator the first element that fails any of its checks, then the
+    slack and connectivity.  The order of the checks is stated once, by
+    the rows handed to `_raise_first`.  line_known marks the lines whose
+    two ends are known buses."""
     if not (_finite(net.base_mva, net.base_freq)
             and net.base_mva > 0 and net.base_freq > 0):
         raise CaseError("base MVA and base frequency must be finite and positive")
@@ -125,42 +135,27 @@ def _validate(net: PowerNetwork, line_known: np.ndarray) -> PowerNetwork:
     duplicate = np.zeros(net.m, dtype=bool)
     duplicate[1:] = ids[1:] == ids[:-1]
     loads = (net.d0, net.d_max, net.g0, net.g_max)
-    nonfinite = ~np.logical_and.reduce([np.isfinite(c) for c in loads])
-    negative = np.logical_or.reduce([c < 0 for c in loads])
-    k = _first(duplicate | nonfinite | negative)
-    if k is not None:
-        bus = int(ids[k])
-        if duplicate[k]:
-            raise CaseError(f"duplicate bus id {bus}")
-        if nonfinite[k]:
-            raise CaseError(f"non-finite load/generation at bus {bus}")
-        raise CaseError(f"negative load/generation limit at bus {bus}")
-    nonfinite = ~np.isfinite(net.x)
-    nonpositive = net.x <= 0
-    loop = net.line_i == net.line_j
-    k = _first(~line_known | nonfinite | nonpositive | loop)
-    if k is not None:
-        name = f"{int(net.line_i[k])}-{int(net.line_j[k])}"
-        if not line_known[k]:
-            raise CaseError(f"branch {name} references unknown bus")
-        if nonfinite[k]:
-            raise CaseError(f"branch {name} has non-finite reactance")
-        if nonpositive[k]:
-            raise CaseError(f"branch {name} has nonpositive reactance")
-        raise CaseError(f"branch {name} is a self-loop")
+    _raise_first([
+        (duplicate, "duplicate bus id {}"),
+        (~np.logical_and.reduce([np.isfinite(c) for c in loads]),
+         "non-finite load/generation at bus {}"),
+        (np.logical_or.reduce([c < 0 for c in loads]),
+         "negative load/generation limit at bus {}"),
+    ], lambda k: int(ids[k]))
+    _raise_first([
+        (~line_known, "branch {} references unknown bus"),
+        (~np.isfinite(net.x), "branch {} has non-finite reactance"),
+        (net.x <= 0, "branch {} has nonpositive reactance"),
+        (net.line_i == net.line_j, "branch {} is a self-loop"),
+    ], lambda k: f"{int(net.line_i[k])}-{int(net.line_j[k])}")
     machines = (net.pg, net.pg_max, net.inertia, net.xd_prime, net.v)
-    nonfinite = ~np.logical_and.reduce([np.isfinite(c) for c in machines])
-    bad_xd = net.xd_prime <= 0
-    bad_hv = (net.inertia <= 0) | (net.v <= 0)
-    k = _first(nonfinite | bad_xd | bad_hv)
-    if k is not None:
-        bus = int(net.gen_bus[k])
-        if nonfinite[k]:
-            raise CaseError(f"generator at bus {bus} has a non-finite field")
-        if bad_xd[k]:
-            raise CaseError(f"generator at bus {bus} has nonpositive xd'")
-        raise CaseError(
-            f"generator at bus {bus} has nonpositive inertia or voltage")
+    _raise_first([
+        (~np.logical_and.reduce([np.isfinite(c) for c in machines]),
+         "generator at bus {} has a non-finite field"),
+        (net.xd_prime <= 0, "generator at bus {} has nonpositive xd'"),
+        ((net.inertia <= 0) | (net.v <= 0),
+         "generator at bus {} has nonpositive inertia or voltage"),
+    ], lambda k: int(net.gen_bus[k]))
     if net.slack_bus not in net.bus_pos:
         raise CaseError(f"slack bus {net.slack_bus} is not a known bus")
     # the slack bus exists, so m >= 1 and a connected graph labels all 0

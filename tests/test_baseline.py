@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gridisland.baseline import (
     BaselineError,
@@ -401,8 +401,7 @@ def test_mincut_flow_mismatch_is_a_typed_error(monkeypatch):
     real = baseline._max_flow
 
     def off_by_one(res, src, snk):
-        value, side = real(res, src, snk)
-        return value + 1.0, side
+        return real(res, src, snk) + 1.0
 
     monkeypatch.setattr(baseline, "_max_flow", off_by_one)
     net = line_net([1, 2, 3, 4], [1, 4])
@@ -439,6 +438,8 @@ def test_mincut_equal_capacities_minimizes_edge_count(seed):
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 10**6))
+# two 91.5 MW cuts tie; rounding leaves a 1.4e-14 residual on one of them
+@example(404059)
 def test_mincut_is_the_minimal_exhaustive_minimum(seed):
     # |DC flow| capacities; T1/T2 hold the buses of a random split of the
     # generators.  Load-free pendant buses on lines of power-of-two
