@@ -195,7 +195,7 @@ def constrained_mincut(
     return S1, S2, sorted(cut_edges)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoStepPartition:
     """The xi-independent result of the two-step baseline.
 

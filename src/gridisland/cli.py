@@ -32,7 +32,7 @@ from .coherency import (
     slow_modes,
 )
 from .islanding import MIN_EPSILON, IslandingError, solve
-from .metrics import MetricError, build_context
+from .metrics import MetricError, build_context, check_trade_off
 from .netcase import CaseError, dc_power_flow, parse_case
 from .refsel import (
     SelectionError,
@@ -151,8 +151,8 @@ def run(args: argparse.Namespace) -> dict:
         raise IslandingError("island count r must be at least 1")
     if not xis:
         raise MetricError("no trade-off weight given")
-    if not all(0 <= x < float("inf") for x in xis):
-        raise MetricError("trade-off weight must be finite and nonnegative")
+    for xi in xis:
+        check_trade_off(xi)
     if not MIN_EPSILON <= epsilon < 1:
         raise IslandingError(f"epsilon must lie in [{MIN_EPSILON:g}, 1)")
     if args.fmt == "table" and args.method != "both" and len(xis) < 2:

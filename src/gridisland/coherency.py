@@ -18,7 +18,7 @@ class ModelError(Exception):
     """Degenerate dynamic model (singular reduction or reference rows)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoherencyModel:
     """Linearised swing model; the baseline's weights are read from |K|."""
 

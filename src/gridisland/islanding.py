@@ -42,7 +42,7 @@ class IslandingError(Exception):
 MIN_EPSILON = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IslandingSolution:
     """One method's partition, under the names its report uses."""
 

@@ -32,6 +32,7 @@ trade-off weights xi of order 1e-7..1e-5 balance the two objectives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,7 +46,7 @@ class MetricError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricContext:
     net: PowerNetwork
     b0: np.ndarray         # MW net load vector d0 - g0 (balanced)
@@ -70,14 +71,19 @@ class MetricContext:
         return T
 
 
+def check_trade_off(xi: float) -> None:
+    """The one rule for a trade-off weight: finite and nonnegative."""
+    if not 0 <= xi < math.inf:
+        raise MetricError("trade-off weight must be finite and nonnegative")
+
+
 def build_context(
     net: PowerNetwork,
     op: OperatingPoint,
     model: CoherencyModel,
     xi: float,
 ) -> MetricContext:
-    if xi < 0:
-        raise MetricError("trade-off weight must be nonnegative")
+    check_trade_off(xi)
     refs = tuple(model.refs)
     if len(set(refs)) != len(refs):
         raise MetricError("reference generators must be distinct")

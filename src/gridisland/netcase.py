@@ -18,11 +18,14 @@ path, ``_from_native``.
 
 PowerNetwork holds the network as read-only numpy columns: per bus in
 id order, per line in canonical order (by smaller end id, then larger end
-id, then file order) and per generator in file order.  It also owns the
-graph layout every stage reads: bus positions (``bus_pos``), the
-positions of each line's two ends (``ends``) and of each generator
-(``gen_pos``).  ``component_labels`` labels the components of any line
-set, and ``forest_walk`` roots a forest at given buses.
+id, then file order) and per generator in file order.  A bus id maps to
+its position by a search of the sorted ``bus_ids``.  The network also
+owns the graph layout every stage reads: the bus positions of each
+line's two ends (``ends``) and of each generator (``gen_pos``).
+``component_labels`` labels the components of any line set, and
+``forest_walk`` roots a forest at given buses.  The network compares
+column by column; the records the stages pass on, which hold arrays,
+compare and hash by identity.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ import json
 import math
 import re
 from dataclasses import dataclass, fields
-from functools import cached_property
 from operator import itemgetter
 
 import numpy as np
@@ -84,11 +86,6 @@ class PowerNetwork:
     def n(self) -> int:
         return len(self.gen_bus)
 
-    @cached_property
-    def bus_pos(self) -> dict[int, int]:
-        """Bus id -> bus position."""
-        return dict(zip(self.bus_ids.tolist(), range(self.m)))
-
 
 def _frozen(column: np.ndarray) -> np.ndarray:
     """Read-only: the columns and the layout are shared by every stage."""
@@ -96,7 +93,7 @@ def _frozen(column: np.ndarray) -> np.ndarray:
     return column
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatingPoint:
     angles: np.ndarray       # radians per bus
     flows: np.ndarray        # MW per branch, positive from smaller to larger id
@@ -156,8 +153,7 @@ def _validate(net: PowerNetwork, line_known: np.ndarray) -> PowerNetwork:
         ((net.inertia <= 0) | (net.v <= 0),
          "generator at bus {} has nonpositive inertia or voltage"),
     ], lambda k: int(net.gen_bus[k]))
-    if net.slack_bus not in net.bus_pos:
-        raise CaseError(f"slack bus {net.slack_bus} is not a known bus")
+    _slack_pos(net)
     # the slack bus exists, so m >= 1 and a connected graph labels all 0
     if component_labels(net, range(net.l)).any():
         raise CaseError("network graph is not connected")
@@ -266,6 +262,14 @@ def _lookup(bus_ids: np.ndarray, numbers: np.ndarray):
         return pos, np.zeros(len(numbers), dtype=bool)
     np.minimum(pos, len(bus_ids) - 1, out=pos)
     return pos, bus_ids[pos] == numbers
+
+
+def _slack_pos(net: PowerNetwork) -> int:
+    """Bus position of the slack bus; CaseError if it is not a bus."""
+    (pos,), (known,) = _lookup(net.bus_ids, np.array([net.slack_bus]))
+    if not known:
+        raise CaseError(f"slack bus {net.slack_bus} is not a known bus")
+    return int(pos)
 
 
 _GEN_FIELDS = (
@@ -589,7 +593,7 @@ def dc_power_flow(net: PowerNetwork) -> OperatingPoint:
     dispatch is absorbed by the slack bus before solving, so the returned
     injections sum to zero.
     """
-    slack = net.bus_pos[net.slack_bus]
+    slack = _slack_pos(net)
     g0 = net.g0.copy()
     d0 = net.d0
     g0[slack] += d0.sum() - g0.sum()

@@ -47,7 +47,7 @@ def select_references_greedy(U: np.ndarray, r: int) -> ReferenceSelection:
     or whose residual is exactly zero means the basis is rank-deficient.
     """
     n = U.shape[0]
-    if r > n:
+    if not 1 <= r <= n:
         raise SelectionError(f"cannot pick {r} references from {n} generators")
     R = U.astype(float)
     chosen: list[int] = []
@@ -74,7 +74,7 @@ def select_references_pivoting(U: np.ndarray, r: int) -> ReferenceSelection:
     The pivot row of each step names one reference generator.
     """
     n, cols = U.shape
-    if r > min(n, cols):
+    if not 1 <= r <= min(n, cols):
         raise SelectionError(f"cannot pick {r} pivots from a {n}x{cols} basis")
     W = U.astype(float)
     free_rows = list(range(n))

@@ -51,6 +51,11 @@ def named_network(name, monkeypatch):
     return load_case(f"{name}.json")
 
 
+def bus_pos(net):
+    """Bus id -> bus position, as a dict over the sorted bus_ids."""
+    return dict(zip(net.bus_ids.tolist(), range(net.m)))
+
+
 def line_ends(net):
     """(smaller, larger) bus id of every line as ints, canonical order."""
     return list(zip(net.line_i.tolist(), net.line_j.tolist()))

@@ -24,6 +24,8 @@ from gridisland.refsel import (
     log_gramian,
 )
 
+from casekit import bus_pos
+
 RANK_TOL = 1e-10  # relative residual below which a column adds no span
 
 
@@ -72,7 +74,7 @@ def susceptance_laplacian(net) -> np.ndarray:
 
 def dense_dc_angles(net) -> np.ndarray:
     """Bus angles solving B'theta = P with the slack balanced and at zero."""
-    slack = net.bus_pos[net.slack_bus]
+    slack = bus_pos(net)[net.slack_bus]
     g0 = net.g0.copy()
     d0 = net.d0
     g0[slack] += d0.sum() - g0.sum()

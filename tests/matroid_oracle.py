@@ -5,11 +5,11 @@ virtual root.  The helpers here enumerate that matroid's bases, draw
 random ones, and check the paper's guarantees against exhaustive
 computation: the greedy bound with the sparse-eigenvalue estimate of the
 submodularity ratio (Das & Kempe, "Submodular meets Spectral", ICML 2011)
-and the local search's iteration budget.  local_search_reference is the
-local search with one evaluator per kept line, island_labels_reference
-the union-find test of a basis, and connected_partitions lists every
-partition a basis can induce.  They are desk-scale oracles; nothing in
-the library calls them.
+and the local search's iteration budget.  greedy_reference is the greedy
+scored one line at a time, local_search_reference the local search with
+one evaluator per kept line, island_labels_reference the union-find test
+of a basis, and connected_partitions lists every partition a basis can
+induce.  They are desk-scale oracles; nothing in the library calls them.
 """
 
 import itertools
@@ -17,7 +17,7 @@ from math import comb, log
 
 import numpy as np
 
-from gridisland.metrics import J, MetricError, island_labels
+from gridisland.metrics import IncrementalEvaluator, J, MetricError, island_labels
 from gridisland.netcase import component_labels, incidence_matrix
 
 
@@ -184,6 +184,48 @@ def check_greedy_bound(ctx, trace, final_S) -> bool:
     gamma0 = lambda_min_sparse(ctx, min(2 * len(S), ctx.net.l))
     J_prev = trace[-2] if len(trace) >= 2 else trace[-1]
     return J(ctx, S) <= (m - r - gamma0) * J_prev + gamma0 * J_star + 1e-9
+
+
+def greedy_reference(ctx):
+    """islanding.greedy_select one line at a time.
+
+    A union-find over the buses plus a virtual root, tied to every
+    reference bus, says which lines the kept set can still take.  Each
+    round scores every such line alone with gains([e]) and f_gains([e])
+    and keeps the largest J-decrease, then the larger f-decrease, then
+    the lowest index.  Returns the kept lines in the order picked and the
+    J before the first pick and after every pick.
+    """
+    net = ctx.net
+    root = net.m
+    parent = list(range(net.m + 1))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for p in ctx.ref_pos.tolist():
+        parent[find(p)] = root
+    ev = IncrementalEvaluator(ctx)
+    ei, ej = (x.tolist() for x in net.ends)
+    trace = [ev.J()]
+    while True:
+        best = None
+        for e in range(net.l):
+            if find(ei[e]) == find(ej[e]):
+                continue
+            key = (ev.gains([e])[0], ev.f_gains([e])[0])
+            if best is None or key > best[0]:
+                best = (key, e)
+        if best is None:
+            return ev.S, trace
+        e = best[1]
+        a, b = find(ei[e]), find(ej[e])
+        parent[min(a, b)] = max(a, b)   # the root, numbered m, stays a root
+        ev.add(e)
+        trace.append(ev.J())
 
 
 def local_search_iteration_cap(ctx, epsilon: float) -> float:

@@ -20,6 +20,8 @@ import numpy as np
 from gridisland.coherency import ModelError
 from gridisland.netcase import CaseError, OperatingPoint, component_labels
 
+from casekit import bus_pos
+
 
 @dataclass(frozen=True, slots=True)
 class Bus:
@@ -284,7 +286,7 @@ def kron_reduce_reference(net) -> np.ndarray:
 
 def dc_power_flow_reference(net) -> tuple[OperatingPoint, list]:
     """The operating point and the pivots of the dict elimination."""
-    slack = net.bus_pos[net.slack_bus]
+    slack = bus_pos(net)[net.slack_bus]
     g0 = net.g0.copy()
     d0 = net.d0
     g0[slack] += d0.sum() - g0.sum()

@@ -22,6 +22,7 @@ from gridisland.netcase import OperatingPoint, dc_power_flow, parse_case
 
 from casekit import (
     DATA,
+    bus_pos,
     line_ends,
     named_network,
     pipeline,
@@ -368,7 +369,8 @@ def line_net(ids, gen_buses):
 
 def bus_positions(net, *id_sets):
     """Each set of bus ids as the set of their positions."""
-    return [{net.bus_pos[b] for b in ids} for ids in id_sets]
+    pos = bus_pos(net)
+    return [{pos[b] for b in ids} for ids in id_sets]
 
 
 def bus_ids(net, *position_sets):

@@ -20,6 +20,7 @@ from gridisland.netcase import CaseError, _star_mesh, dc_power_flow, parse_case
 
 from casekit import (
     ROOT,
+    bus_pos,
     named_network,
     random_case_doc,
     random_network,
@@ -242,10 +243,11 @@ def test_reduction_and_coupling_invariants(seed):
 def test_internal_angles_advance_across_xd(case39):
     op = dc_power_flow(case39)
     delta = internal_angles(case39, op)
+    pos = bus_pos(case39)
     gens = zip(case39.gen_bus.tolist(), case39.xd_prime.tolist(),
                case39.pg.tolist(), case39.v.tolist())
     for k, (bus, xd, pg, v) in enumerate(gens):
-        theta = op.angles[case39.bus_pos[bus]]
+        theta = op.angles[pos[bus]]
         assert delta[k] >= theta - 1e-12  # positive dispatch advances the rotor
         assert delta[k] == theta + xd * (pg / case39.base_mva) / v
 
@@ -320,7 +322,7 @@ def assert_prelude_is_bitwise_the_dict_reference(net):
     negated off-diagonal row sum, to rounding."""
     op, B = dc_power_flow(net), kron_reduce(net)
     ref_op, ref_pivots = dc_power_flow_reference(net)
-    pivots = _star_mesh(net, [net.bus_pos[net.slack_bus]])[0]
+    pivots = _star_mesh(net, [bus_pos(net)[net.slack_bus]])[0]
     assert [(k, Y, list(star.items())) for k, Y, star in pivots] == [
         (k, Y, list(star.items())) for k, Y, star in ref_pivots]
     for name in ("angles", "flows", "injections"):

@@ -26,11 +26,19 @@ from gridisland.metrics import (
 )
 from gridisland.netcase import incidence_matrix, parse_case, serialize_case
 
-from casekit import DATA, line_ends, pipeline, random_case_doc, random_network
+from casekit import (
+    DATA,
+    bus_pos,
+    line_ends,
+    pipeline,
+    random_case_doc,
+    random_network,
+)
 from matroid_oracle import (
     check_greedy_bound,
     connected_partitions,
     enumerate_bases,
+    greedy_reference,
     local_search_iteration_cap,
     local_search_reference,
 )
@@ -99,6 +107,35 @@ def test_greedy_trace_non_increasing(pipe39, case39):
     for a, b in zip(trace, trace[1:]):
         assert b <= a + 1e-9
     assert ev.J() == pytest.approx(J(ctx, ev.S), abs=1e-6)
+
+
+def tied_case_doc(rng):
+    """A random network built to tie: every line has one reactance, loads
+    take one of three values and the generators are identical, so many
+    rounds hold lines of equal J-decrease, some of them split by f."""
+    n_gens = int(rng.integers(1, 4))
+    doc = random_case_doc(rng, m=int(rng.integers(n_gens + 1, 13)),
+                          extra_edges=int(rng.integers(0, 6)), n_gens=n_gens)
+    for bus in doc["buses"]:
+        bus["pd_mw"] = bus["pd_max_mw"] = float(rng.choice([0.0, 50.0, 100.0]))
+    for line in doc["branches"]:
+        line["x_pu"] = 0.1
+    total = sum(bus["pd_mw"] for bus in doc["buses"])
+    for gen in doc["gens"]:
+        gen.update(pg_mw=total / n_gens, pg_max_mw=total / n_gens,
+                   inertia_s=30.0, xd_prime_pu=0.1)
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 3),
+       st.sampled_from([0.0, 1e-7, 1e-6]))
+def test_greedy_equals_the_per_line_reference_on_ties(seed, r, xi):
+    doc = tied_case_doc(np.random.default_rng(seed))
+    net = parse_case(json.dumps(doc))
+    _, _, ctx = pipeline(net, r=min(r, net.n), xi=xi)
+    ev, trace = greedy_select(ctx)
+    assert (ev.S, trace) == greedy_reference(ctx)
 
 
 def test_local_search_never_worse(pipe39, case39):
@@ -266,7 +303,8 @@ def basis_oracle(net, ref_buses, combo):
     column per reference (its line to the root, with the root row
     dropped): the augmented graph's spanning-tree test over the reals."""
     E = np.zeros((net.m, len(ref_buses)))
-    E[[net.bus_pos[b] for b in ref_buses], range(len(ref_buses))] = 1.0
+    pos = bus_pos(net)
+    E[[pos[b] for b in ref_buses], range(len(ref_buses))] = 1.0
     M = np.hstack([incidence_matrix(net, combo), E])
     return M.shape[1] == net.m == np.linalg.matrix_rank(M)
 

@@ -125,14 +125,15 @@ def test_orthonormal_span_drops_dependent_columns():
     np.testing.assert_allclose(Q.T @ Q, np.eye(2), atol=1e-12)
 
 
-def test_build_context_rejects_negative_weight(case39):
-    from gridisland.netcase import dc_power_flow
-    from gridisland.coherency import build_model
-
-    op = dc_power_flow(case39)
-    model = build_model(case39, op, [0, 4, 8])
-    with pytest.raises(MetricError):
-        build_context(case39, op, model, -1.0)
+@pytest.mark.parametrize("xi", [float("nan"), float("inf"), -1.0, -1e-300])
+def test_build_context_rejects_a_weight_that_is_not_finite_and_nonnegative(
+        pipe39, case39, xi):
+    # the CLI's rule; a NaN or inf weight would reach the greedy and end
+    # in numpy's argmax of an empty sequence
+    op, model, _ = pipe39
+    with pytest.raises(MetricError,
+                       match="^trade-off weight must be finite and nonnegative$"):
+        build_context(case39, op, model, xi)
 
 
 @settings(max_examples=15, deadline=None)

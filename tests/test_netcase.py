@@ -19,6 +19,7 @@ from gridisland.netcase import (
 from casekit import (
     DATA,
     ROOT,
+    bus_pos,
     line_ends,
     load_case,
     random_case_doc,
@@ -324,7 +325,7 @@ def test_layout_and_flows_are_the_per_line_loops(name):
     # the cached layout is read-only, and the flows are bitwise the
     # per-line expression over bus_pos
     net = load_case(name)
-    pos = net.bus_pos
+    pos = bus_pos(net)
     ei, ej = net.ends
     assert ei.tolist() == [pos[i] for i, _ in line_ends(net)]
     assert ej.tolist() == [pos[j] for _, j in line_ends(net)]

@@ -53,12 +53,12 @@ def test_greedy_rejects_rank_deficient():
         select_references_greedy(U, 2)
 
 
-def test_too_many_references():
-    U = np.eye(3)
-    with pytest.raises(SelectionError):
-        select_references_greedy(U, 4)
-    with pytest.raises(SelectionError):
-        select_references_pivoting(U, 4)
+@pytest.mark.parametrize("select", [select_references_greedy,
+                                    select_references_pivoting])
+@pytest.mark.parametrize("r", [0, -1, 4])
+def test_reference_count_outside_one_to_n_is_an_error(select, r):
+    with pytest.raises(SelectionError, match=f"cannot pick {r} "):
+        select(np.eye(3), r)
 
 
 @settings(max_examples=60, deadline=None)
