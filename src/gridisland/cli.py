@@ -124,6 +124,13 @@ def _references(case: str, dyn: str | None, r: int):
     return net, op, select_references_greedy(U, r), select_references_pivoting(U, r)
 
 
+def _selection_buses(net, greedy, pivot) -> dict:
+    """Both reference selections as the bus ids of their generators."""
+    gen_bus = net.gen_bus.tolist()
+    return {"greedy": [gen_bus[i] for i in greedy.refs],
+            "pivoting": [gen_bus[i] for i in pivot.refs]}
+
+
 def _round_floats(obj):
     """Round every float so reports are stable across BLAS minutiae.
 
@@ -193,16 +200,15 @@ def run(args: argparse.Namespace) -> dict:
             "epsilon": epsilon, "method": args.method,
         },
         "case": {"buses": net.m, "branches": net.l, "generators": net.n},
-        "refs": {
-            "greedy": [gen_bus[i] for i in greedy.refs],
-            "pivoting": [gen_bus[i] for i in pivot.refs],
-            "used": [gen_bus[i] for i in refs],
-        },
+        "refs": {**_selection_buses(net, greedy, pivot),
+                 "used": [gen_bus[i] for i in refs]},
         "runs": runs,
     }
     if args.dump_model:
         report["model"] = {
-            "K": model.K.tolist(),
+            # an uncoupled pair's K_ij = 0 * cos(delta_i - delta_j) is
+            # -0.0 where the cosine is negative; + 0.0 prints it as 0.0
+            "K": (model.K + 0.0).tolist(),
             "M": model.M.tolist(),
             "U": model.U.tolist(),
             "L": model.L.tolist(),
@@ -297,10 +303,7 @@ def main(argv=None) -> int:
             elif args.command == "refsel":
                 r = _parse_scalar(args.r, int, "--r", SelectionError)
                 net, _, greedy, pivot = _references(args.case, args.dyn, r)
-                gen_bus = net.gen_bus.tolist()
-                text = _render({"greedy": [gen_bus[i] for i in greedy.refs],
-                                "pivoting": [gen_bus[i] for i in pivot.refs]},
-                               "json")
+                text = _render(_selection_buses(net, greedy, pivot), "json")
             else:
                 try:
                     report = json.loads(_read(args.report, MetricError),

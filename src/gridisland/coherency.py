@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netcase import OperatingPoint, PowerNetwork, _star_mesh
+from .netcase import OperatingPoint, PowerNetwork, _is_index, _star_mesh
 
 
 class ModelError(Exception):
@@ -60,13 +60,13 @@ def kron_reduce(net: PowerNetwork) -> np.ndarray:
 
     Every non-generator bus of the lossless network (weights 1/x per
     line) is eliminated by the star-mesh transforms of `_star_mesh`,
-    which give the Schur complement of the susceptance Laplacian.  The
-    result keeps the Laplacian sign convention: the off-diagonal entry
-    for generators (i, j) is minus their effective coupling susceptance,
-    and the diagonal is minus the off-diagonal row sum.  Each coupling is
-    summed in one cell, its lines first and then its fills in elimination
-    order, and mirrored, so the result is exactly symmetric.  xd' enters
-    the model only through the internal rotor angles, not this reduction.
+    which give the Schur complement of the susceptance Laplacian.
+    Returns Y, the reduced network's couplings: Y_ij >= 0 is the
+    effective susceptance between generators i and j, and the diagonal
+    is zero.  Each coupling is summed in one cell, its lines first and
+    then its fills in elimination order, and mirrored, so Y is exactly
+    symmetric.  xd' enters the model only through the internal rotor
+    angles, not this reduction.
     """
     gen = net.gen_pos.tolist()
     n = len(gen)
@@ -75,34 +75,31 @@ def kron_reduce(net: PowerNetwork) -> np.ndarray:
     lines, stars = _star_mesh(net, gen, error=ModelError)[1:]
     cell, values = _kept_pair_updates(lines, stars, n)
     del lines, stars
-    B_red = np.zeros((n, n))
-    flat = B_red.reshape(-1)
+    Y = np.zeros((n, n))
+    flat = Y.reshape(-1)
     np.add.at(flat, cell, values)
-    # mirror and negate only the touched cells; a whole-matrix B + B.T
-    # would allocate a second n x n array
-    w = flat[cell]
-    mirror = cell % n * n + cell // n
-    flat[mirror] = w
-    np.fill_diagonal(B_red, B_red.sum(axis=1))
-    flat[cell] = flat[mirror] = -w
-    return B_red
+    # mirror only the touched cells; a whole-matrix Y + Y.T would
+    # allocate a second n x n array
+    flat[cell % n * n + cell // n] = flat[cell]
+    return Y
 
 
-def build_K(net: PowerNetwork, op: OperatingPoint, B_red: np.ndarray) -> np.ndarray:
-    """Coupling matrix: K_ij = -V_i V_j B_ij cos(delta_i - delta_j), i != j.
+def build_K(net: PowerNetwork, op: OperatingPoint, Y: np.ndarray) -> np.ndarray:
+    """Coupling matrix: K_ij = V_i V_j Y_ij cos(delta_i - delta_j), i != j,
+    and K_ii = -sum_j K_ij.
 
     Multiplied in place in that order, so at most two n x n arrays are
-    live besides B_red; K is exactly symmetric as B_red is.
+    live besides Y; K is exactly symmetric as Y is, and Y's zero
+    diagonal leaves K's zero until the row sums fill it.
     """
     n = net.n
-    if B_red.shape != (n, n):
+    if Y.shape != (n, n):
         raise ModelError("reduced susceptance has wrong dimensions")
     delta = internal_angles(net, op)
-    K = np.multiply.outer(-net.v, net.v)
-    K *= B_red
+    K = np.multiply.outer(net.v, net.v)
+    K *= Y
     cos = np.subtract.outer(delta, delta)
     K *= np.cos(cos, out=cos)
-    np.fill_diagonal(K, 0.0)
     np.fill_diagonal(K, -K.sum(axis=1))
     return K
 
@@ -153,7 +150,13 @@ def coherency_matrix(U: np.ndarray, refs) -> np.ndarray:
 
 
 def build_model(net: PowerNetwork, op: OperatingPoint, refs) -> CoherencyModel:
-    """The model whose r = len(refs) islands are each anchored by one reference."""
+    """The model whose r = len(refs) islands are each anchored by one
+    reference; refs must be distinct generator indices in [0, n)."""
+    refs = list(refs)
+    if (not all(_is_index(k, net.n) for k in refs)
+            or len(set(refs)) != len(refs)):
+        raise ModelError("references must be distinct generator indices "
+                         f"in [0, {net.n}), got {refs}")
     K = build_K(net, op, kron_reduce(net))
     M = inertia(net)
     sigma, U = slow_modes(M, K, len(refs))

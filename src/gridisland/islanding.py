@@ -29,7 +29,7 @@ from .metrics import (
     island_labels,
     noncoherency,
 )
-from .netcase import forest_walk
+from .netcase import _is_index, forest_walk
 
 
 class IslandingError(Exception):
@@ -190,8 +190,11 @@ def extract_solution(
     ctx: MetricContext, S, trace=(), swaps: int = 0
 ) -> IslandingSolution:
     """Islands (the k-th holds the k-th reference), cutset and metrics of
-    a kept set S that splits the buses into r islands, one reference each."""
+    a kept set S of line indices in [0, l) that splits the buses into r
+    islands, one reference each."""
     S = tuple(sorted(S))
+    if not all(_is_index(e, ctx.net.l) for e in S):
+        raise IslandingError(f"kept lines must be line indices in [0, {ctx.net.l})")
     labels = island_labels(ctx, S)
     if labels is None:
         raise IslandingError("S is not a forest with one reference per island")

@@ -180,6 +180,12 @@ def component_labels(net: PowerNetwork, S) -> np.ndarray:
     return np.array([find(b) for b in range(net.m)], dtype=np.intp)
 
 
+def _is_index(k, n: int) -> bool:
+    """Whether k is an integer in [0, n); a bool or a float is not."""
+    return (isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+            and 0 <= k < n)
+
+
 def forest_walk(net: PowerNetwork, S, roots) -> tuple | None:
     """Root the forest of lines S at the bus positions `roots`.
 

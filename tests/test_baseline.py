@@ -248,7 +248,7 @@ def test_bipartition_rejects_negative_weights():
 
 def test_coupling_weights_match_elementwise_formula(pipe118, case118):
     op, model, _ = pipe118
-    B_red = kron_reduce(case118)
+    Y = kron_reduce(case118)
     delta = internal_angles(case118, op)
     V = case118.v.tolist()
     Minv = [1.0 / h for h in case118.inertia.tolist()]
@@ -258,7 +258,7 @@ def test_coupling_weights_match_elementwise_formula(pipe118, case118):
         for j in range(n):
             if i != j:
                 ref[i, j] = abs(
-                    V[i] * V[j] * B_red[i, j]
+                    V[i] * V[j] * Y[i, j]
                     * np.cos(delta[i] - delta[j])
                 ) * (Minv[i] + Minv[j])
     # same arithmetic; the tolerance allows an array cos that differs from

@@ -215,6 +215,28 @@ def test_dump_model(capsys):
                           for h in net.inertia.tolist()]
 
 
+@pytest.mark.parametrize("name", ["case118", "meshed-120 2"])
+def test_dump_model_prints_no_negative_zero_in_K(name, tmp_path, monkeypatch,
+                                                 capsys):
+    # both hold generator pairs with no coupling, so K holds zeros; case118
+    # printed them as -0.0 when K was signed twice, meshed-120 draw 2 also
+    # where the pair's internal angles differ by more than 90 degrees
+    if name == "case118":
+        case = os.path.join(ROOT, "data", "case118.json")
+    else:
+        monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+        import inputs
+
+        case = tmp_path / "meshed.json"
+        case.write_text(json.dumps(inputs.meshed_case(2)))
+    code, out, _ = run_cli(["run", "--case", str(case), "--dump-model",
+                            "--xi", "0"], capsys)
+    assert code == 0
+    K = np.array(json.loads(out)["model"]["K"])
+    assert (K == 0).any()
+    assert not np.signbit(K[K == 0]).any()
+
+
 @pytest.mark.parametrize("command", ["run", "refsel"])
 @pytest.mark.parametrize("where", ["missing directory", "directory"])
 def test_unwritable_out_is_a_json_error(command, where, tmp_path, capsys):

@@ -48,14 +48,29 @@ def two_gen_net(x=0.2):
     return parse_case(json.dumps(doc))
 
 
+def laplacian(Y):
+    """The reduced Laplacian diag(Y 1) - Y of couplings Y, the form the
+    elimination oracles return."""
+    return np.diag(Y.sum(axis=1)) - Y
+
+
+def couplings(B):
+    """The couplings of a reference's reduced Laplacian B: its negated
+    off-diagonal, with B's +0.0 kept +0.0, and a zero diagonal."""
+    Y = 0.0 - B
+    np.fill_diagonal(Y, 0.0)
+    return Y
+
+
 def test_reduction_sign_convention():
     # a single line of susceptance 5 between two generator buses:
-    # reduced off-diagonal is -5, coupling entry is +5
+    # the coupling is +5, and so is K's off-diagonal entry
     net = two_gen_net(x=0.2)
     op = dc_power_flow(net)
-    B = kron_reduce(net)
-    assert B[0, 1] == pytest.approx(-5.0)
-    K = build_K(net, op, B)
+    Y = kron_reduce(net)
+    assert Y[0, 1] == pytest.approx(5.0)
+    assert Y[0, 0] == Y[1, 1] == 0.0
+    K = build_K(net, op, Y)
     assert K[0, 1] == pytest.approx(5.0)
     assert K[0, 0] == pytest.approx(-5.0)
 
@@ -83,7 +98,7 @@ def test_reduction_matches_elimination_oracle(seed):
                          extra_edges=int(rng.integers(0, 4)))
     keep = net.gen_pos.tolist()
     expected = elementwise_elimination(susceptance_laplacian(net), keep)
-    np.testing.assert_allclose(kron_reduce(net), expected, atol=1e-9)
+    np.testing.assert_allclose(laplacian(kron_reduce(net)), expected, atol=1e-9)
 
 
 @pytest.mark.parametrize("name", ["case39", "case118", "tied x2"])
@@ -91,7 +106,7 @@ def test_reduction_matches_elimination_oracle_on_cases(name, monkeypatch):
     net = named_network(name, monkeypatch)
     keep = net.gen_pos.tolist()
     expected = elementwise_elimination(susceptance_laplacian(net), keep)
-    np.testing.assert_allclose(kron_reduce(net), expected,
+    np.testing.assert_allclose(laplacian(kron_reduce(net)), expected,
                                rtol=1e-12, atol=1e-12 * np.abs(expected).max())
 
 
@@ -109,7 +124,7 @@ def test_elimination_matches_dense_solves(seed):
     # the dense Schur complement rounds at the scale of the Laplacian,
     # where the elimination of positive weights has no cancellation
     scale = np.abs(susceptance_laplacian(net)).max()
-    np.testing.assert_allclose(kron_reduce(net), dense_kron(net),
+    np.testing.assert_allclose(laplacian(kron_reduce(net)), dense_kron(net),
                                rtol=1e-12, atol=1e-12 * scale)
 
 
@@ -161,13 +176,13 @@ def test_slow_modes_peak_memory_below_two_and_a_half_dense_matrices(
 
 
 def test_build_K_peak_memory_below_two_and_a_half_dense_matrices(monkeypatch):
-    # traced: K and the cosine buffer, 2 n^2 floats; B_red is the caller's
+    # traced: K and the cosine buffer, 2 n^2 floats; Y is the caller's
     net = tied_network(monkeypatch, 24)
     op = dc_power_flow(net)
-    B = kron_reduce(net)
+    Y = kron_reduce(net)
     tracemalloc.start()
     try:
-        build_K(net, op, B)
+        build_K(net, op, Y)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -201,7 +216,7 @@ def test_slow_modes_reject_inertias_of_the_wrong_length():
         slow_modes(np.diag(inertia(net)), K, 1)
 
 
-def loop_build_K(net, op, B_red):
+def loop_build_K(net, op, Y):
     """build_K as the O(n^2) loop over entries it replaced; the reference."""
     n = net.n
     delta = internal_angles(net, op)
@@ -210,7 +225,7 @@ def loop_build_K(net, op, B_red):
     for i in range(n):
         for j in range(n):
             if i != j:
-                K[i, j] = -V[i] * V[j] * B_red[i, j] * np.cos(delta[i] - delta[j])
+                K[i, j] = V[i] * V[j] * Y[i, j] * np.cos(delta[i] - delta[j])
     np.fill_diagonal(K, -K.sum(axis=1))
     return 0.5 * (K + K.T)
 
@@ -219,8 +234,8 @@ def loop_build_K(net, op, B_red):
 def test_build_K_is_bitwise_the_loop(name, monkeypatch):
     net = named_network(name, monkeypatch)
     op = dc_power_flow(net)
-    B = kron_reduce(net)
-    np.testing.assert_array_equal(build_K(net, op, B), loop_build_K(net, op, B))
+    Y = kron_reduce(net)
+    np.testing.assert_array_equal(build_K(net, op, Y), loop_build_K(net, op, Y))
 
 
 @settings(max_examples=25, deadline=None)
@@ -230,12 +245,11 @@ def test_reduction_and_coupling_invariants(seed):
     net = random_network(rng, m=int(rng.integers(4, 12)),
                          extra_edges=int(rng.integers(0, 5)))
     op = dc_power_flow(net)
-    B = kron_reduce(net)
-    np.testing.assert_array_equal(B, B.T)
-    np.testing.assert_allclose(B.sum(axis=1), 0.0, atol=1e-8)
-    off = B - np.diag(np.diag(B))
-    assert off.max() <= 1e-9  # off-diagonals nonpositive
-    K = build_K(net, op, B)
+    Y = kron_reduce(net)
+    np.testing.assert_array_equal(Y, Y.T)
+    assert not np.diag(Y).any()
+    assert Y.min() >= 0.0   # couplings nonnegative
+    K = build_K(net, op, Y)
     np.testing.assert_allclose(K.sum(axis=1), 0.0, atol=1e-8)
     np.testing.assert_allclose(K, K.T, atol=1e-9)
 
@@ -271,8 +285,7 @@ def test_slow_modes_pick_smallest_magnitude(pipe39):
 def test_slow_modes_r_out_of_range():
     net = two_gen_net()
     op = dc_power_flow(net)
-    B = kron_reduce(net)
-    K = build_K(net, op, B)
+    K = build_K(net, op, kron_reduce(net))
     with pytest.raises(ModelError):
         slow_modes(inertia(net), K, 3)
 
@@ -308,6 +321,16 @@ def test_coherency_rejects_dependent_reference_rows():
         coherency_matrix(U, [0, 1])
 
 
+@pytest.mark.parametrize("refs", [[0, 99], [0, 10], [0.0, 4], [0, -1],
+                                  [0, 0], [True, 4]],
+                         ids=["99", "n", "float", "negative", "repeated", "bool"])
+def test_build_model_rejects_references_that_are_not_distinct_indices(
+        case39, refs):
+    op = dc_power_flow(case39)
+    with pytest.raises(ModelError, match=r"distinct generator indices in \[0, 10\)"):
+        build_model(case39, op, refs)
+
+
 def test_build_model_case39(case39):
     op = dc_power_flow(case39)
     model = build_model(case39, op, [0, 4, 8])
@@ -317,21 +340,21 @@ def test_build_model_case39(case39):
 
 
 def assert_prelude_is_bitwise_the_dict_reference(net):
-    """DC pivots, angles, flows and injections, B_red's off-diagonal and
-    K bitwise the dict-of-dicts eliminations'; B_red's diagonal, the
-    negated off-diagonal row sum, to rounding."""
-    op, B = dc_power_flow(net), kron_reduce(net)
+    """DC pivots, angles, flows and injections, the couplings Y and K
+    bitwise the dict-of-dicts eliminations'; Y's row sums, the
+    reference's diagonal, to rounding."""
+    op, Y = dc_power_flow(net), kron_reduce(net)
     ref_op, ref_pivots = dc_power_flow_reference(net)
     pivots = _star_mesh(net, [bus_pos(net)[net.slack_bus]])[0]
-    assert [(k, Y, list(star.items())) for k, Y, star in pivots] == [
-        (k, Y, list(star.items())) for k, Y, star in ref_pivots]
+    assert [(k, Yk, list(star.items())) for k, Yk, star in pivots] == [
+        (k, Yk, list(star.items())) for k, Yk, star in ref_pivots]
     for name in ("angles", "flows", "injections"):
         assert getattr(op, name).tobytes() == getattr(ref_op, name).tobytes(), name
     R = kron_reduce_reference(net)
-    off = ~np.eye(net.n, dtype=bool)
-    assert B[off].tobytes() == R[off].tobytes()
-    np.testing.assert_allclose(np.diag(B), np.diag(R), rtol=1e-12, atol=0.0)
-    assert build_K(net, op, B).tobytes() == build_K(net, ref_op, R).tobytes()
+    assert Y.tobytes() == couplings(R).tobytes()
+    np.testing.assert_allclose(Y.sum(axis=1), np.diag(R), rtol=1e-12, atol=0.0)
+    assert (build_K(net, op, Y).tobytes()
+            == build_K(net, ref_op, couplings(R)).tobytes())
 
 
 @pytest.mark.parametrize("name", ["case39", "case118", "meshed-120 1",
@@ -372,7 +395,7 @@ def test_prelude_is_bitwise_the_dict_reference_with_parallel_lines(seed):
 
 
 def test_kron_peak_memory_at_ten_thousand_buses(monkeypatch):
-    # traced: B_red, n^2 floats, plus the rows of the eliminated buses and
+    # traced: Y, n^2 floats, plus the rows of the eliminated buses and
     # the kept-pair updates, which stay well below n^2 at this size
     net = tied_network(monkeypatch, 84)
     assert net.n == 1596

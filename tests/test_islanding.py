@@ -408,6 +408,14 @@ def test_extract_requires_maximal_set(pipe39, case39):
         extract_solution(ctx, ev.S[:-1])
 
 
+@pytest.mark.parametrize("last", [46, 999, -1, 3.0])
+def test_extract_rejects_a_kept_line_outside_the_network(pipe39, last):
+    _, _, ctx = pipe39
+    ev, _ = greedy_select(ctx)
+    with pytest.raises(IslandingError, match=r"line indices in \[0, 46\)"):
+        extract_solution(ctx, ev.S[:-1] + [last])
+
+
 def test_extract_rejects_references_sharing_an_island():
     # a forest joining both references must raise a typed error, which
     # the CLI reports, even under python -O
