@@ -29,7 +29,10 @@ stderr.  The argv set:
   own input;
 - ``run --method both --r 4 --xi 0,1e-6`` on tied x4 (seed 7);
 - ``run --method both --dump-model`` on case118 with a parallel twin
-  added to the line between generator buses 25 and 26.
+  added to the line between generator buses 25 and 26;
+- on case39, inputs the run parameters' rules decide: ``refsel --r 0``,
+  ``run --r 1 --method both``, ``run --refs 30,31`` with no ``--r``,
+  ``run --refs 30,30 --r 2`` and ``run --xi=-0.0``.
 
 The cases come from this checkout (``data/``, ``perfbench/inputs.py``
 read-only, ``tests/casekit.py``) and are written to one fixed directory,
@@ -179,6 +182,12 @@ def argv_set(paths: dict[str, str]) -> list[list[str]]:
               "--xi", "0,1e-6"],
              ["run", "--case", paths["case118-twin"], "--method", "both",
               "--dump-model"]]
+    case39 = ["--case", paths["case39"]]
+    runs += [["refsel", *case39, "--r", "0"],
+             ["run", *case39, "--r", "1", "--method", "both"],
+             ["run", *case39, "--refs", "30,31"],
+             ["run", *case39, "--refs", "30,30", "--r", "2"],
+             ["run", *case39, "--xi=-0.0"]]
     return runs
 
 

@@ -39,7 +39,13 @@ def coupling_weights(net: PowerNetwork, model: CoherencyModel) -> np.ndarray:
     return W
 
 
-def generator_bipartition(W: np.ndarray, nodes=None) -> tuple[list[int], list[int], float]:
+def check_island_count(r: int) -> None:
+    """The one rule for the baseline's island count: a bipartition needs r >= 2."""
+    if r < 2:
+        raise BaselineError("the spectral baseline needs r >= 2")
+
+
+def generator_bipartition(W: np.ndarray) -> tuple[list[int], list[int], float]:
     """Split a generator set across the minimum dynamic-coupling cut.
 
     The minimum over all bipartitions is the global min cut, found exactly
@@ -48,12 +54,12 @@ def generator_bipartition(W: np.ndarray, nodes=None) -> tuple[list[int], list[in
     Ties break deterministically: each phase starts at the lowest live
     index, the most tightly connected vertex is added next with ties to the
     lowest index, and a later phase replaces the best cut only if its cut
-    is strictly smaller.  The side holding the smallest label comes first.
-    Returns the two groups and the cut value.
+    is strictly smaller.  Vertex 0 starts every phase, so it is never a
+    phase's last vertex, is never merged away and never lies on the cut
+    side a phase records: the first group always holds it.  Returns the
+    two groups as ascending positions in W, and the cut value.
     """
     n = W.shape[0]
-    if nodes is None:
-        nodes = list(range(n))
     if n < 2:
         raise BaselineError("need at least two generators to bipartition")
     if not (np.isfinite(W) & (W >= 0)).all():
@@ -85,12 +91,8 @@ def generator_bipartition(W: np.ndarray, nodes=None) -> tuple[list[int], list[in
         members[prev] += members[last]
     mask = np.zeros(n, dtype=bool)
     mask[best_side] = True
-    t1 = [nodes[k] for k in range(n) if not mask[k]]
-    t2 = [nodes[k] for k in range(n) if mask[k]]
-    # deterministic orientation: side containing the smallest label first
-    if min(t2) < min(t1):
-        t1, t2 = t2, t1
-    return t1, t2, float(W[np.ix_(mask, ~mask)].sum())
+    return (np.flatnonzero(~mask).tolist(), np.flatnonzero(mask).tolist(),
+            float(W[np.ix_(mask, ~mask)].sum()))
 
 
 def _max_flow(res: dict, src, snk) -> float:
@@ -242,8 +244,7 @@ def two_step_partition(
     Nothing here depends on the trade-off weight xi.
     """
     r = len(model.refs)
-    if r < 2:
-        raise BaselineError("the spectral baseline needs r >= 2")
+    check_island_count(r)
     W_full = coupling_weights(net, model)
     ei, ej = net.ends
     sub = np.zeros(net.m, dtype=np.intp)   # subsystem index per bus position
@@ -256,12 +257,13 @@ def two_step_partition(
                 continue
             if split is None:
                 W = W_full[np.ix_(gens, gens)]
-                split = subsystems[pos][2] = generator_bipartition(W, nodes=gens)
+                split = subsystems[pos][2] = generator_bipartition(W)
             if best is None or split[2] < best[0]:
                 best = (split[2], pos)
         if best is None:
             raise BaselineError("cannot reach r islands: too few generators")
-        idx, _, (t1, t2, _) = subsystems.pop(best[1])
+        idx, gens, (t1, t2, _) = subsystems.pop(best[1])
+        t1, t2 = [gens[k] for k in t1], [gens[k] for k in t2]
         inside = sub == idx
         _, S2, _ = constrained_mincut(
             net, op, net.gen_pos[t1], net.gen_pos[t2],

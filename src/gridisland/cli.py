@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .baseline import BaselineError, two_step_partition
+from .baseline import BaselineError, check_island_count, two_step_partition
 from .coherency import (
     ModelError,
     build_K,
@@ -31,7 +31,7 @@ from .coherency import (
     kron_reduce,
     slow_modes,
 )
-from .islanding import MIN_EPSILON, IslandingError, solve
+from .islanding import IslandingError, check_epsilon, solve
 from .metrics import MetricError, build_context, check_trade_off
 from .netcase import CaseError, dc_power_flow, parse_case
 from .refsel import (
@@ -57,12 +57,14 @@ KNOWN_ERRORS = (
     BaselineError, UsageError,
 )
 REPORT_DIGITS = 12   # decimals every report float is rounded to
+DEFAULT_R = 3        # island count when neither --r nor --refs sets it
 TOO_FEW_ROWS = "comparison needs at least two method results"
 
 
 def _parse_xi(text: str) -> list[float]:
+    # -0.0 + 0.0 is 0.0, so --xi=-0.0 computes and reports as --xi 0 does
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        return [float(tok) + 0.0 for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise MetricError(
             f"trade-off weights must be comma-separated numbers: {text!r}"
@@ -76,6 +78,16 @@ def _parse_scalar(text: str, kind: type, flag: str, error: type[Exception]):
     except ValueError as exc:
         what = "an integer" if kind is int else "a number"
         raise error(f"{flag} must be {what}: {text!r}") from exc
+
+
+def _parse_r(text: str | None, error: type[Exception]) -> int:
+    """--r as an integer, DEFAULT_R when the flag is not given."""
+    return DEFAULT_R if text is None else _parse_scalar(text, int, "--r", error)
+
+
+def _check_r(r: int, error: type[Exception]) -> None:
+    if r < 1:
+        raise error("island count r must be at least 1")
 
 
 def _parse_refs(text: str) -> list[int]:
@@ -149,19 +161,28 @@ def _round_floats(obj):
 
 
 def run(args: argparse.Namespace) -> dict:
-    """The report of a parsed ``run`` command line; r = len(refs) islands."""
-    r = _parse_scalar(args.r, int, "--r", IslandingError)
+    """The report of a parsed ``run`` command line; r = len(refs) islands,
+    so --refs sets r and an explicit --r must agree with it."""
+    r = _parse_r(args.r, IslandingError)
     xis = _parse_xi(args.xi)
     epsilon = _parse_scalar(args.epsilon, float, "--epsilon", IslandingError)
     bus_refs = None if args.refs is None else _parse_refs(args.refs)
-    if r < 1:
-        raise IslandingError("island count r must be at least 1")
+    _check_r(r, IslandingError)
     if not xis:
         raise MetricError("no trade-off weight given")
     for xi in xis:
         check_trade_off(xi)
-    if not MIN_EPSILON <= epsilon < 1:
-        raise IslandingError(f"epsilon must lie in [{MIN_EPSILON:g}, 1)")
+    check_epsilon(epsilon)
+    if bus_refs is not None:
+        if args.r is not None and r != len(bus_refs):
+            raise SelectionError(
+                f"--r {r} disagrees with the {len(bus_refs)} buses of --refs")
+        for k, b in enumerate(bus_refs):
+            if b in bus_refs[:k]:
+                raise SelectionError(f"--refs names bus {b} twice")
+        r = len(bus_refs)
+    if args.method != "weak-submodular":
+        check_island_count(r)
     if args.fmt == "table" and args.method != "both" and len(xis) < 2:
         raise MetricError(TOO_FEW_ROWS)
     # model and references are xi-independent
@@ -173,8 +194,6 @@ def run(args: argparse.Namespace) -> dict:
             if b not in gen_bus:
                 raise SelectionError(f"no generator at bus {b}")
             refs.append(gen_bus.index(b))
-        if len(set(refs)) != r:
-            raise SelectionError(f"need {r} distinct reference buses")
     else:
         refs = list(greedy.refs)
     model = build_model(net, op, refs)
@@ -276,7 +295,8 @@ def main(argv=None) -> int:
     common = _Parser(add_help=False)
     common.add_argument("--case", required=True)
     common.add_argument("--dyn", help="dynamics JSON for MATPOWER-table cases")
-    common.add_argument("--r", default="3")
+    common.add_argument("--r", help=f"island count (default {DEFAULT_R}, "
+                        "or the count of --refs)")
     common.add_argument("--out")
     rp = sub.add_parser("run", parents=[common], help="run one or both methods")
     rp.add_argument("--xi", default="1e-6",
@@ -301,7 +321,8 @@ def main(argv=None) -> int:
             if args.command == "run":
                 text = _render(run(args), args.fmt)
             elif args.command == "refsel":
-                r = _parse_scalar(args.r, int, "--r", SelectionError)
+                r = _parse_r(args.r, SelectionError)
+                _check_r(r, SelectionError)
                 net, _, greedy, pivot = _references(args.case, args.dyn, r)
                 text = _render(_selection_buses(net, greedy, pivot), "json")
             else:

@@ -149,16 +149,24 @@ def coherency_matrix(U: np.ndarray, refs) -> np.ndarray:
     return np.linalg.solve(U1.T, U.T).T
 
 
-def build_model(net: PowerNetwork, op: OperatingPoint, refs) -> CoherencyModel:
-    """The model whose r = len(refs) islands are each anchored by one
-    reference; refs must be distinct generator indices in [0, n)."""
+def check_references(refs, n: int) -> None:
+    """The one rule for a reference list: distinct generator indices,
+    integers in [0, n); a float, a bool, a negative index or a repeat is
+    refused."""
     refs = list(refs)
-    if (not all(_is_index(k, net.n) for k in refs)
+    if (not all(_is_index(k, n) for k in refs)
             or len(set(refs)) != len(refs)):
         raise ModelError("references must be distinct generator indices "
-                         f"in [0, {net.n}), got {refs}")
+                         f"in [0, {n}), got {refs}")
+
+
+def build_model(net: PowerNetwork, op: OperatingPoint, refs) -> CoherencyModel:
+    """The model whose r = len(refs) islands are each anchored by one
+    reference; refs must pass `check_references`."""
+    refs = tuple(refs)
+    check_references(refs, net.n)
     K = build_K(net, op, kron_reduce(net))
     M = inertia(net)
     sigma, U = slow_modes(M, K, len(refs))
     L = coherency_matrix(U, refs)
-    return CoherencyModel(M=M, K=K, sigma_r=sigma, U=U, L=L, refs=tuple(refs))
+    return CoherencyModel(M=M, K=K, sigma_r=sigma, U=U, L=L, refs=refs)

@@ -42,6 +42,15 @@ class IslandingError(Exception):
 MIN_EPSILON = 1e-6
 
 
+def check_epsilon(epsilon: float) -> None:
+    """The one rule for the local-search threshold: MIN_EPSILON <= eps < 1.
+
+    A swap is taken when J falls below (1 - eps) J, so eps >= 1 asks
+    for a J below zero and never swaps; NaN fails the range too."""
+    if not MIN_EPSILON <= epsilon < 1:
+        raise IslandingError(f"epsilon must lie in [{MIN_EPSILON:g}, 1)")
+
+
 @dataclass(frozen=True, eq=False)
 class IslandingSolution:
     """One method's partition, under the names its report uses."""
@@ -104,11 +113,11 @@ def local_search(
     ev must hold a spanning forest with one reference per tree.  Each
     round roots it at the references and, for the kept lines v in
     ascending order, swaps in place the first line e (ascending) with one
-    end below v and J(S - v + e) < (1 - eps) J(S), for eps >= MIN_EPSILON.
-    Returns the evaluator and the J after every swap.
+    end below v and J(S - v + e) < (1 - eps) J(S), for an eps that
+    `check_epsilon` accepts.  Returns the evaluator and the J after every
+    swap.
     """
-    if not epsilon >= MIN_EPSILON:
-        raise IslandingError(f"epsilon must be at least {MIN_EPSILON:g}")
+    check_epsilon(epsilon)
     ctx = ev.ctx
     walk = forest_walk(ctx.net, ev.S, ctx.ref_pos)
     if walk is None:
@@ -204,6 +213,7 @@ def extract_solution(
 
 def solve(ctx: MetricContext, epsilon: float = 1e-3) -> IslandingSolution:
     """Full pipeline stage: greedy selection then local search."""
+    check_epsilon(epsilon)   # fail before the greedy's work, not after it
     ev, trace = greedy_select(ctx)
     ev, swap_trace = local_search(ev, epsilon)
     return extract_solution(

@@ -38,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .coherency import CoherencyModel
+from .coherency import CoherencyModel, check_references
 from .netcase import OperatingPoint, PowerNetwork, component_labels, forest_walk
 
 
@@ -85,8 +85,7 @@ def build_context(
 ) -> MetricContext:
     check_trade_off(xi)
     refs = tuple(model.refs)
-    if len(set(refs)) != len(refs):
-        raise MetricError("reference generators must be distinct")
+    check_references(refs, net.n)
     return MetricContext(net=net, b0=op.injections, L=model.L, xi=xi, refs=refs)
 
 

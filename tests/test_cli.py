@@ -147,6 +147,24 @@ def test_refs_override(capsys):
     assert doc["refs"]["used"] == [30, 33, 36]
 
 
+def test_refs_set_the_island_count(capsys):
+    # r = len(refs): --refs alone runs as with the matching --r
+    reports = [run_cli(["run", "--case", CASE39, "--method", "both",
+                        *r, "--refs", "30,31"], capsys)
+               for r in ([], ["--r", "2"])]
+    assert reports[0] == reports[1]
+    code, out, _ = reports[0]
+    assert code == 0 and json.loads(out)["config"]["r"] == 2
+
+
+def test_negative_zero_weight_reports_as_zero(capsys):
+    args = ["run", "--case", CASE39, "--method", "both", "--xi"]
+    negative = run_cli(args + ["-0.0"], capsys)
+    assert negative == run_cli(args + ["0"], capsys)
+    code, out, _ = negative
+    assert code == 0 and '"xi": -0.0' not in out
+
+
 def test_refs_override_rejects_non_generator_bus(capsys):
     code, _, err = run_cli(
         ["run", "--case", CASE39, "--refs", "1,2,3"], capsys)
@@ -332,7 +350,9 @@ def test_invalid_config_rejected(capsys):
 
 # inputs with more than one fault: the first fault in the CLI's checking
 # order (--out, then --r, --xi, --epsilon, --refs as parsed, then their
-# ranges, then a table's row count, then the case) names the error
+# ranges: r >= 1, the weights, epsilon, --refs against --r and for a bus
+# named twice, the baseline's r >= 2; then a table's row count, then the
+# case) names the error
 @pytest.mark.parametrize("command,error,message", [
     ("run --case {case} --r x --out {tmp}/no/r.json",
      "UsageError", "cannot write {tmp}/no/r.json: no such directory"),
@@ -354,6 +374,22 @@ def test_invalid_config_rejected(capsys):
      "UsageError", "argument --method: invalid choice: 'magic'"),
     ("run --case {tmp}/no/such.json --format table",
      "MetricError", "comparison needs at least two method results"),
+    ("run --case {tmp}/missing.json --r 2 --refs 30,31,32",
+     "SelectionError", "--r 2 disagrees with the 3 buses of --refs"),
+    ("run --case {tmp}/missing.json --refs 30,31,30",
+     "SelectionError", "--refs names bus 30 twice"),
+    ("run --case {tmp}/missing.json --r 1 --method both",
+     "BaselineError", "the spectral baseline needs r >= 2"),
+    ("run --case {tmp}/missing.json --refs 30 --method spectral",
+     "BaselineError", "the spectral baseline needs r >= 2"),
+    ("run --case {tmp}/missing.json --epsilon 1 --refs 30,30",
+     "IslandingError", "epsilon must lie in [1e-06, 1)"),
+    ("run --case {tmp}/missing.json --r 1 --refs 30,31 --method both",
+     "SelectionError", "--r 1 disagrees with the 2 buses of --refs"),
+    ("run --case {tmp}/missing.json --r 1 --method spectral --format table",
+     "BaselineError", "the spectral baseline needs r >= 2"),
+    ("refsel --case {tmp}/missing.json --r 0",
+     "SelectionError", "island count r must be at least 1"),
     ("refsel --case {case} --r x",
      "SelectionError", "--r must be an integer: 'x'"),
     ("refsel --case {tmp}/missing.json --r x",

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gridisland.coherency import ModelError
 from gridisland.islanding import (
     MIN_EPSILON,
     IslandingError,
@@ -19,7 +20,6 @@ from gridisland.baseline import two_step_partition
 from gridisland.metrics import (
     IncrementalEvaluator,
     J,
-    MetricError,
     _distances,
     build_context,
     island_labels,
@@ -94,9 +94,12 @@ def test_kept_cycle_is_rejected():
 
 
 def test_duplicate_references_rejected(pipe39, case39):
+    # build_context holds no reference check of its own: a repeat ends in
+    # build_model's ModelError
     op, model, _ = pipe39
     twice = dataclasses.replace(model, refs=(0, 0, 4))
-    with pytest.raises(MetricError, match="distinct"):
+    with pytest.raises(ModelError, match=r"distinct generator indices in \[0, 10\), "
+                       r"got \[0, 0, 4\]"):
         build_context(case39, op, twice, 1e-6)
 
 
@@ -157,12 +160,33 @@ def test_local_search_rejects_bad_epsilon(pipe39, case39):
         local_search(ev, epsilon=0.0)
 
 
+EPSILON_RANGE = r"^epsilon must lie in \[1e-06, 1\)$"
+
+
 @pytest.mark.parametrize("epsilon", [MIN_EPSILON / 10, float("nan")])
 def test_local_search_rejects_epsilon_below_the_floor(pipe39, epsilon):
     _, model, ctx = pipe39
     ev, _ = greedy_select(ctx)
-    with pytest.raises(IslandingError, match="at least"):
+    with pytest.raises(IslandingError, match=EPSILON_RANGE):
         local_search(ev, epsilon=epsilon)
+
+
+@pytest.mark.parametrize("epsilon", [1.0, float("inf"), float("nan")])
+def test_search_refuses_epsilon_outside_the_range(pipe39, monkeypatch,
+                                                  epsilon):
+    # islanding.check_epsilon is the one rule: local_search and solve both
+    # refuse with its message, and solve does so before the greedy runs
+    import gridisland.islanding as islanding
+
+    _, model, ctx = pipe39
+    ev, _ = greedy_select(ctx)
+    before = list(ev.S)
+    with pytest.raises(IslandingError, match=EPSILON_RANGE):
+        local_search(ev, epsilon=epsilon)
+    assert ev.S == before
+    monkeypatch.setattr(islanding, "greedy_select", None)
+    with pytest.raises(IslandingError, match=EPSILON_RANGE):
+        solve(ctx, epsilon=epsilon)
 
 
 def test_local_search_rejects_a_kept_set_that_is_not_a_basis(pipe39):
@@ -268,10 +292,14 @@ def test_path_graph_two_end_references_cuts_best_edge():
 
 
 def test_local_search_epsilon_one_changes_nothing(pipe39, case39):
+    # epsilon = 1 asks for a J below zero, so check_epsilon refuses it;
+    # the largest epsilon below 1 asks for J < 1.1e-16 J and swaps nothing
     _, model, ctx = pipe39
     ev, _ = greedy_select(ctx)
     before = sorted(ev.S)
-    ev2, trace = local_search(ev, epsilon=1.0)
+    with pytest.raises(IslandingError, match=EPSILON_RANGE):
+        local_search(ev, epsilon=1.0)
+    ev2, trace = local_search(ev, epsilon=np.nextafter(1.0, 0.0))
     assert trace == [] and sorted(ev2.S) == before
 
 

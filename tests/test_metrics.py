@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
+from gridisland.coherency import ModelError, build_model
 from gridisland.metrics import (
     IncrementalEvaluator,
     J,
@@ -134,6 +135,21 @@ def test_build_context_rejects_a_weight_that_is_not_finite_and_nonnegative(
     with pytest.raises(MetricError,
                        match="^trade-off weight must be finite and nonnegative$"):
         build_context(case39, op, model, xi)
+
+
+@pytest.mark.parametrize("refs", [(0, 0, 4), (0, 99, 4), (0.0, 4, 8)])
+def test_build_context_checks_references_by_build_models_rule(
+        pipe39, case39, refs):
+    # coherency.check_references is the one rule: build_context refuses
+    # what build_model refuses, with the same ModelError and message
+    op, model, _ = pipe39
+    with pytest.raises(ModelError) as want:
+        build_model(case39, op, refs)
+    with pytest.raises(ModelError) as got:
+        build_context(case39, op, dataclasses.replace(model, refs=refs), 1e-6)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("references must be distinct generator "
+                                     "indices in [0, 10), got ")
 
 
 @settings(max_examples=15, deadline=None)
