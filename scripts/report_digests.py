@@ -25,8 +25,8 @@ stderr.  The argv set:
   tied x2: seven constrained min cuts each;
 - on case39, ``run --format table`` alone (one row, so the one-line
   error) and ``run --method spectral --xi 1e-6,1e-5 --format table``;
-- ``refsel --r 8`` on tied x24 (seed 1), the tied118-refsel benchmark's
-  own input;
+- ``refsel --r 8`` on tied x24 at seeds 1 and 2, the tied118-refsel
+  benchmark's own inputs;
 - ``run --method both --r 4 --xi 0,1e-6`` on tied x4 (seed 7);
 - ``run --method both --dump-model`` on case118 with a parallel twin
   added to the line between generator buses 25 and 26;
@@ -120,9 +120,10 @@ def write_cases(out_dir: str) -> dict[str, str]:
         texts[f"meshed-120-{draw}"] = json.dumps(
             inputs.meshed_case(draw), indent=1, sort_keys=True)
     case118 = inputs.load_case118(HERE)
-    for copies, seed in ((24, 1), (4, 7), (2, 7)):
+    for name, copies, seed in (("tied-x24", 24, 1), ("tied-x24-seed2", 24, 2),
+                               ("tied-x4", 4, 7), ("tied-x2", 2, 7)):
         inputs.TIED_COPIES = copies
-        texts[f"tied-x{copies}"] = inputs.tied_case(case118, seed)
+        texts[name] = inputs.tied_case(case118, seed)
     texts["case118-twin"] = json.dumps(
         {**case118, "branches": case118["branches"] + [TWIN_LINE]},
         indent=1, sort_keys=True)
@@ -177,8 +178,9 @@ def argv_set(paths: dict[str, str]) -> list[list[str]]:
     runs += [["run", "--case", paths["case39"], "--format", "table"],
              ["run", "--case", paths["case39"], "--method", "spectral",
               "--xi", "1e-6,1e-5", "--format", "table"]]
-    runs += [["refsel", "--case", paths["tied-x24"], "--r", "8"],
-             ["run", "--case", paths["tied-x4"], "--method", "both", "--r", "4",
+    runs += [["refsel", "--case", paths[name], "--r", "8"]
+             for name in ("tied-x24", "tied-x24-seed2")]
+    runs += [["run", "--case", paths["tied-x4"], "--method", "both", "--r", "4",
               "--xi", "0,1e-6"],
              ["run", "--case", paths["case118-twin"], "--method", "both",
               "--dump-model"]]

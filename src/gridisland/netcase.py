@@ -525,6 +525,12 @@ def _star_mesh(net: PowerNetwork, keep, p=None, error=CaseError):
     Summed in that order, lines then stars, they give every kept weight
     bitwise.  Also returns the pivots (k, Y_k, {j: y_kj}) in elimination
     order.  A pivot that is not finite and positive raises `error`.
+
+    The heap holds one live entry per free bus, keyed by its degree: a
+    bus gets a new entry only when its degree changes, and an entry whose
+    degree no longer matches is stale.  A star of two neighbours i, j
+    (the commonest) is eliminated in closed form, with the same float
+    operations in the same order as the general loop.
     """
     m = net.m
     slot = [-1] * m   # index in keep; -1 marks a free bus
@@ -544,48 +550,79 @@ def _star_mesh(net: PowerNetwork, keep, p=None, error=CaseError):
             row_b[a] = row_b.get(a, 0.0) + y
         else:
             lines.append((slot[a], slot[b], y))
+    # the degree of each free bus's live heap entry; -1 for kept and
+    # eliminated buses, which have none
+    degree = [-1 if row is None else len(row) for row in adj]
     # keys deg * m + k order as (deg, k)
-    heap = [len(row) * m + k for k, row in enumerate(adj) if row is not None]
+    heap = [d * m + k for k, d in enumerate(degree) if d >= 0]
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
     pivots, stars = [], []
     while heap:
         deg, k = divmod(pop(heap), m)
-        star = adj[k]
-        if deg != len(star):   # stale entry; eliminated rows are empty
+        if deg != degree[k]:   # stale entry
             continue
-        Y = sum(star.values())
+        degree[k] = -1
+        star = adj[k]
+        if deg == 2:
+            (i, y_ki), (j, y_kj) = star.items()
+            Y = y_ki + y_kj
+        else:
+            Y = sum(star.values())
         if not 0.0 < Y < math.inf:
             raise error(f"singular or non-finite susceptance pivot at bus "
                         f"{int(net.bus_ids[k])}")
-        nbrs = list(star.items())
-        kept = []
-        for s, (i, y_ki) in enumerate(nbrs):
+        if deg == 2:
             frac = y_ki / Y
             if p is not None:
                 p[i] += frac * p[k]
-            row = adj[i]
-            if row is None:
-                kept.append((slot[i], frac, y_ki))
-                for j, y_kj in nbrs[s + 1:]:
-                    row_j = adj[j]
-                    if row_j is not None:
-                        row_j[i] = row_j.get(i, 0.0) + frac * y_kj
+                p[j] += y_kj / Y * p[k]
+            row_i, row_j = adj[i], adj[j]
+            if row_i is not None:
+                del row_i[k]
+                row_i[j] = w = row_i.get(j, 0.0) + frac * y_kj
+                if len(row_i) != degree[i]:
+                    degree[i] = len(row_i)
+                    push(heap, len(row_i) * m + i)
+                if row_j is not None:
+                    row_j[i] = w
+            elif row_j is not None:
+                row_j[i] = row_j.get(i, 0.0) + frac * y_kj
             else:
-                del row[k]
-                get = row.get
-                for j, y_kj in nbrs[s + 1:]:
-                    row[j] = w = get(j, 0.0) + frac * y_kj
-                    row_j = adj[j]
-                    if row_j is not None:
-                        row_j[i] = w
-        for i, _ in nbrs:
-            row = adj[i]
-            if row is not None:
-                push(heap, len(row) * m + i)
-        if len(kept) > 1:
-            stars.append(kept)
-        adj[k] = {}
+                stars.append([(slot[i], frac, y_ki),
+                              (slot[j], y_kj / Y, y_kj)])
+            if row_j is not None:
+                del row_j[k]
+                if len(row_j) != degree[j]:
+                    degree[j] = len(row_j)
+                    push(heap, len(row_j) * m + j)
+        else:
+            nbrs = [(i, y_ki, adj[i]) for i, y_ki in star.items()]
+            free = [t for t in nbrs if t[2] is not None]
+            kept = []
+            f = 0   # free[f:] are the free neighbours after the current one
+            for s, (i, y_ki, row) in enumerate(nbrs):
+                frac = y_ki / Y
+                if p is not None:
+                    p[i] += frac * p[k]
+                if row is None:
+                    kept.append((slot[i], frac, y_ki))
+                    for _, y_kj, row_j in free[f:]:
+                        row_j[i] = row_j.get(i, 0.0) + frac * y_kj
+                else:
+                    f += 1
+                    del row[k]
+                    get = row.get
+                    for j, y_kj, row_j in nbrs[s + 1:]:
+                        row[j] = w = get(j, 0.0) + frac * y_kj
+                        if row_j is not None:
+                            row_j[i] = w
+            for i, _, row in free:
+                if len(row) != degree[i]:
+                    degree[i] = len(row)
+                    push(heap, len(row) * m + i)
+            if len(kept) > 1:
+                stars.append(kept)
         pivots.append((k, Y, star))
     return pivots, lines, stars
 

@@ -12,6 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 NEG_INF = float("-inf")
+# a squared residual at most this times the largest squared row norm is
+# rounding
+RANK_FLOOR = 64 * np.finfo(float).eps
 
 
 class SelectionError(Exception):
@@ -43,13 +46,16 @@ def select_references_greedy(U: np.ndarray, r: int) -> ReferenceSelection:
     det G(T + v) = det G(T) * |R_v|^2, so the winner is the row of largest
     residual norm, and one rank-one update keeps R current: O(n * cols)
     per round.  Ties break toward the smallest row index.  The winner's
-    gain is taken from log_gramian; a winner whose Gram matrix is singular
-    or whose residual is exactly zero means the basis is rank-deficient.
+    gain is taken from log_gramian.  The basis is rank-deficient when the
+    winner's Gram matrix is singular or its squared residual is at most
+    64 eps max_i |U_i|^2, rounding's reach: the winner then lies in the
+    chosen rows' span, and its computed gain is noise.
     """
     n = U.shape[0]
     if not 1 <= r <= n:
         raise SelectionError(f"cannot pick {r} references from {n} generators")
     R = U.astype(float)
+    floor = RANK_FLOOR * np.einsum("ij,ij->i", R, R).max()
     chosen: list[int] = []
     trace: list[float] = []
     current = 0.0
@@ -58,7 +64,7 @@ def select_references_greedy(U: np.ndarray, r: int) -> ReferenceSelection:
         norms[chosen] = NEG_INF
         v = int(np.argmax(norms))
         gain = log_gramian(U, chosen + [v]) - current
-        if gain == NEG_INF or norms[v] == 0.0:
+        if gain == NEG_INF or norms[v] <= floor:
             raise SelectionError("rank-deficient eigenbasis")
         chosen.append(v)
         current += gain

@@ -129,20 +129,30 @@ def test_elimination_matches_dense_solves(seed):
 
 
 def test_nonfinite_pivots_are_typed_errors():
-    # a reactance of 5e-324 gives its line the weight 1/x = inf
-    doc = {
-        "base_mva": 100.0, "slack_bus": 1,
-        "buses": [{"id": b, "pd_mw": 10.0} for b in (1, 2, 3)],
-        "branches": [{"from": 1, "to": 2, "x_pu": 5e-324},
-                     {"from": 2, "to": 3, "x_pu": 0.1}],
-        "gens": [{"bus": b, "pg_mw": 15.0, "inertia_s": 5.0,
-                  "xd_prime_pu": 0.1} for b in (1, 3)],
-    }
-    net = parse_case(json.dumps(doc))
-    with pytest.raises(CaseError, match="pivot at bus 2"):
-        dc_power_flow(net)
-    with pytest.raises(ModelError, match="pivot at bus 2"):
-        kron_reduce(net)   # the reduction needs no operating point
+    # a reactance of 5e-324 gives its line the weight 1/x = inf.  On the
+    # chain the DC call meets it in a star of one (bus 3 goes first) and
+    # the reduction in a star of two; on the ring both calls meet it in a
+    # star of two.  The reduction needs no operating point.
+    chain = [(1, 2, 5e-324), (2, 3, 0.1)]
+    ring = chain + [(3, 4, 0.1), (1, 4, 0.1)]
+    for lines in (chain, ring):
+        m = max(j for _, j, _ in lines)
+        doc = {
+            "base_mva": 100.0, "slack_bus": 1,
+            "buses": [{"id": b, "pd_mw": 10.0} for b in range(1, m + 1)],
+            "branches": [{"from": i, "to": j, "x_pu": x} for i, j, x in lines],
+            "gens": [{"bus": b, "pg_mw": 5.0 * m, "inertia_s": 5.0,
+                      "xd_prime_pu": 0.1} for b in (1, 3)],
+        }
+        net = parse_case(json.dumps(doc))
+        for stage, reference, error in (
+                (dc_power_flow, dc_power_flow_reference, CaseError),
+                (kron_reduce, kron_reduce_reference, ModelError)):
+            with pytest.raises(error, match="pivot at bus 2$") as got:
+                stage(net)
+            with pytest.raises(error) as want:
+                reference(net)
+            assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("copies", [8, 24])
@@ -375,11 +385,17 @@ def test_prelude_is_bitwise_the_dict_reference_on_cases(name, monkeypatch):
 @given(st.integers(0, 2**32 - 1))
 def test_prelude_is_bitwise_the_dict_reference_with_parallel_lines(seed):
     # parallel twins of random lines, and lines (some doubled) between two
-    # generator buses, whose weights the reduction never reads
+    # generator buses, whose weights the reduction never reads.  Half the
+    # draws put generators at most buses, up to m - 1, so that the
+    # reduction's stars mix kept and free neighbours in either order.
     rng = np.random.default_rng(seed)
-    n_gens = int(rng.integers(1, 7))
-    doc = random_case_doc(rng, m=int(rng.integers(n_gens + 1, 20)),
-                          extra_edges=int(rng.integers(0, 8)), n_gens=n_gens)
+    m = int(rng.integers(2, 20))
+    if rng.random() < 0.5:
+        n_gens = int(rng.integers(1, min(7, m)))
+    else:
+        n_gens = int(rng.integers(m // 2, m))
+    doc = random_case_doc(rng, m=m, extra_edges=int(rng.integers(0, 8)),
+                          n_gens=n_gens)
     lines = doc["branches"]
     for _ in range(int(rng.integers(0, 5))):
         twin = dict(lines[int(rng.integers(len(lines)))])

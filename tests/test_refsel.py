@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from casekit import load_case, tied_network
 from dense_oracle import (
@@ -160,8 +160,27 @@ def test_pivoting_equals_the_row_loop_bitwise(case):
         _outcome(loop_select_references_pivoting, U, r)
 
 
+def singular_prefix_basis():
+    """14 x 8, rank 4: rows 0, 1, 5, 7 and 9-11 equal a, row 6 is within
+    2e-11 of a, row 12 is 2a, and rows 4 and 13 rescale row 2.  The
+    candidate loop picks rows 12, 13, 3, 8 and then 6, with a gain of
+    -52.2, so its chosen rows are singular to rounding; in round 6 its
+    slogdet still finds a gain of -12.9 for row 5."""
+    a = [-2.0, -2.0, 2.0, 2.0, 3.0, -2.0, 2.0, -3.0]
+    b = [-1.0, 0.0, 0.0, -2.0, 2.0, -1.0, 2.0, 2.0]
+    c = [-3.0, 1.0, -2.0, 3.0, 1.0, -3.0, -1.0, -2.0]
+    d = [1.0, -1.0, 0.0, 0.0, 2.0, -3.0, 1.0, 1.0]
+    U = np.array([a, a, b, c, b, a, a, a, d, a, a, a, a, b])
+    U[[4, 12, 13]] *= [[2.0], [2.0], [3.0]]
+    U[6] = [-1.9999999999948093, -1.9999999999851752, 1.999999999984843,
+            2.0000000000011213, 3.000000000008101, -2.0000000000037494,
+            1.9999999999993123, -3.0000000000011955]
+    return U
+
+
 @settings(max_examples=200, deadline=None)
 @given(bases())
+@example((singular_prefix_basis(), 7))
 def test_greedy_equals_the_candidate_loop_up_to_rounding_ties(case):
     """Equal refs and bitwise-equal gains, or a rounding tie where they part.
 
