@@ -43,14 +43,24 @@ its parent::
     python scripts/report_digests.py --root PARENT_CHECKOUT > old.txt
     python scripts/report_digests.py > new.txt
     diff old.txt new.txt
+
+``--against PARENT_CHECKOUT`` runs both checkouts and prints, for each
+run whose report differs, the decision fields that differ (``kept``,
+``cutset``, ``islands``, ``generator_groups``, ``refs``; a ``refsel``
+report is all ``refs``), any other field that differs other than by a
+float, and the largest relative change of any float; then the count of
+runs that differ.  CSV reports are read by their header and tables as
+rows of cells.  A relative change of 0 is a zero whose sign changed.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -70,6 +80,8 @@ MPC_XI = "0,1e-6,1e-5"
 NO_DYN_BUS, OFF_LINE, OFF_GEN_BUS = 32, (1, 39), 36
 # the line between two generator buses of case118 that gets a parallel twin
 TWIN_LINE = {"from": 25, "to": 26, "x_pu": 0.05}
+# the report fields that record a decision rather than a value
+DECISIONS = ("kept", "cutset", "islands", "generator_groups", "refs")
 # reference buses per case and r: the greedy ones reordered, and others
 REFS = {
     "case39": {2: ("39,34", "36,30"), 3: ("39,38,34", "33,30,37")},
@@ -193,29 +205,113 @@ def argv_set(paths: dict[str, str]) -> list[list[str]]:
     return runs
 
 
-def digest(main, argv: list[str]) -> str:
+def capture(main, argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one in-process run."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
         warnings.simplefilter("always")   # independent of the run order
         code = main(argv)
-    blob = json.dumps([code, out.getvalue(), err.getvalue()])
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return code, out.getvalue(), err.getvalue()
+
+
+def digest(report: tuple[int, str, str]) -> str:
+    return hashlib.sha256(json.dumps(list(report)).encode()).hexdigest()
+
+
+def _cell(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _tree(text: str):
+    """A report's stdout as a tree: its JSON, else its CSV rows by
+    header, else its lines as lists of cells; numbers as floats."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        pass
+    if "," in text.partition("\n")[0]:
+        return [{key: _cell(value) for key, value in row.items()}
+                for row in csv.DictReader(io.StringIO(text))]
+    return [[_cell(c) for c in line.split()] for line in text.splitlines()]
+
+
+def _walk(a, b, path: str, field, found: dict) -> None:
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() | b.keys()):
+            _walk(a.get(key), b.get(key), f"{path}.{key}",
+                  key if key in DECISIONS else field, found)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for k, (x, y) in enumerate(zip(a, b)):
+            _walk(x, y, f"{path}[{k}]", field, found)
+    elif type(a) is float and type(b) is float and field is None:
+        if repr(a) != repr(b):
+            rel = 0.0 if a == b else abs(a - b) / max(abs(a), abs(b))
+            found["rel"] = max(found["rel"], rel if rel == rel else math.inf)
+    elif type(a) is not type(b) or repr(a) != repr(b):
+        found["decisions" if field else "other"].add(field or path)
+
+
+def compare_reports(old, new, argv: list[str]) -> tuple[list, list, float]:
+    """How two reports (exit code, stdout, stderr) of argv differ: the
+    decision fields, the paths of other fields that differ other than
+    by a float, and the largest relative change of any float (-1.0 if
+    none changed)."""
+    found = {"decisions": set(), "other": set(), "rel": -1.0}
+    for name, a, b in (("exit code", old[0], new[0]),
+                       ("stderr", old[2], new[2])):
+        if a != b:
+            found["other"].add(name)
+    _walk(_tree(old[1]), _tree(new[1]), "",
+          "refs" if argv[0] == "refsel" else None, found)
+    return sorted(found["decisions"]), sorted(found["other"]), found["rel"]
+
+
+def load_cli(root: str):
+    """``gridisland.cli`` imported afresh from root's ``src/``."""
+    for name in [n for n in sys.modules if n.split(".")[0] == "gridisland"]:
+        del sys.modules[name]
+    src = os.path.join(os.path.abspath(root), "src")
+    sys.path.insert(0, src)
+    try:
+        from gridisland import cli
+    finally:
+        sys.path.remove(src)
+    return cli
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--root", default=HERE,
                         help="checkout whose src/ is run (default: this one)")
+    parser.add_argument("--against", metavar="PARENT",
+                        help="list the runs whose reports differ from those "
+                             "of this checkout, and how")
     parser.add_argument("--cases", default=os.path.join(
         tempfile.gettempdir(), "gridisland-report-digests"),
         help="fixed directory the cases are written to")
     args = parser.parse_args()
-    sys.path.insert(0, os.path.join(os.path.abspath(args.root), "src"))
-    paths = write_cases(args.cases)
-    from gridisland import cli
-
-    for argv in argv_set(paths):
-        print(f"{digest(cli.main, argv)}  {' '.join(argv)}", flush=True)
+    cli = load_cli(args.root)   # before the cases: casekit imports it
+    runs = argv_set(write_cases(args.cases))
+    if args.against is None:
+        for argv in runs:
+            print(f"{digest(capture(cli.main, argv))}  {' '.join(argv)}",
+                  flush=True)
+        return 0
+    reports = [capture(cli.main, argv) for argv in runs]
+    before = load_cli(args.against).main
+    changed = 0
+    for argv, report in zip(runs, reports):
+        old = capture(before, argv)
+        if old != report:
+            changed += 1
+            decisions, other, rel = compare_reports(old, report, argv)
+            print(f"{' '.join(argv)}\n    decisions: {', '.join(decisions) or '-'}"
+                  f"; other: {', '.join(other) or '-'}; largest relative float "
+                  f"change: {'-' if rel < 0 else f'{rel:.3g}'}", flush=True)
+    print(f"{changed} of {len(runs)} runs differ from {args.against}")
     return 0
 
 

@@ -8,6 +8,7 @@ matrix that scores every generator against each reference generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -42,7 +43,8 @@ def _kept_pair_updates(lines, stars, n: int) -> tuple[np.ndarray, np.ndarray]:
     frac_s * y_t.  Returns the cell a * n + b (a < b) and the value of
     each update."""
     sizes = np.array([len(kept) for kept in stars], dtype=np.intp)
-    flat = np.array([t for kept in stars for t in kept]).reshape(-1, 3)
+    flat = np.fromiter(chain.from_iterable(chain.from_iterable(stars)),
+                       float).reshape(-1, 3)
     a, frac, y = flat[:, 0].astype(np.intp), flat[:, 1], flat[:, 2]
     # per neighbour, the count of neighbours after it in its star
     later = np.repeat(np.cumsum(sizes), sizes) - np.arange(len(a)) - 1

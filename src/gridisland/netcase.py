@@ -163,21 +163,22 @@ def _validate(net: PowerNetwork, line_known: np.ndarray) -> PowerNetwork:
 def component_labels(net: PowerNetwork, S) -> np.ndarray:
     """Bus position -> smallest bus position in its component of (V, S)."""
     parent = list(range(net.m))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     ei, ej = (x.tolist() for x in net.ends)
     for e in S:
-        a, b = find(ei[e]), find(ej[e])
+        a, b = ei[e], ej[e]
+        while parent[a] != a:   # find, halving the path
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
         if a < b:
             parent[b] = a
         elif b < a:
             parent[a] = b
-    return np.array([find(b) for b in range(net.m)], dtype=np.intp)
+    # a root is the smallest position of its tree, so parent[b] <= b, and
+    # in ascending order parent[b]'s own parent is already its root
+    for b in range(net.m):
+        parent[b] = parent[parent[b]]
+    return np.array(parent, dtype=np.intp)
 
 
 def _is_index(k, n: int) -> bool:
@@ -528,9 +529,15 @@ def _star_mesh(net: PowerNetwork, keep, p=None, error=CaseError):
 
     The heap holds one live entry per free bus, keyed by its degree: a
     bus gets a new entry only when its degree changes, and an entry whose
-    degree no longer matches is stale.  A star of two neighbours i, j
-    (the commonest) is eliminated in closed form, with the same float
-    operations in the same order as the general loop.
+    degree no longer matches is stale.  Stars of two neighbours i, j and
+    of three i, j, h (in star order; the commonest) are eliminated in
+    closed form, with the same float operations in the same order as the
+    general loop: the pivot summed left to right, the pairs (i, j), (i, h),
+    (j, h) in turn, each filled with the earlier neighbour's fraction
+    times the later one's weight, new row entries in that order and kept
+    neighbours in star order.  Every sum is written out left to right,
+    so no bit depends on the builtin `sum`, which compensates from
+    Python 3.12 on.
     """
     m = net.m
     slot = [-1] * m   # index in keep; -1 marks a free bus
@@ -567,8 +574,13 @@ def _star_mesh(net: PowerNetwork, keep, p=None, error=CaseError):
         if deg == 2:
             (i, y_ki), (j, y_kj) = star.items()
             Y = y_ki + y_kj
+        elif deg == 3:
+            (i, y_ki), (j, y_kj), (h, y_kh) = star.items()
+            Y = y_ki + y_kj + y_kh
         else:
-            Y = sum(star.values())
+            Y = 0.0
+            for y in star.values():
+                Y += y
         if not 0.0 < Y < math.inf:
             raise error(f"singular or non-finite susceptance pivot at bus "
                         f"{int(net.bus_ids[k])}")
@@ -596,6 +608,52 @@ def _star_mesh(net: PowerNetwork, keep, p=None, error=CaseError):
                 if len(row_j) != degree[j]:
                     degree[j] = len(row_j)
                     push(heap, len(row_j) * m + j)
+        elif deg == 3:
+            frac_i, frac_j, frac_h = y_ki / Y, y_kj / Y, y_kh / Y
+            if p is not None:
+                p[i] += frac_i * p[k]
+                p[j] += frac_j * p[k]
+                p[h] += frac_h * p[k]
+            row_i, row_j, row_h = adj[i], adj[j], adj[h]
+            kept = []
+            if row_i is not None:
+                del row_i[k]
+                row_i[j] = w = row_i.get(j, 0.0) + frac_i * y_kj
+                if row_j is not None:
+                    row_j[i] = w
+                row_i[h] = w = row_i.get(h, 0.0) + frac_i * y_kh
+                if row_h is not None:
+                    row_h[i] = w
+                if len(row_i) != degree[i]:
+                    degree[i] = len(row_i)
+                    push(heap, len(row_i) * m + i)
+            else:
+                kept.append((slot[i], frac_i, y_ki))
+                if row_j is not None:
+                    row_j[i] = row_j.get(i, 0.0) + frac_i * y_kj
+                if row_h is not None:
+                    row_h[i] = row_h.get(i, 0.0) + frac_i * y_kh
+            if row_j is not None:
+                del row_j[k]
+                row_j[h] = w = row_j.get(h, 0.0) + frac_j * y_kh
+                if row_h is not None:
+                    row_h[j] = w
+                if len(row_j) != degree[j]:
+                    degree[j] = len(row_j)
+                    push(heap, len(row_j) * m + j)
+            else:
+                kept.append((slot[j], frac_j, y_kj))
+                if row_h is not None:
+                    row_h[j] = row_h.get(j, 0.0) + frac_j * y_kh
+            if row_h is not None:
+                del row_h[k]
+                if len(row_h) != degree[h]:
+                    degree[h] = len(row_h)
+                    push(heap, len(row_h) * m + h)
+            else:
+                kept.append((slot[h], frac_h, y_kh))
+            if len(kept) > 1:
+                stars.append(kept)
         else:
             nbrs = [(i, y_ki, adj[i]) for i, y_ki in star.items()]
             free = [t for t in nbrs if t[2] is not None]
@@ -632,7 +690,9 @@ def dc_power_flow(net: PowerNetwork) -> OperatingPoint:
 
     Every bus but the slack is eliminated by `_star_mesh`, carrying the
     injections along; the angles then follow by back substitution in
-    reverse elimination order.  Any load-generation mismatch in the case
+    reverse elimination order, each pivot row's terms summed left to
+    right from 0.0 in the row's order, so the angles do not depend on
+    the Python version.  Any load-generation mismatch in the case
     dispatch is absorbed by the slack bus before solving, so the returned
     injections sum to zero.
     """
@@ -645,7 +705,10 @@ def dc_power_flow(net: PowerNetwork) -> OperatingPoint:
     pivots, _, _ = _star_mesh(net, [slack], p_inj)
     theta = [0.0] * net.m
     for k, Y, star in reversed(pivots):
-        theta[k] = (p_inj[k] + sum([y * theta[j] for j, y in star.items()])) / Y
+        total = 0.0
+        for j, y in star.items():
+            total += y * theta[j]
+        theta[k] = (p_inj[k] + total) / Y
 
     theta = np.array(theta)
     ei, ej = net.ends

@@ -6,7 +6,8 @@ are the per-record parser (one ``Bus``, ``Branch`` and ``Gen`` object per
 element, checked one element at a time) and the eliminations that hold
 every bus, generators included, as a dict row.  The parser tests require
 the same error, or equal networks column by column; the elimination
-tests require bitwise-equal floats.
+tests require bitwise-equal floats.  Every float sum is written out left
+to right, as in the library, so neither depends on the Python version.
 """
 
 from __future__ import annotations
@@ -247,7 +248,9 @@ def star_mesh_reference(net, keep, p=None, error=CaseError):
         star = adj[k]
         if deg != len(star):
             continue
-        Y = sum(star.values())
+        Y = 0.0
+        for y in star.values():
+            Y += y
         if not 0.0 < Y < math.inf:
             raise error(f"singular or non-finite susceptance pivot at bus "
                         f"{int(net.bus_ids[k])}")
@@ -280,7 +283,10 @@ def kron_reduce_reference(net) -> np.ndarray:
     for a, p in enumerate(gen):
         for q, y in adj[p].items():
             B_red[a, col[q]] = -y
-        B_red[a, a] = sum(adj[p].values())
+        total = 0.0
+        for y in adj[p].values():
+            total += y
+        B_red[a, a] = total
     return B_red
 
 
@@ -294,7 +300,10 @@ def dc_power_flow_reference(net) -> tuple[OperatingPoint, list]:
     _, pivots = star_mesh_reference(net, [slack], p_inj)
     theta = [0.0] * net.m
     for k, Y, star in reversed(pivots):
-        theta[k] = (p_inj[k] + sum(y * theta[j] for j, y in star.items())) / Y
+        total = 0.0
+        for j, y in star.items():
+            total += y * theta[j]
+        theta[k] = (p_inj[k] + total) / Y
     theta = np.array(theta)
     ei, ej = net.ends
     flows = (theta[ei] - theta[ej]) / net.x * net.base_mva
