@@ -249,7 +249,7 @@ def _walk(a, b, path: str, field, found: dict) -> None:
     elif type(a) is float and type(b) is float and field is None:
         if repr(a) != repr(b):
             rel = 0.0 if a == b else abs(a - b) / max(abs(a), abs(b))
-            found["rel"] = max(found["rel"], rel if rel == rel else math.inf)
+            found["rel"] = max(found["rel"], math.inf if math.isnan(rel) else rel)
     elif type(a) is not type(b) or repr(a) != repr(b):
         found["decisions" if field else "other"].add(field or path)
 

@@ -441,7 +441,8 @@ def compensated_sum(iterable, /, start=0):
     return total + c if c and math.isfinite(c) else total
 
 
-def test_compensated_sum_rounds_differently_from_this_builtin():
+def test_compensated_sum_is_the_sum_of_python_3_12():
+    # 3.12's own example: the uncompensated sum gives 0.9999999999999999
     assert compensated_sum([0.1] * 10) == 1.0
     assert compensated_sum([1e308, 1e308, -1e308]) == math.inf
     assert compensated_sum([1, 2], 3) == 6 and compensated_sum([]) == 0
