@@ -71,17 +71,33 @@ class IslandingSolution:
         return {k: v for k, v in vars(self).items() if k != "L_g"}
 
 
+# Relative width of the greedy's tie band.  On the bundled, meshed and
+# tied cases the runner-up decreases within 1e-13 of the winner are
+# rounding (1e-16 .. 1e-13), and no real gap is below 1e-7.
+TIE_BAND = 1e-12
+
+
+def _ties(values: np.ndarray) -> np.ndarray:
+    """Which values tie with the largest, top: those at or above
+    top - TIE_BAND * |top|, or equal to top where it is not finite."""
+    top = values.max()
+    if not np.isfinite(top):
+        return values == top
+    return values >= top - TIE_BAND * abs(top)
+
+
 def greedy_select(ctx: MetricContext) -> tuple[IncrementalEvaluator, list[float]]:
     """Stage 1: pick the maximal independent set, steepest J-descent first.
 
     Every round drops the lines that would close a cycle in the augmented
     graph (they would close one with the final set too, so dropping them
     permanently is safe) and adds the remaining line of largest
-    J-decrease.  Tie rule: among lines with exactly equal J-decrease, the
-    one with the larger imbalance decrease f(S) - f(S + {e}) wins (at
-    xi = 0 this is the order a vanishing positive xi gives), then the
-    lowest canonical line index.  Lines that make the same merge have
-    bitwise-equal decreases, so the rule needs no tolerance.
+    J-decrease.  Tie rule: the lines whose J-decrease lies within
+    `TIE_BAND` of the largest tie (see `_ties`); among them, those whose
+    imbalance decrease f(S) - f(S + {e}) lies within the band of the
+    largest tie again (at xi = 0 this is the order a vanishing positive
+    xi gives), and the lowest canonical line index wins.  So a decrease
+    that differs from the largest only by rounding cannot decide a round.
     """
     ev = IncrementalEvaluator(ctx)
     ei, ej = ctx.net.ends
@@ -95,9 +111,8 @@ def greedy_select(ctx: MetricContext) -> tuple[IncrementalEvaluator, list[float]
         omega = omega[root[ei[omega]] != root[ej[omega]]]
         if not len(omega):
             break
-        gains = ev.gains(omega)
-        tied = np.flatnonzero(gains == gains.max())
-        k = tied[int(np.argmax(ev.f_gains(omega[tied])))]
+        tied = np.flatnonzero(_ties(ev.gains(omega)))
+        k = tied[int(np.argmax(_ties(ev.f_gains(omega[tied]))))]
         ev.add(int(omega[k]))
         trace.append(ev.J())
     if len(ev.S) != target:

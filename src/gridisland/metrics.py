@@ -21,9 +21,10 @@ mu_b, lowers J by n_a n_b / (n_a + n_b) ||mu_a - mu_b||^2.  A line inside
 one component lowers it by exactly 0.  IncrementalEvaluator keeps the
 component labels and the per-component target sums and sizes, so every
 J-decrease is read from them.  Lines that make the same merge get
-bitwise-equal decreases, so the greedy's tie rule (equal J-decrease,
-then the larger f-decrease, then the lowest canonical line index) needs
-no tolerance.
+bitwise-equal decreases; the greedy's tie rule (a J-decrease within a
+relative band of 1e-12 of the largest, then an f-decrease within the
+same band of the largest, then the lowest canonical line index) also
+takes merges whose decreases differ only by rounding as ties.
 
 Unit convention: b0 is in MW, so f is in MW^2 and sqrt(f) is the
 imbalance in MW; the coherency targets c^i are unitless.  This mix makes

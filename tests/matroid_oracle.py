@@ -13,10 +13,11 @@ induce.  They are desk-scale oracles; nothing in the library calls them.
 """
 
 import itertools
-from math import comb, log
+from math import comb, isfinite, log
 
 import numpy as np
 
+from gridisland.islanding import TIE_BAND
 from gridisland.metrics import IncrementalEvaluator, J, MetricError, island_labels
 from gridisland.netcase import component_labels, incidence_matrix
 
@@ -191,10 +192,13 @@ def greedy_reference(ctx):
 
     A union-find over the buses plus a virtual root, tied to every
     reference bus, says which lines the kept set can still take.  Each
-    round scores every such line alone with gains([e]) and f_gains([e])
-    and keeps the largest J-decrease, then the larger f-decrease, then
-    the lowest index.  Returns the kept lines in the order picked and the
-    J before the first pick and after every pick.
+    round scores every such line alone with gains([e]) and f_gains([e]).
+    The lines whose J-decrease is within the tie band of the largest,
+    top (at or above top - TIE_BAND |top|, or equal to a top that is not
+    finite), tie; among them, those whose f-decrease is within the band
+    of their largest; then the lowest index wins.  Returns the kept lines
+    in the order picked and the J before the first pick and after every
+    pick.
     """
     net = ctx.net
     root = net.m
@@ -206,22 +210,25 @@ def greedy_reference(ctx):
             a = parent[a]
         return a
 
+    def band(scored):
+        top = max(score for score, _ in scored)
+        if not isfinite(top):
+            return [t for t in scored if t[0] == top]
+        return [t for t in scored if t[0] >= top - TIE_BAND * abs(top)]
+
     for p in ctx.ref_pos.tolist():
         parent[find(p)] = root
     ev = IncrementalEvaluator(ctx)
     ei, ej = (x.tolist() for x in net.ends)
     trace = [ev.J()]
     while True:
-        best = None
-        for e in range(net.l):
-            if find(ei[e]) == find(ej[e]):
-                continue
-            key = (ev.gains([e])[0], ev.f_gains([e])[0])
-            if best is None or key > best[0]:
-                best = (key, e)
-        if best is None:
+        scored = [(float(ev.gains([e])[0]), e) for e in range(net.l)
+                  if find(ei[e]) != find(ej[e])]
+        if not scored:
             return ev.S, trace
-        e = best[1]
+        tied = band(scored)
+        e = min(e for _, e in band([(float(ev.f_gains([e])[0]), e)
+                                     for _, e in tied]))
         a, b = find(ei[e]), find(ej[e])
         parent[min(a, b)] = max(a, b)   # the root, numbered m, stays a root
         ev.add(e)

@@ -10,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 from gridisland.coherency import ModelError
 from gridisland.islanding import (
     MIN_EPSILON,
+    TIE_BAND,
     IslandingError,
+    _ties,
     extract_solution,
     greedy_select,
     local_search,
@@ -33,6 +35,7 @@ from casekit import (
     pipeline,
     random_case_doc,
     random_network,
+    tied_network,
 )
 from matroid_oracle import (
     check_greedy_bound,
@@ -139,6 +142,24 @@ def test_greedy_equals_the_per_line_reference_on_ties(seed, r, xi):
     _, _, ctx = pipeline(net, r=min(r, net.n), xi=xi)
     ev, trace = greedy_select(ctx)
     assert (ev.S, trace) == greedy_reference(ctx)
+
+
+def test_greedy_equals_the_per_line_reference_on_tied_x2(monkeypatch):
+    # at xi = 0 two merges of this run differ in J-decrease only by
+    # rounding; the band ties them, and the lower line index wins
+    _, _, ctx = pipeline(tied_network(monkeypatch, 2), r=2, xi=0.0)
+    ev, trace = greedy_select(ctx)
+    assert (ev.S, trace) == greedy_reference(ctx)
+
+
+def test_tie_band_is_relative_and_exact_when_not_finite():
+    top = 3.0
+    values = np.array([top, top * (1 - TIE_BAND / 2), top * (1 - 2 * TIE_BAND),
+                       np.nextafter(top, 0.0)])
+    assert _ties(values).tolist() == [True, True, False, True]
+    with np.errstate(all="raise"):   # no inf - inf
+        assert _ties(np.array([1e308, np.inf, np.inf])).tolist() == [
+            False, True, True]
 
 
 def test_local_search_never_worse(pipe39, case39):
