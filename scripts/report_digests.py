@@ -32,7 +32,10 @@ stderr.  The argv set:
   added to the line between generator buses 25 and 26;
 - on case39, inputs the run parameters' rules decide: ``refsel --r 0``,
   ``run --r 1 --method both``, ``run --refs 30,31`` with no ``--r``,
-  ``run --refs 30,30 --r 2`` and ``run --xi=-0.0``.
+  ``run --refs 30,30 --r 2`` and ``run --xi=-0.0``;
+- ``run --r 2`` and ``refsel --r 3`` on case39 with a line of reactance
+  5e-324 added between generator buses 33 and 34, whose weight 1/x is
+  infinite: one error line each.
 
 The cases come from this checkout (``data/``, ``perfbench/inputs.py``
 read-only, ``tests/casekit.py``) and are written to one fixed directory,
@@ -80,6 +83,8 @@ MPC_XI = "0,1e-6,1e-5"
 NO_DYN_BUS, OFF_LINE, OFF_GEN_BUS = 32, (1, 39), 36
 # the line between two generator buses of case118 that gets a parallel twin
 TWIN_LINE = {"from": 25, "to": 26, "x_pu": 0.05}
+# a line between two generator buses of case39 whose weight 1/x is inf
+STRONG_LINE = {"from": 33, "to": 34, "x_pu": 5e-324}
 # the report fields that record a decision rather than a value
 DECISIONS = ("kept", "cutset", "islands", "generator_groups", "refs")
 # reference buses per case and r: the greedy ones reordered, and others
@@ -136,6 +141,9 @@ def write_cases(out_dir: str) -> dict[str, str]:
                                ("tied-x4", 4, 7), ("tied-x2", 2, 7)):
         inputs.TIED_COPIES = copies
         texts[name] = inputs.tied_case(case118, seed)
+    texts["case39-strong-line"] = json.dumps(
+        {**case39, "branches": case39["branches"] + [STRONG_LINE]},
+        indent=1, sort_keys=True)
     texts["case118-twin"] = json.dumps(
         {**case118, "branches": case118["branches"] + [TWIN_LINE]},
         indent=1, sort_keys=True)
@@ -202,6 +210,8 @@ def argv_set(paths: dict[str, str]) -> list[list[str]]:
              ["run", *case39, "--refs", "30,31"],
              ["run", *case39, "--refs", "30,30", "--r", "2"],
              ["run", *case39, "--xi=-0.0"]]
+    strong = ["--case", paths["case39-strong-line"]]
+    runs += [["run", *strong, "--r", "2"], ["refsel", *strong, "--r", "3"]]
     return runs
 
 

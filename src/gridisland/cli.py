@@ -33,7 +33,7 @@ from .coherency import (
 )
 from .islanding import IslandingError, check_epsilon, solve
 from .metrics import MetricError, build_context, check_trade_off
-from .netcase import CaseError, dc_power_flow, parse_case
+from .netcase import CaseError, parse_case
 from .refsel import (
     SelectionError,
     select_references_greedy,
@@ -129,10 +129,13 @@ def _write(path: str, text: str) -> None:
 
 
 def _references(case: str, dyn: str | None, r: int):
-    """Parse, DC power flow, and both reference selections from the slow modes."""
+    """Parse, the DC power flow and Kron reduction of one elimination, and
+    both reference selections from the slow modes."""
     net = parse_case(_read(case), _read(dyn) if dyn else None)
-    op = dc_power_flow(net)
-    _, U = slow_modes(inertia(net), build_K(net, op, kron_reduce(net)), r)
+    op, Y = kron_reduce(net)
+    K = build_K(net, op, Y)
+    del Y   # not held through the eigensolve, where a run peaks in memory
+    _, U = slow_modes(inertia(net), K, r)
     return net, op, select_references_greedy(U, r), select_references_pivoting(U, r)
 
 

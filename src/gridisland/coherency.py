@@ -8,11 +8,10 @@ matrix that scores every generator against each reference generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
-from .netcase import OperatingPoint, PowerNetwork, _is_index, _star_mesh
+from .netcase import OperatingPoint, PowerNetwork, _is_index, _reduce
 
 
 class ModelError(Exception):
@@ -37,53 +36,26 @@ def internal_angles(net: PowerNetwork, op: OperatingPoint) -> np.ndarray:
             + net.xd_prime * (net.pg / net.base_mva) / net.v)
 
 
-def _kept_pair_updates(lines, stars, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The updates to the weights between kept buses, in `_star_mesh`'s
-    order: its lines, then each star's pairs s < t, whose update is
-    frac_s * y_t.  Returns the cell a * n + b (a < b) and the value of
-    each update."""
-    sizes = np.array([len(kept) for kept in stars], dtype=np.intp)
-    flat = np.fromiter(chain.from_iterable(chain.from_iterable(stars)),
-                       float).reshape(-1, 3)
-    a, frac, y = flat[:, 0].astype(np.intp), flat[:, 1], flat[:, 2]
-    # per neighbour, the count of neighbours after it in its star
-    later = np.repeat(np.cumsum(sizes), sizes) - np.arange(len(a)) - 1
-    s = np.repeat(np.arange(len(a)), later)
-    t = s + 1 + np.arange(len(s)) - np.repeat(np.cumsum(later) - later, later)
-    line = np.array(lines).reshape(-1, 3)
-    first = np.concatenate([line[:, 0].astype(np.intp), a[s]])
-    second = np.concatenate([line[:, 1].astype(np.intp), a[t]])
-    cell = np.minimum(first, second) * n + np.maximum(first, second)
-    return cell, np.concatenate([line[:, 2], frac[s] * y[t]])
-
-
-def kron_reduce(net: PowerNetwork) -> np.ndarray:
-    """Reduce the branch susceptance network to the generator buses.
+def kron_reduce(net: PowerNetwork) -> tuple[OperatingPoint, np.ndarray]:
+    """The DC operating point and the network reduced to the generator
+    buses, from the one elimination of `netcase._reduce`.
 
     Every non-generator bus of the lossless network (weights 1/x per
-    line) is eliminated by the star-mesh transforms of `_star_mesh`,
-    which give the Schur complement of the susceptance Laplacian.
-    Returns Y, the reduced network's couplings: Y_ij >= 0 is the
-    effective susceptance between generators i and j, and the diagonal
-    is zero.  Each coupling is summed in one cell, its lines first and
-    then its fills in elimination order, and mirrored, so Y is exactly
-    symmetric.  xd' enters the model only through the internal rotor
-    angles, not this reduction.
+    line) is eliminated by star-mesh transforms, which give the Schur
+    complement of the susceptance Laplacian.  Y holds the reduced
+    network's couplings: Y_ij >= 0 is the effective susceptance between
+    generators i and j, and the diagonal is zero.  Each coupling is
+    summed in one cell, its lines first and then its fills in
+    elimination order, and mirrored, so Y is exactly symmetric.  xd'
+    enters the model only through the internal rotor angles, not this
+    reduction.  A fault of the elimination or of the operating point is
+    a CaseError, and it outranks two generators on one bus, which is a
+    ModelError.
     """
-    gen = net.gen_pos.tolist()
-    n = len(gen)
-    if len(set(gen)) != n:
+    op, Y = _reduce(net)
+    if len(Y) != net.n:
         raise ModelError("two generators share a bus")
-    lines, stars = _star_mesh(net, gen, error=ModelError)[1:]
-    cell, values = _kept_pair_updates(lines, stars, n)
-    del lines, stars
-    Y = np.zeros((n, n))
-    flat = Y.reshape(-1)
-    np.add.at(flat, cell, values)
-    # mirror only the touched cells; a whole-matrix Y + Y.T would
-    # allocate a second n x n array
-    flat[cell % n * n + cell // n] = flat[cell]
-    return Y
+    return op, Y
 
 
 def build_K(net: PowerNetwork, op: OperatingPoint, Y: np.ndarray) -> np.ndarray:
@@ -167,7 +139,7 @@ def build_model(net: PowerNetwork, op: OperatingPoint, refs) -> CoherencyModel:
     reference; refs must pass `check_references`."""
     refs = tuple(refs)
     check_references(refs, net.n)
-    K = build_K(net, op, kron_reduce(net))
+    K = build_K(net, op, kron_reduce(net)[1])
     M = inertia(net)
     sigma, U = slow_modes(M, K, len(refs))
     L = coherency_matrix(U, refs)

@@ -35,6 +35,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, fields
+from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -500,7 +501,7 @@ def incidence_matrix(net: PowerNetwork, S=None) -> np.ndarray:
     return A
 
 
-def _star_mesh(net: PowerNetwork, keep, p=None, error=CaseError):
+def _star_mesh(net: PowerNetwork, keep, p=None):
     """Eliminate every bus position outside keep by star-mesh transforms.
 
     The network is the Laplacian of the line weights 1/x.  Eliminating
@@ -525,7 +526,7 @@ def _star_mesh(net: PowerNetwork, keep, p=None, error=CaseError):
 
     Summed in that order, lines then stars, they give every kept weight
     bitwise.  Also returns the pivots (k, Y_k, {j: y_kj}) in elimination
-    order.  A pivot that is not finite and positive raises `error`.
+    order.  A pivot that is not finite and positive raises CaseError.
 
     The heap holds one live entry per free bus, keyed by its degree: a
     bus gets a new entry only when its degree changes, and an entry whose
@@ -582,8 +583,8 @@ def _star_mesh(net: PowerNetwork, keep, p=None, error=CaseError):
             for y in star.values():
                 Y += y
         if not 0.0 < Y < math.inf:
-            raise error(f"singular or non-finite susceptance pivot at bus "
-                        f"{int(net.bus_ids[k])}")
+            raise CaseError(f"singular or non-finite susceptance pivot at "
+                            f"bus {int(net.bus_ids[k])}")
         if deg == 2:
             frac = y_ki / Y
             if p is not None:
@@ -685,32 +686,135 @@ def _star_mesh(net: PowerNetwork, keep, p=None, error=CaseError):
     return pivots, lines, stars
 
 
-def dc_power_flow(net: PowerNetwork) -> OperatingPoint:
-    """Solve B'theta = P with the slack angle fixed at zero.
+def _kept_pair_updates(lines, stars, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The updates to the weights between kept buses, in `_star_mesh`'s
+    order: its lines, then each star's pairs s < t, whose update is
+    frac_s * y_t.  Returns the cell a * n + b (a < b) and the value of
+    each update."""
+    sizes = np.array([len(kept) for kept in stars], dtype=np.intp)
+    flat = np.fromiter(chain.from_iterable(chain.from_iterable(stars)),
+                       float).reshape(-1, 3)
+    a, frac, y = flat[:, 0].astype(np.intp), flat[:, 1], flat[:, 2]
+    # per neighbour, the count of neighbours after it in its star
+    later = np.repeat(np.cumsum(sizes), sizes) - np.arange(len(a)) - 1
+    s = np.repeat(np.arange(len(a)), later)
+    t = s + 1 + np.arange(len(s)) - np.repeat(np.cumsum(later) - later, later)
+    line = np.array(lines).reshape(-1, 3)
+    first = np.concatenate([line[:, 0].astype(np.intp), a[s]])
+    second = np.concatenate([line[:, 1].astype(np.intp), a[t]])
+    cell = np.minimum(first, second) * n + np.maximum(first, second)
+    return cell, np.concatenate([line[:, 2], frac[s] * y[t]])
 
-    Every bus but the slack is eliminated by `_star_mesh`, carrying the
-    injections along; the angles then follow by back substitution in
-    reverse elimination order, each pivot row's terms summed left to
-    right from 0.0 in the row's order, so the angles do not depend on
-    the Python version.  Any load-generation mismatch in the case
-    dispatch is absorbed by the slack bus before solving, so the returned
-    injections sum to zero.
+
+def _couplings(lines, stars, n: int) -> np.ndarray:
+    """The n x n couplings between the kept buses of `_star_mesh`: each
+    summed in one cell, its lines first and then its fills in elimination
+    order, and mirrored, so the matrix is exactly symmetric with a zero
+    diagonal."""
+    cell, values = _kept_pair_updates(lines, stars, n)
+    Y = np.zeros((n, n))
+    flat = Y.reshape(-1)
+    np.add.at(flat, cell, values)
+    # mirror only the touched cells; a whole-matrix Y + Y.T would
+    # allocate a second n x n array
+    flat[cell % n * n + cell // n] = flat[cell]
+    return Y
+
+
+def _grounded_angles(Y: np.ndarray, p, s: int) -> list[float]:
+    """The kept buses' angles: the solve of (diag(Y 1) - Y) theta = p
+    with theta_s = 0, by one dense solve of the other unknowns.
+
+    One symmetric swap of rows and columns s and -1 puts the slack last,
+    so the grounded Laplacian is the leading block, and it is built in
+    Y's own buffer; Y is restored bitwise before the return.  So the
+    unknowns are solved in kept order, except that the last kept bus
+    takes the slack's place.  A system that is not finite, is singular
+    or gives a NaN angle raises CaseError.
     """
+    error = CaseError("singular or non-finite reduced susceptance network")
+    degree = Y.sum(axis=1)
+    # every coupling is >= 0 and at most its row's sum, so finite row
+    # sums make the whole system finite
+    if not np.isfinite(degree).all():
+        raise error
+    swap, back = [s, -1], [-1, s]
+    p = np.array(p)
+    for v in (p, degree):
+        v[swap] = v[back]
+    Y[swap] = Y[back]
+    Y[:, swap] = Y[:, back]
+    np.negative(Y, out=Y)
+    np.fill_diagonal(Y, degree)
+    try:
+        theta = np.linalg.solve(Y[:-1, :-1], p[:-1])
+    except np.linalg.LinAlgError as exc:
+        raise error from exc
+    finally:
+        np.negative(Y, out=Y)
+        np.fill_diagonal(Y, 0.0)
+        Y[swap] = Y[back]
+        Y[:, swap] = Y[:, back]
+    if np.isnan(theta).any():
+        raise error
+    theta = np.append(theta, 0.0)
+    theta[swap] = theta[back]
+    return theta.tolist()
+
+
+def _reduce(net: PowerNetwork) -> tuple[OperatingPoint, np.ndarray]:
+    """The DC operating point and the couplings between the distinct
+    generator buses, from one elimination.
+
+    `_star_mesh` keeps the distinct generator buses in generator order,
+    and the slack last if no generator sits there, and eliminates every
+    other bus, carrying the injections along; `_couplings` sums the
+    reduced network Y between the kept buses.  The kept angles solve its
+    grounded Laplacian (`_grounded_angles`).  The eliminated buses'
+    angles follow by back substitution in reverse elimination order,
+    each pivot row's terms summed left to right from 0.0 in the row's
+    order, so the angles do not depend on the Python version.  A slack
+    without a generator is then eliminated from Y, each pair of
+    generator buses a, b gaining y_sa y_sb / sum_c y_sc.  Any
+    load-generation mismatch in the case dispatch is absorbed by the
+    slack bus before solving, so the returned injections sum to zero.
+    """
+    keep = list(dict.fromkeys(net.gen_pos.tolist()))
+    n = len(keep)   # the distinct generator buses
     slack = _slack_pos(net)
+    if slack not in keep:
+        keep.append(slack)
     g0 = net.g0.copy()
     d0 = net.d0
     g0[slack] += d0.sum() - g0.sum()
 
     p_inj = ((g0 - d0) / net.base_mva).tolist()
-    pivots, _, _ = _star_mesh(net, [slack], p_inj)
+    pivots, lines, stars = _star_mesh(net, keep, p_inj)
+    Y = _couplings(lines, stars, len(keep))
+    del lines, stars
     theta = [0.0] * net.m
-    for k, Y, star in reversed(pivots):
+    kept = _grounded_angles(Y, [p_inj[k] for k in keep], keep.index(slack))
+    for k, t in zip(keep, kept):
+        theta[k] = t
+    for k, Y_k, star in reversed(pivots):
         total = 0.0
         for j, y in star.items():
             total += y * theta[j]
-        theta[k] = (p_inj[k] + total) / Y
+        theta[k] = (p_inj[k] + total) / Y_k
+    del pivots
 
     theta = np.array(theta)
     ei, ej = net.ends
     flows = (theta[ei] - theta[ej]) / net.x * net.base_mva
-    return OperatingPoint(angles=theta, flows=flows, injections=d0 - g0)
+    op = OperatingPoint(angles=theta, flows=flows, injections=d0 - g0)
+    if len(keep) > n:
+        y = Y[n, :n]
+        Y = np.multiply.outer(y, y) / Y[n].sum() + Y[:n, :n]
+        np.fill_diagonal(Y, 0.0)
+    return op, Y
+
+
+def dc_power_flow(net: PowerNetwork) -> OperatingPoint:
+    """Solve B'theta = P with the slack angle fixed at zero, by the one
+    elimination `_reduce` shares with the Kron reduction."""
+    return _reduce(net)[0]

@@ -115,7 +115,7 @@ def pipeline(net, r=3, xi=1e-6, refs=None):
     op = dc_power_flow(net)
     if refs is None:
         _, U = slow_modes(
-            inertia(net), build_K(net, op, kron_reduce(net)), r
+            inertia(net), build_K(net, op, kron_reduce(net)[1]), r
         )
         refs = select_references_greedy(U, r).refs
     model = build_model(net, op, refs)

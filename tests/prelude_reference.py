@@ -4,9 +4,10 @@ The library parses a case into numpy columns and sums the Kron
 reduction's generator-generator weights with one ``np.add.at``.  These
 are the per-record parser (one ``Bus``, ``Branch`` and ``Gen`` object per
 element, checked one element at a time) and the eliminations that hold
-every bus, generators included, as a dict row.  The parser tests require
-the same error, or equal networks column by column; the elimination
-tests require bitwise-equal floats.  Every float sum is written out left
+every bus, generators included, as a dict row, then the dense grounded
+solve of the kept buses' angles.  The parser tests require the same
+error, or equal networks column by column; the elimination tests require
+bitwise-equal floats.  Every float sum is written out left
 to right, as in the library, so neither depends on the Python version.
 """
 
@@ -18,7 +19,6 @@ from functools import cached_property
 
 import numpy as np
 
-from gridisland.coherency import ModelError
 from gridisland.netcase import CaseError, OperatingPoint, component_labels
 
 from casekit import bus_pos
@@ -231,7 +231,7 @@ def assert_same_network(net, ref: RecordNetwork) -> None:
         assert type(got) is type(want) and got == want, name
 
 
-def star_mesh_reference(net, keep, p=None, error=CaseError):
+def star_mesh_reference(net, keep, p=None):
     """The elimination with every bus, kept ones too, as a dict row."""
     import heapq
 
@@ -252,8 +252,8 @@ def star_mesh_reference(net, keep, p=None, error=CaseError):
         for y in star.values():
             Y += y
         if not 0.0 < Y < math.inf:
-            raise error(f"singular or non-finite susceptance pivot at bus "
-                        f"{int(net.bus_ids[k])}")
+            raise CaseError(f"singular or non-finite susceptance pivot at bus "
+                            f"{int(net.bus_ids[k])}")
         nbrs = list(star.items())
         for s, (i, y_ki) in enumerate(nbrs):
             row = adj[i]
@@ -272,39 +272,70 @@ def star_mesh_reference(net, keep, p=None, error=CaseError):
     return adj, pivots
 
 
-def kron_reduce_reference(net) -> np.ndarray:
-    """B_red from the kept dict rows; the diagonal is each row's sum."""
-    gen = net.gen_pos.tolist()
-    if len(set(gen)) != len(gen):
-        raise ModelError("two generators share a bus")
-    adj, _ = star_mesh_reference(net, gen, error=ModelError)
-    col = {p: a for a, p in enumerate(gen)}
-    B_red = np.zeros((len(gen), len(gen)))
-    for a, p in enumerate(gen):
-        for q, y in adj[p].items():
-            B_red[a, col[q]] = -y
-        total = 0.0
-        for y in adj[p].values():
-            total += y
-        B_red[a, a] = total
-    return B_red
+def kept_buses_reference(net) -> list[int]:
+    """The distinct generator buses in generator order, then the slack
+    if no generator sits there."""
+    keep = []
+    for k in net.gen_pos.tolist():
+        if k not in keep:
+            keep.append(k)
+    slack = bus_pos(net)[net.slack_bus]
+    return keep if slack in keep else keep + [slack]
 
 
-def dc_power_flow_reference(net) -> tuple[OperatingPoint, list]:
-    """The operating point and the pivots of the dict elimination."""
+def prelude_reference(net) -> tuple[OperatingPoint, np.ndarray, list]:
+    """The DC operating point, the couplings Y between the distinct
+    generator buses and the pivots of the one dict elimination.
+
+    Y is read off the kept buses' dict rows.  The kept angles solve the
+    grounded Laplacian diag(Y 1) - Y with the slack's row and column
+    swapped with the last ones and then dropped; the other angles follow
+    by back substitution.  A slack without a generator is then
+    eliminated from Y.
+    """
+    keep = kept_buses_reference(net)
     slack = bus_pos(net)[net.slack_bus]
     g0 = net.g0.copy()
     d0 = net.d0
     g0[slack] += d0.sum() - g0.sum()
     p_inj = ((g0 - d0) / net.base_mva).tolist()
-    _, pivots = star_mesh_reference(net, [slack], p_inj)
+    adj, pivots = star_mesh_reference(net, keep, p_inj)
+    col = {p: a for a, p in enumerate(keep)}
+    Y = np.zeros((len(keep), len(keep)))
+    for a, p in enumerate(keep):
+        for q, y in adj[p].items():
+            Y[a, col[q]] = y
+
+    L = -Y
+    np.fill_diagonal(L, Y.sum(axis=1))
+    error = CaseError("singular or non-finite reduced susceptance network")
+    if not np.isfinite(L).all():
+        raise error
+    order = list(range(len(keep)))
+    s = col[slack]
+    order[s], order[-1] = order[-1], order[s]
+    L = L[np.ix_(order, order)]
+    try:
+        solved = np.linalg.solve(L[:-1, :-1], np.array(p_inj)[keep][order][:-1])
+    except np.linalg.LinAlgError as exc:
+        raise error from exc
+    if np.isnan(solved).any():
+        raise error
     theta = [0.0] * net.m
-    for k, Y, star in reversed(pivots):
+    for a, t in zip(order, solved.tolist()):
+        theta[keep[a]] = t
+    for k, Y_k, star in reversed(pivots):
         total = 0.0
         for j, y in star.items():
             total += y * theta[j]
-        theta[k] = (p_inj[k] + total) / Y
+        theta[k] = (p_inj[k] + total) / Y_k
     theta = np.array(theta)
     ei, ej = net.ends
     flows = (theta[ei] - theta[ej]) / net.x * net.base_mva
-    return OperatingPoint(angles=theta, flows=flows, injections=d0 - g0), pivots
+    op = OperatingPoint(angles=theta, flows=flows, injections=d0 - g0)
+    if slack not in net.gen_pos.tolist():
+        n = len(keep) - 1
+        y = Y[n, :n]
+        Y = np.multiply.outer(y, y) / Y[n].sum() + Y[:n, :n]
+        np.fill_diagonal(Y, 0.0)
+    return op, Y, pivots

@@ -248,7 +248,7 @@ def test_bipartition_rejects_negative_weights():
 
 def test_coupling_weights_match_elementwise_formula(pipe118, case118):
     op, model, _ = pipe118
-    Y = kron_reduce(case118)
+    _, Y = kron_reduce(case118)
     delta = internal_angles(case118, op)
     V = case118.v.tolist()
     Minv = [1.0 / h for h in case118.inertia.tolist()]

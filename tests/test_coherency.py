@@ -35,7 +35,7 @@ from dense_oracle import (
     dense_slow_modes,
     susceptance_laplacian,
 )
-from prelude_reference import dc_power_flow_reference, kron_reduce_reference
+from prelude_reference import kept_buses_reference, prelude_reference
 
 
 def two_gen_net(x=0.2):
@@ -57,20 +57,11 @@ def laplacian(Y):
     return np.diag(Y.sum(axis=1)) - Y
 
 
-def couplings(B):
-    """The couplings of a reference's reduced Laplacian B: its negated
-    off-diagonal, with B's +0.0 kept +0.0, and a zero diagonal."""
-    Y = 0.0 - B
-    np.fill_diagonal(Y, 0.0)
-    return Y
-
-
 def test_reduction_sign_convention():
     # a single line of susceptance 5 between two generator buses:
     # the coupling is +5, and so is K's off-diagonal entry
     net = two_gen_net(x=0.2)
-    op = dc_power_flow(net)
-    Y = kron_reduce(net)
+    op, Y = kron_reduce(net)
     assert Y[0, 1] == pytest.approx(5.0)
     assert Y[0, 0] == Y[1, 1] == 0.0
     K = build_K(net, op, Y)
@@ -101,7 +92,7 @@ def test_reduction_matches_elimination_oracle(seed):
                          extra_edges=int(rng.integers(0, 4)))
     keep = net.gen_pos.tolist()
     expected = elementwise_elimination(susceptance_laplacian(net), keep)
-    np.testing.assert_allclose(laplacian(kron_reduce(net)), expected, atol=1e-9)
+    np.testing.assert_allclose(laplacian(kron_reduce(net)[1]), expected, atol=1e-9)
 
 
 @pytest.mark.parametrize("name", ["case39", "case118", "tied x2"])
@@ -109,7 +100,7 @@ def test_reduction_matches_elimination_oracle_on_cases(name, monkeypatch):
     net = named_network(name, monkeypatch)
     keep = net.gen_pos.tolist()
     expected = elementwise_elimination(susceptance_laplacian(net), keep)
-    np.testing.assert_allclose(laplacian(kron_reduce(net)), expected,
+    np.testing.assert_allclose(laplacian(kron_reduce(net)[1]), expected,
                                rtol=1e-12, atol=1e-12 * np.abs(expected).max())
 
 
@@ -127,38 +118,118 @@ def test_elimination_matches_dense_solves(seed):
     # the dense Schur complement rounds at the scale of the Laplacian,
     # where the elimination of positive weights has no cancellation
     scale = np.abs(susceptance_laplacian(net)).max()
-    np.testing.assert_allclose(laplacian(kron_reduce(net)), dense_kron(net),
+    np.testing.assert_allclose(laplacian(kron_reduce(net)[1]), dense_kron(net),
                                rtol=1e-12, atol=1e-12 * scale)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_elimination_matches_dense_solves_with_the_slack_at_a_load_bus(seed):
+    rng = np.random.default_rng(seed)
+    n_gens = int(rng.integers(1, 5))
+    doc = random_case_doc(rng, m=int(rng.integers(n_gens + 1, 16)),
+                          extra_edges=int(rng.integers(0, 6)), n_gens=n_gens)
+    gen_buses = {g["bus"] for g in doc["gens"]}
+    loads = [b["id"] for b in doc["buses"] if b["id"] not in gen_buses]
+    doc["slack_bus"] = int(rng.choice(loads))
+    net = parse_case(json.dumps(doc))
+    op, Y = kron_reduce(net)
+    theta = dense_dc_angles(net)
+    assert op.angles[bus_pos(net)[net.slack_bus]] == 0.0
+    np.testing.assert_allclose(op.angles, theta, rtol=1e-12,
+                               atol=1e-12 * np.abs(theta).max())
+    assert dc_power_flow(net).angles.tobytes() == op.angles.tobytes()
+    scale = np.abs(susceptance_laplacian(net)).max()
+    np.testing.assert_allclose(laplacian(Y), dense_kron(net),
+                               rtol=1e-12, atol=1e-12 * scale)
+    np.testing.assert_array_equal(Y, Y.T)
+    assert not np.diag(Y).any() and Y.min() >= 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_two_generators_on_one_bus_have_a_flow_but_no_reduction(seed):
+    rng = np.random.default_rng(seed)
+    n_gens = int(rng.integers(1, 5))
+    doc = random_case_doc(rng, m=int(rng.integers(n_gens + 1, 16)),
+                          extra_edges=int(rng.integers(0, 6)), n_gens=n_gens)
+    twin = doc["gens"][int(rng.integers(n_gens))]
+    doc["gens"].insert(int(rng.integers(n_gens + 1)),
+                       {**twin, "pg_mw": 25.0, "pg_max_mw": 30.0})
+    net = parse_case(json.dumps(doc))
+    theta = dense_dc_angles(net)
+    np.testing.assert_allclose(dc_power_flow(net).angles, theta, rtol=1e-12,
+                               atol=1e-12 * np.abs(theta).max())
+    with pytest.raises(ModelError, match="^two generators share a bus$"):
+        kron_reduce(net)
+
+
 def test_nonfinite_pivots_are_typed_errors():
-    # a reactance of 5e-324 gives its line the weight 1/x = inf.  On the
-    # chain the DC call meets it in a star of one (bus 3 goes first) and
-    # the reduction in a star of two; on the ring both calls meet it in a
-    # star of two; on the complete graph of four buses, where bus 2 goes
-    # first, both meet it in a star of three.  The reduction needs no
-    # operating point.
+    # a reactance of 5e-324 gives its line the weight 1/x = inf.  The
+    # elimination keeps the generator buses 1 and 3: on the chain it
+    # meets the infinite weight in a star of two, on the ring in a star
+    # of two (bus 2 goes first) and on the complete graph of four buses
+    # in a star of three at bus 2.  Both stages run that one elimination.
     chain = [(1, 2, 5e-324), (2, 3, 0.1)]
     ring = chain + [(3, 4, 0.1), (1, 4, 0.1)]
     complete = ring + [(1, 3, 0.1), (2, 4, 0.1)]
     for lines in (chain, ring, complete):
-        m = max(j for _, j, _ in lines)
-        doc = {
-            "base_mva": 100.0, "slack_bus": 1,
-            "buses": [{"id": b, "pd_mw": 10.0} for b in range(1, m + 1)],
-            "branches": [{"from": i, "to": j, "x_pu": x} for i, j, x in lines],
-            "gens": [{"bus": b, "pg_mw": 5.0 * m, "inertia_s": 5.0,
-                      "xd_prime_pu": 0.1} for b in (1, 3)],
-        }
-        net = parse_case(json.dumps(doc))
-        for stage, reference, error in (
-                (dc_power_flow, dc_power_flow_reference, CaseError),
-                (kron_reduce, kron_reduce_reference, ModelError)):
-            with pytest.raises(error, match="pivot at bus 2$") as got:
+        net = small_net(lines, gen_buses=(1, 3))
+        for stage in (dc_power_flow, kron_reduce):
+            with pytest.raises(CaseError, match="pivot at bus 2$") as got:
                 stage(net)
-            with pytest.raises(error) as want:
-                reference(net)
+            with pytest.raises(CaseError) as want:
+                prelude_reference(net)
             assert str(got.value) == str(want.value)
+
+
+def small_net(lines, gen_buses, slack=1):
+    """Buses 1..m of 10 MW load, lines (i, j, x) and one 5 MW machine
+    per load bus at each of gen_buses."""
+    m = max(j for _, j, _ in lines)
+    doc = {
+        "base_mva": 100.0, "slack_bus": slack,
+        "buses": [{"id": b, "pd_mw": 10.0} for b in range(1, m + 1)],
+        "branches": [{"from": i, "to": j, "x_pu": x} for i, j, x in lines],
+        "gens": [{"bus": b, "pg_mw": 5.0 * m, "inertia_s": 5.0,
+                  "xd_prime_pu": 0.1} for b in gen_buses],
+    }
+    return parse_case(json.dumps(doc))
+
+
+@pytest.mark.parametrize("slack", [1, 2, 4])
+def test_an_infinite_line_between_generator_buses_is_a_case_error(slack):
+    # no pivot reads a weight between two kept buses, so the grounded
+    # system holds the infinite weight; it is a CaseError, never a
+    # LinAlgError or a NaN angle
+    net = small_net([(1, 2, 0.1), (2, 3, 0.1), (3, 4, 0.1), (1, 4, 5e-324)],
+                    gen_buses=(1, 4), slack=slack)
+    for stage in (dc_power_flow, kron_reduce, prelude_reference):
+        with pytest.raises(CaseError, match="^singular or non-finite reduced "
+                           "susceptance network$"):
+            stage(net)
+
+
+def test_an_elimination_fault_outranks_two_generators_on_one_bus():
+    net = small_net([(1, 2, 5e-324), (2, 3, 0.1)], gen_buses=(1, 3, 3))
+    with pytest.raises(CaseError, match="pivot at bus 2$"):
+        kron_reduce(net)
+
+
+def raise_singular(A, b):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@pytest.mark.parametrize("solve", [raise_singular,
+                                   lambda A, b: np.full(len(b), np.nan)],
+                         ids=["LinAlgError", "NaN"])
+def test_a_singular_grounded_system_is_a_case_error(monkeypatch, solve):
+    # LAPACK raises on an exactly singular system; one singular to
+    # rounding can give NaN angles instead
+    net = small_net([(1, 2, 0.1), (2, 3, 0.1)], gen_buses=(1, 3))
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    with pytest.raises(CaseError, match="^singular or non-finite reduced"):
+        dc_power_flow(net)
 
 
 @pytest.mark.parametrize("copies", [8, 24])
@@ -180,7 +251,7 @@ def test_slow_modes_peak_memory_below_two_and_a_half_dense_matrices(
     # traced: one scaled copy of K and the eigenvectors, 2 n^2 floats; a
     # symmetrised second copy would make it 3 n^2
     net = tied_network(monkeypatch, copies)
-    K = build_K(net, dc_power_flow(net), kron_reduce(net))
+    K = build_K(net, *kron_reduce(net))
     m = inertia(net)
     tracemalloc.start()
     try:
@@ -194,8 +265,7 @@ def test_slow_modes_peak_memory_below_two_and_a_half_dense_matrices(
 def test_build_K_peak_memory_below_two_and_a_half_dense_matrices(monkeypatch):
     # traced: K and the cosine buffer, 2 n^2 floats; Y is the caller's
     net = tied_network(monkeypatch, 24)
-    op = dc_power_flow(net)
-    Y = kron_reduce(net)
+    op, Y = kron_reduce(net)
     tracemalloc.start()
     try:
         build_K(net, op, Y)
@@ -208,7 +278,7 @@ def test_build_K_peak_memory_below_two_and_a_half_dense_matrices(monkeypatch):
 @pytest.mark.parametrize("name", ["case39", "case118", "tied x2"])
 def test_slow_modes_are_bitwise_the_dense_formula(name, monkeypatch):
     net = named_network(name, monkeypatch)
-    K = build_K(net, dc_power_flow(net), kron_reduce(net))
+    K = build_K(net, *kron_reduce(net))
     m = inertia(net)
     for r in (1, 2, 5, 8):
         vals, U = slow_modes(m, K, r)
@@ -219,7 +289,7 @@ def test_slow_modes_are_bitwise_the_dense_formula(name, monkeypatch):
 
 def test_slow_modes_reject_a_coupling_matrix_that_is_not_symmetric():
     net = two_gen_net()
-    K = build_K(net, dc_power_flow(net), kron_reduce(net))
+    K = build_K(net, *kron_reduce(net))
     K[0, 1] = np.nextafter(K[0, 1], np.inf)
     with pytest.raises(ModelError, match="not exactly symmetric"):
         slow_modes(inertia(net), K, 1)
@@ -227,7 +297,7 @@ def test_slow_modes_reject_a_coupling_matrix_that_is_not_symmetric():
 
 def test_slow_modes_reject_inertias_of_the_wrong_length():
     net = two_gen_net()
-    K = build_K(net, dc_power_flow(net), kron_reduce(net))
+    K = build_K(net, *kron_reduce(net))
     with pytest.raises(ModelError, match="inertias"):
         slow_modes(np.diag(inertia(net)), K, 1)
 
@@ -249,8 +319,7 @@ def loop_build_K(net, op, Y):
 @pytest.mark.parametrize("name", ["case39", "case118", "tied x2"])
 def test_build_K_is_bitwise_the_loop(name, monkeypatch):
     net = named_network(name, monkeypatch)
-    op = dc_power_flow(net)
-    Y = kron_reduce(net)
+    op, Y = kron_reduce(net)
     np.testing.assert_array_equal(build_K(net, op, Y), loop_build_K(net, op, Y))
 
 
@@ -260,8 +329,7 @@ def test_reduction_and_coupling_invariants(seed):
     rng = np.random.default_rng(seed)
     net = random_network(rng, m=int(rng.integers(4, 12)),
                          extra_edges=int(rng.integers(0, 5)))
-    op = dc_power_flow(net)
-    Y = kron_reduce(net)
+    op, Y = kron_reduce(net)
     np.testing.assert_array_equal(Y, Y.T)
     assert not np.diag(Y).any()
     assert Y.min() >= 0.0   # couplings nonnegative
@@ -301,7 +369,7 @@ def test_slow_modes_pick_smallest_magnitude(pipe39):
 def test_slow_modes_r_out_of_range():
     net = two_gen_net()
     op = dc_power_flow(net)
-    K = build_K(net, op, kron_reduce(net))
+    K = build_K(net, op, kron_reduce(net)[1])
     with pytest.raises(ModelError):
         slow_modes(inertia(net), K, 3)
 
@@ -356,21 +424,28 @@ def test_build_model_case39(case39):
 
 
 def assert_prelude_is_bitwise_the_dict_reference(net):
-    """DC pivots, angles, flows and injections, the couplings Y and K
-    bitwise the dict-of-dicts eliminations'; Y's row sums, the
-    reference's diagonal, to rounding."""
-    op, Y = dc_power_flow(net), kron_reduce(net)
-    ref_op, ref_pivots = dc_power_flow_reference(net)
-    pivots = _star_mesh(net, [bus_pos(net)[net.slack_bus]])[0]
+    """Pivots, angles, flows and injections, the couplings Y and K
+    bitwise the dict-of-dicts elimination's and its dense grounded
+    solve's; a network with two generators on one bus has an operating
+    point but no reduction."""
+    ref_op, ref_Y, ref_pivots = prelude_reference(net)
+    pivots = _star_mesh(net, kept_buses_reference(net))[0]
     assert [(k, Yk, list(star.items())) for k, Yk, star in pivots] == [
         (k, Yk, list(star.items())) for k, Yk, star in ref_pivots]
+    op = dc_power_flow(net)
+    if len(set(net.gen_pos.tolist())) < net.n:
+        with pytest.raises(ModelError, match="two generators share a bus"):
+            kron_reduce(net)
+    else:
+        kron_op, Y = kron_reduce(net)
+        assert Y.tobytes() == ref_Y.tobytes()
+        assert (build_K(net, op, Y).tobytes()
+                == build_K(net, ref_op, ref_Y).tobytes())
+        for name in ("angles", "flows", "injections"):
+            assert (getattr(kron_op, name).tobytes()
+                    == getattr(op, name).tobytes()), name
     for name in ("angles", "flows", "injections"):
         assert getattr(op, name).tobytes() == getattr(ref_op, name).tobytes(), name
-    R = kron_reduce_reference(net)
-    assert Y.tobytes() == couplings(R).tobytes()
-    np.testing.assert_allclose(Y.sum(axis=1), np.diag(R), rtol=1e-12, atol=0.0)
-    assert (build_K(net, op, Y).tobytes()
-            == build_K(net, ref_op, couplings(R)).tobytes())
 
 
 @pytest.mark.parametrize("name", ["case39", "case118", "meshed-120 1",
@@ -418,6 +493,12 @@ def test_prelude_is_bitwise_the_dict_reference_with_parallel_lines(seed):
         for _ in range(int(rng.integers(1, 3))):
             lines.append({"from": a, "to": b,
                           "x_pu": float(rng.uniform(0.01, 0.2))})
+    # the slack moved to any bus in half the draws, and in a quarter a
+    # second generator on the first one's bus
+    if rng.random() < 0.5:
+        doc["slack_bus"] = int(rng.integers(1, m + 1))
+    if rng.random() < 0.25:
+        doc["gens"].append({**doc["gens"][0], "pg_mw": 0.0, "pg_max_mw": 0.0})
     assert_prelude_is_bitwise_the_dict_reference(parse_case(json.dumps(doc)))
 
 
@@ -455,7 +536,7 @@ def test_prelude_bits_do_not_depend_on_the_python_version(name, monkeypatch):
     net = named_network(name, monkeypatch)
 
     def outputs():
-        op, Y = dc_power_flow(net), kron_reduce(net)
+        op, Y = kron_reduce(net)
         return [a.tobytes() for a in (op.angles, op.flows, Y,
                                       build_K(net, op, Y))]
 

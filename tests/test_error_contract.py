@@ -158,13 +158,15 @@ def cli_process(argv, timeout=60):
 
 def write_inputs(tmp_path) -> dict:
     """Fixed bad inputs: a 1e308 MW load, a 1e308 p.u. machine voltage,
-    bus 1 renumbered 2**70, 200,000-deep JSON and a MATPOWER case to pair
-    with it as the dynamics document."""
+    bus 1 renumbered 2**70, a line of reactance 5e-324 (weight 1/x = inf)
+    between generator buses 33 and 34, 200,000-deep JSON and a MATPOWER
+    case to pair with it as the dynamics document."""
     with open(CASE39) as fh:
         text = fh.read()
-    big_load, big_voltage, big_id = (json.loads(text) for _ in range(3))
+    big_load, big_voltage, big_id, strong = (json.loads(text) for _ in range(4))
     big_load["buses"][3]["pd_mw"] = 1e308
     big_voltage["gens"][0]["vm_pu"] = 1e308
+    strong["branches"].append({"from": 33, "to": 34, "x_pu": 5e-324})
     for row, key in ([(b, "id") for b in big_id["buses"]]
                      + [(br, end) for br in big_id["branches"]
                         for end in ("from", "to")]):
@@ -174,6 +176,7 @@ def write_inputs(tmp_path) -> dict:
         "big-load": json.dumps(big_load),
         "big-voltage": json.dumps(big_voltage),
         "big-id": json.dumps(big_id),
+        "strong-line": json.dumps(strong),
         "deep": '{"a":' + "[" * 200_000 + "]" * 200_000 + "}",
         "matpower": "mpc.bus = [\n1 3 0\n2 1 50\n];\nmpc.gen = [\n1 50\n];\n"
                     "mpc.branch = [\n1 2 0 0.1\n];\n",
@@ -204,6 +207,10 @@ def write_inputs(tmp_path) -> dict:
     # K overflows to inf, on which the eigensolver fails
     (["run", "--case", "big-voltage", "--r", "2"], "ModelError"),
     (["refsel", "--case", "big-voltage"], "ModelError"),
+    # no pivot reads the infinite weight between two generator buses;
+    # the grounded system of the kept buses holds it
+    (["run", "--case", "strong-line", "--r", "2"], "CaseError"),
+    (["refsel", "--case", "strong-line"], "CaseError"),
     # a bus number must fit in int64
     (["run", "--case", "big-id"], "CaseError"),
     (["refsel", "--case", "big-id"], "CaseError"),
