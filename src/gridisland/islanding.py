@@ -17,6 +17,7 @@ subtree may replace v.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,8 +81,8 @@ TIE_BAND = 1e-12
 def _ties(values: np.ndarray) -> np.ndarray:
     """Which values tie with the largest, top: those at or above
     top - TIE_BAND * |top|, or equal to top where it is not finite."""
-    top = values.max()
-    if not np.isfinite(top):
+    top = float(values.max())
+    if not math.isfinite(top):
         return values == top
     return values >= top - TIE_BAND * abs(top)
 
@@ -112,7 +113,9 @@ def greedy_select(ctx: MetricContext) -> tuple[IncrementalEvaluator, list[float]
         if not len(omega):
             break
         tied = np.flatnonzero(_ties(ev.gains(omega)))
-        k = tied[int(np.argmax(_ties(ev.f_gains(omega[tied]))))]
+        if len(tied) > 1:
+            tied = tied[_ties(ev.f_gains(omega[tied]))]
+        k = tied[0]
         ev.add(int(omega[k]))
         trace.append(ev.J())
     if len(ev.S) != target:

@@ -555,7 +555,9 @@ def test_report_does_not_depend_on_the_python_version(monkeypatch, capsys):
 
 def test_kron_peak_memory_at_ten_thousand_buses(monkeypatch):
     # traced: Y, n^2 floats, plus the rows of the eliminated buses and
-    # the kept-pair updates, which stay well below n^2 at this size
+    # the kept-pair updates, which stay well below n^2 at this size; the
+    # grounded solve is built in Y's own buffer, and LAPACK's copy of it
+    # is not traced
     net = tied_network(monkeypatch, 84)
     assert net.n == 1596
     tracemalloc.start()
