@@ -73,8 +73,8 @@ class IslandingSolution:
 
 
 # Relative width of the greedy's tie band.  On the bundled, meshed and
-# tied cases the runner-up decreases within 1e-13 of the winner are
-# rounding (1e-16 .. 1e-13), and no real gap is below 1e-7.
+# tied cases the runner-up decreases within 1.1e-13 of the winner are
+# rounding ties, and no other gap is below 1e-7.
 TIE_BAND = 1e-12
 
 
