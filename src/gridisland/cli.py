@@ -228,8 +228,8 @@ def run(args: argparse.Namespace) -> dict:
     }
     if args.dump_model:
         report["model"] = {
-            # an uncoupled pair's K_ij = 0 * cos(delta_i - delta_j) is
-            # -0.0 where the cosine is negative; + 0.0 prints it as 0.0
+            # a generator with no coupling has K_ii = -(+0.0) = -0.0;
+            # + 0.0 prints it as 0.0
             "K": (model.K + 0.0).tolist(),
             "M": model.M.tolist(),
             "U": model.U.tolist(),

@@ -62,18 +62,26 @@ def build_K(net: PowerNetwork, op: OperatingPoint, Y: np.ndarray) -> np.ndarray:
     """Coupling matrix: K_ij = V_i V_j Y_ij cos(delta_i - delta_j), i != j,
     and K_ii = -sum_j K_ij.
 
-    Multiplied in place in that order, so at most two n x n arrays are
-    live besides Y; K is exactly symmetric as Y is, and Y's zero
-    diagonal leaves K's zero until the row sums fill it.
+    Multiplied in place in that order, the cosine taken and multiplied in
+    only where Y_ij != 0, so an uncoupled K_ij is V_i V_j 0 = +0.0; at
+    most two n x n arrays and one n x n mask are live besides Y.  K is
+    exactly symmetric as Y is, and Y's zero diagonal leaves K's zero
+    until the row sums fill it.  A non-finite internal angle is a
+    ModelError: the mask would skip it wherever Y is zero.
     """
     n = net.n
     if Y.shape != (n, n):
         raise ModelError("reduced susceptance has wrong dimensions")
     delta = internal_angles(net, op)
+    if not np.isfinite(delta).all():
+        raise ModelError("internal rotor angles are not finite: an input is "
+                         "too large for double precision")
     K = np.multiply.outer(net.v, net.v)
     K *= Y
+    coupled = Y != 0
     cos = np.subtract.outer(delta, delta)
-    K *= np.cos(cos, out=cos)
+    np.cos(cos, out=cos, where=coupled)
+    np.multiply(K, cos, out=K, where=coupled)
     np.fill_diagonal(K, -K.sum(axis=1))
     return K
 
@@ -108,8 +116,8 @@ def slow_modes(m: np.ndarray, K: np.ndarray, r: int) -> tuple[np.ndarray, np.nda
         raise ModelError("coupling matrix is not finite: an input is too "
                          "large for double precision")
     vals, vecs = np.linalg.eigh(Ks)
-    order = sorted(range(n), key=lambda k: (abs(vals[k]), vals[k], k))
-    pick = order[:r]
+    # stable, so the order is (|lambda|, lambda, index)
+    pick = np.lexsort((vals, np.abs(vals)))[:r]
     U = vecs[:, pick] / d[:, None]
     return vals[pick], U
 

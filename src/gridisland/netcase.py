@@ -162,24 +162,29 @@ def _validate(net: PowerNetwork, line_known: np.ndarray) -> PowerNetwork:
 
 
 def component_labels(net: PowerNetwork, S) -> np.ndarray:
-    """Bus position -> smallest bus position in its component of (V, S)."""
-    parent = list(range(net.m))
-    ei, ej = (x.tolist() for x in net.ends)
-    for e in S:
-        a, b = ei[e], ej[e]
-        while parent[a] != a:   # find, halving the path
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a < b:
-            parent[b] = a
-        elif b < a:
-            parent[a] = b
-    # a root is the smallest position of its tree, so parent[b] <= b, and
-    # in ascending order parent[b]'s own parent is already its root
-    for b in range(net.m):
-        parent[b] = parent[parent[b]]
-    return np.array(parent, dtype=np.intp)
+    """Bus position -> smallest bus position in its component of (V, S).
+
+    Each round hooks, for every line of S whose ends have different
+    roots, the larger root onto the smaller (`np.minimum.at` keeps the
+    smallest), then jumps pointers until every bus points at its root.
+    A parent is never larger than its bus, so a root is the smallest
+    position of its tree; the rounds end when no line joins two trees.
+    """
+    parent = np.arange(net.m)
+    lines = np.fromiter(S, dtype=np.intp)
+    a, b = net.ends[0][lines], net.ends[1][lines]
+    while True:
+        ra, rb = parent[a], parent[b]
+        join = ra != rb
+        if not join.any():
+            return parent
+        ra, rb = ra[join], rb[join]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
 
 
 def _is_index(k, n: int) -> bool:

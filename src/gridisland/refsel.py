@@ -77,27 +77,31 @@ def select_references_greedy(U: np.ndarray, r: int) -> ReferenceSelection:
 def select_references_pivoting(U: np.ndarray, r: int) -> ReferenceSelection:
     """r steps of Gaussian elimination with complete pivoting on a copy of U.
 
-    The pivot row of each step names one reference generator.
+    The pivot row of each step names one reference generator.  Each step
+    takes the first maximum of |W| over the free rows and columns in
+    row-major order, with the rows and columns already pivoted masked to
+    -1, and updates the free rows.
     """
     n, cols = U.shape
     if not 1 <= r <= min(n, cols):
         raise SelectionError(f"cannot pick {r} pivots from a {n}x{cols} basis")
     W = U.astype(float)
-    free_rows = list(range(n))
-    free_cols = list(range(cols))
+    A = np.empty_like(W)
+    free_rows = np.ones(n, dtype=bool)
+    free_cols = np.ones(cols, dtype=bool)
     refs: list[int] = []
     pivots: list[float] = []
     for _ in range(r):
-        sub = np.abs(W[np.ix_(free_rows, free_cols)])
-        flat = int(np.argmax(sub))
-        ri, ci = divmod(flat, len(free_cols))
-        piv_row, piv_col = free_rows[ri], free_cols[ci]
+        np.abs(W, out=A)
+        A[~free_rows] = -1.0
+        A[:, ~free_cols] = -1.0
+        piv_row, piv_col = divmod(int(np.argmax(A)), cols)
         piv = W[piv_row, piv_col]
         if piv == 0.0:
             raise SelectionError("zero pivot before r steps")
         refs.append(piv_row)
         pivots.append(abs(piv))
-        free_rows.remove(piv_row)
+        free_rows[piv_row] = False
         W[free_rows] -= (W[free_rows, piv_col] / piv)[:, None] * W[piv_row]
-        free_cols.remove(piv_col)
+        free_cols[piv_col] = False
     return ReferenceSelection(tuple(refs), tuple(pivots))

@@ -19,7 +19,13 @@ from gridisland.coherency import (
     kron_reduce,
     slow_modes,
 )
-from gridisland.netcase import CaseError, _star_mesh, dc_power_flow, parse_case
+from gridisland.netcase import (
+    CaseError,
+    OperatingPoint,
+    _star_mesh,
+    dc_power_flow,
+    parse_case,
+)
 
 from casekit import (
     ROOT,
@@ -323,6 +329,21 @@ def test_build_K_is_bitwise_the_loop(name, monkeypatch):
     np.testing.assert_array_equal(build_K(net, op, Y), loop_build_K(net, op, Y))
 
 
+@pytest.mark.parametrize("name", ["case118", "tied x2"])
+def test_an_uncoupled_pair_is_positive_zero_in_K(name, monkeypatch):
+    # no cosine is taken where Y_ij = 0, so K_ij = V_i V_j 0 = +0.0 even
+    # where cos(delta_i - delta_j) < 0; bus angles spread over [0, 3]
+    # make such pairs
+    net = named_network(name, monkeypatch)
+    op, Y = kron_reduce(net)
+    op = OperatingPoint(np.linspace(0.0, 3.0, net.m), op.flows, op.injections)
+    uncoupled = (Y == 0) & ~np.eye(net.n, dtype=bool)
+    delta = internal_angles(net, op)
+    assert (np.cos(np.subtract.outer(delta, delta))[uncoupled] < 0).any()
+    K = build_K(net, op, Y)
+    assert (K[uncoupled] == 0).all() and not np.signbit(K[uncoupled]).any()
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**6))
 def test_reduction_and_coupling_invariants(seed):
@@ -364,6 +385,24 @@ def test_slow_modes_pick_smallest_magnitude(pipe39):
     full = np.linalg.eigvalsh(model.K / np.outer(d, d))
     slowest = sorted(np.abs(full))[: len(model.sigma_r)]
     np.testing.assert_allclose(sorted(np.abs(model.sigma_r)), slowest, atol=1e-8)
+
+
+def test_slow_modes_break_ties_by_magnitude_then_value_then_index():
+    # blocks [[0, a], [a, 0]] have eigenvalues -a and a, exactly; with
+    # M = 1, eigh's ascending spectrum is
+    #   index:  0     1     2     3     4     5     6    7    8    9    10
+    #   value: -1.5  -1.5  -1.5  -1.5  -1.5  -0.5  -0.5  0.5  1.5  1.5  2.0
+    K = np.zeros((11, 11))
+    for at, a in ((0, 1.5), (3, 0.5), (9, 1.5)):
+        K[at, at + 1] = K[at + 1, at] = a
+    K[[2, 5, 6, 7, 8], [2, 5, 6, 7, 8]] = -1.5, -1.5, 2.0, -0.5, -1.5
+    vals, vecs = np.linalg.eigh(K)
+    assert vals.tolist() == [-1.5] * 5 + [-0.5, -0.5, 0.5, 1.5, 1.5, 2.0]
+    order = [5, 6, 7, 0, 1, 2, 3, 4, 8, 9, 10]
+    for r in range(1, 12):
+        sigma, U = slow_modes(np.ones(11), K, r)
+        assert sigma.tolist() == vals[order[:r]].tolist()
+        assert np.array_equal(U, vecs[:, order[:r]])
 
 
 def test_slow_modes_r_out_of_range():

@@ -158,14 +158,20 @@ def cli_process(argv, timeout=60):
 
 def write_inputs(tmp_path) -> dict:
     """Fixed bad inputs: a 1e308 MW load, a 1e308 p.u. machine voltage,
-    bus 1 renumbered 2**70, a line of reactance 5e-324 (weight 1/x = inf)
+    a 1e308 MW unit with xd' = 10 p.u. on a 1 MVA base (its internal
+    angle overflows), the same unit as the case's only generator, bus 1
+    renumbered 2**70, a line of reactance 5e-324 (weight 1/x = inf)
     between generator buses 33 and 34, 200,000-deep JSON and a MATPOWER
     case to pair with it as the dynamics document."""
     with open(CASE39) as fh:
         text = fh.read()
-    big_load, big_voltage, big_id, strong = (json.loads(text) for _ in range(4))
+    big_load, big_voltage, big_angle, big_id, strong = (
+        json.loads(text) for _ in range(5))
     big_load["buses"][3]["pd_mw"] = 1e308
     big_voltage["gens"][0]["vm_pu"] = 1e308
+    big_angle["base_mva"] = 1
+    big_angle["gens"][0].update(pg_mw=1e308, xd_prime_pu=10)
+    lone_angle = {**big_angle, "gens": big_angle["gens"][:1]}
     strong["branches"].append({"from": 33, "to": 34, "x_pu": 5e-324})
     for row, key in ([(b, "id") for b in big_id["buses"]]
                      + [(br, end) for br in big_id["branches"]
@@ -175,6 +181,8 @@ def write_inputs(tmp_path) -> dict:
     files = {
         "big-load": json.dumps(big_load),
         "big-voltage": json.dumps(big_voltage),
+        "big-angle": json.dumps(big_angle),
+        "lone-angle": json.dumps(lone_angle),
         "big-id": json.dumps(big_id),
         "strong-line": json.dumps(strong),
         "deep": '{"a":' + "[" * 200_000 + "]" * 200_000 + "}",
@@ -221,3 +229,20 @@ def test_fixed_bad_inputs_end_in_one_json_error(tmp_path, argv, error):
     assert code == 1 and out == ""
     (line,) = err.splitlines()
     assert json.loads(line)["error"] == error
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--case", "big-angle", "--r", "2"],
+    ["refsel", "--case", "big-angle"],
+    # a lone generator has no coupled pair, so no cosine would see it
+    ["run", "--case", "lone-angle", "--r", "1"],
+    ["refsel", "--case", "lone-angle", "--r", "1"],
+])
+def test_an_infinite_internal_angle_is_named(tmp_path, argv):
+    paths = write_inputs(tmp_path)
+    code, out, err = cli_process([paths.get(a, a) for a in argv])
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "ModelError",
+        "message": "internal rotor angles are not finite: an input is too "
+                   "large for double precision"}

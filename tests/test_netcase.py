@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from gridisland import netcase
 from gridisland.netcase import (
     CaseError,
+    component_labels,
     dc_power_flow,
     incidence_matrix,
     parse_case,
@@ -336,6 +337,80 @@ def test_layout_and_flows_are_the_per_line_loops(name):
     assert dc_power_flow(net).flows.tolist() == [
         (theta[pos[i]] - theta[pos[j]]) / x * net.base_mva
         for (i, j), x in zip(line_ends(net), net.x.tolist())]
+
+
+def loop_component_labels(net, S):
+    """component_labels as the pure-Python union-find it replaced, with
+    path halving; the reference."""
+    parent = list(range(net.m))
+    ei, ej = (x.tolist() for x in net.ends)
+    for e in S:
+        a, b = ei[e], ej[e]
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    # a root is the smallest position of its tree, so in ascending order
+    # parent[b]'s own parent is already its root
+    for b in range(net.m):
+        parent[b] = parent[parent[b]]
+    return np.array(parent, dtype=np.intp)
+
+
+def path_network(order):
+    """A network whose lines form one path through the buses in `order`
+    (0-based ids), so labels travel its whole length."""
+    doc = random_case_doc(np.random.default_rng(0), m=len(order),
+                          extra_edges=0, n_gens=1)
+    doc["branches"] = [{"from": int(a) + 1, "to": int(b) + 1, "x_pu": 0.1}
+                       for a, b in zip(order[:-1], order[1:])]
+    return parse_case(json.dumps(doc))
+
+
+def assert_labels_are_the_loop(net, S):
+    labels = component_labels(net, S)
+    assert labels.dtype == np.intp
+    np.testing.assert_array_equal(labels, loop_component_labels(net, S))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**16), m=st.integers(1, 40),
+       extra=st.integers(0, 12), data=st.data())
+def test_component_labels_are_the_loop_union_find(seed, m, extra, data):
+    net = random_network(np.random.default_rng(seed), m=m, extra_edges=extra,
+                         n_gens=1)
+    # any subset of lines, in any order and with repeats
+    S = data.draw(st.lists(st.integers(0, max(net.l - 1, 0)),
+                           max_size=3 * net.l)) if net.l else []
+    assert_labels_are_the_loop(net, S)
+    assert_labels_are_the_loop(net, range(net.l))
+    assert_labels_are_the_loop(net, [])
+
+
+@pytest.mark.parametrize("order", [
+    np.arange(600),                                 # one hook, long jumps
+    np.arange(600)[::-1],
+    np.random.default_rng(3).permutation(600),
+    np.r_[np.arange(0, 600, 2), np.arange(599, 0, -2)],   # zigzag
+], ids=["ascending", "descending", "shuffled", "zigzag"])
+def test_component_labels_on_a_long_path(order):
+    net = path_network(order)
+    assert_labels_are_the_loop(net, range(net.l))
+    assert_labels_are_the_loop(net, list(range(net.l))[::-1] * 2)
+    assert_labels_are_the_loop(net, range(0, net.l, 2))
+    assert not component_labels(net, range(net.l)).any()
+
+
+def test_component_labels_of_a_single_bus_and_of_no_lines():
+    one = random_network(np.random.default_rng(0), m=1, extra_edges=0, n_gens=1)
+    assert component_labels(one, []).tolist() == [0]
+    net = load_case("case118.json")
+    assert component_labels(net, []).tolist() == list(range(net.m))
+    assert_labels_are_the_loop(net, np.arange(net.l))
 
 
 def test_dc_flow_tiny():

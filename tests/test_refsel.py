@@ -107,6 +107,15 @@ def test_pivoting_zero_pivot():
         select_references_pivoting(U, 1)
 
 
+def test_pivoting_never_returns_to_a_pivoted_column():
+    # the first step leaves 0.324 - (0.324 / 1.125) * 1.125 = -5.6e-17 in
+    # row 1 of the pivoted column 0; the free column 1 is all zero
+    U = np.array([[1.125, 0.0], [0.324, 0.0]])
+    assert _outcome(select_references_pivoting, U, 2) == \
+        _outcome(loop_select_references_pivoting, U, 2) == \
+        "zero pivot before r steps"
+
+
 def test_methods_agree_on_case39(pipe39):
     _, model, _ = pipe39
     g = select_references_greedy(model.U, 3)
