@@ -170,7 +170,7 @@ def component_labels(net: PowerNetwork, S) -> np.ndarray:
     A parent is never larger than its bus, so a root is the smallest
     position of its tree; the rounds end when no line joins two trees.
     """
-    parent = np.arange(net.m)
+    parent = np.arange(net.m, dtype=np.intp)
     lines = np.fromiter(S, dtype=np.intp)
     a, b = net.ends[0][lines], net.ends[1][lines]
     while True:
