@@ -35,7 +35,10 @@ stderr.  The argv set:
   ``run --refs 30,30 --r 2`` and ``run --xi=-0.0``;
 - ``run --r 2`` and ``refsel --r 3`` on case39 with a line of reactance
   5e-324 added between generator buses 33 and 34, whose weight 1/x is
-  infinite: one error line each.
+  infinite: one error line each;
+- ``run --r 2`` and ``refsel --r 3`` on case39 with a machine voltage of
+  1e308 p.u. on the first generator, whose products overflow K: one error
+  line each.
 
 The cases come from this checkout (``data/``, ``perfbench/inputs.py``
 read-only, ``tests/casekit.py``) and are written to one fixed directory,
@@ -52,7 +55,8 @@ run whose report differs, the decision fields that differ (``kept``,
 ``cutset``, ``islands``, ``generator_groups``, ``refs``; a ``refsel``
 report is all ``refs``), any other field that differs other than by a
 float, and the largest relative change of any float; then the count of
-runs that differ.  CSV reports are read by their header and tables as
+runs that differ.  It exits with 1 when any run differs and with 0 when
+none does.  CSV reports are read by their header and tables as
 rows of cells.  A relative change of 0 is a zero whose sign changed.
 """
 
@@ -85,6 +89,8 @@ NO_DYN_BUS, OFF_LINE, OFF_GEN_BUS = 32, (1, 39), 36
 TWIN_LINE = {"from": 25, "to": 26, "x_pu": 0.05}
 # a line between two generator buses of case39 whose weight 1/x is inf
 STRONG_LINE = {"from": 33, "to": 34, "x_pu": 5e-324}
+# a machine voltage on case39's first generator whose products overflow
+BIG_VOLTAGE = 1e308
 # the report fields that record a decision rather than a value
 DECISIONS = ("kept", "cutset", "islands", "generator_groups", "refs")
 # reference buses per case and r: the greedy ones reordered, and others
@@ -144,6 +150,10 @@ def write_cases(out_dir: str) -> dict[str, str]:
     texts["case39-strong-line"] = json.dumps(
         {**case39, "branches": case39["branches"] + [STRONG_LINE]},
         indent=1, sort_keys=True)
+    big_voltage = json.loads(texts["case39"])
+    big_voltage["gens"][0]["vm_pu"] = BIG_VOLTAGE
+    texts["case39-big-voltage"] = json.dumps(big_voltage, indent=1,
+                                             sort_keys=True)
     texts["case118-twin"] = json.dumps(
         {**case118, "branches": case118["branches"] + [TWIN_LINE]},
         indent=1, sort_keys=True)
@@ -212,6 +222,8 @@ def argv_set(paths: dict[str, str]) -> list[list[str]]:
              ["run", *case39, "--xi=-0.0"]]
     strong = ["--case", paths["case39-strong-line"]]
     runs += [["run", *strong, "--r", "2"], ["refsel", *strong, "--r", "3"]]
+    big = ["--case", paths["case39-big-voltage"]]
+    runs += [["run", *big, "--r", "2"], ["refsel", *big, "--r", "3"]]
     return runs
 
 
@@ -322,7 +334,7 @@ def main() -> int:
                   f"; other: {', '.join(other) or '-'}; largest relative float "
                   f"change: {'-' if rel < 0 else f'{rel:.3g}'}", flush=True)
     print(f"{changed} of {len(runs)} runs differ from {args.against}")
-    return 0
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":

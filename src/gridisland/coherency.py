@@ -106,15 +106,16 @@ def slow_modes(m: np.ndarray, K: np.ndarray, r: int) -> tuple[np.ndarray, np.nda
     # np.outer flattens, so an n x n inertia matrix would ask for n^4 floats
     if m.shape != (n,):
         raise ModelError(f"need {n} inertias, got shape {m.shape}")
-    if not np.array_equal(K, K.T):
-        raise ModelError("coupling matrix is not exactly symmetric")
     d = np.sqrt(m)
     Ks = np.outer(d, d)
     np.divide(K, Ks, out=Ks)
-    # eigh fails on, or returns NaN for, a matrix holding inf
+    # eigh fails on, or returns NaN for, a matrix holding inf; checked
+    # first, since a NaN in K fails the symmetry test too (NaN != NaN)
     if not np.isfinite(Ks).all():
         raise ModelError("coupling matrix is not finite: an input is too "
                          "large for double precision")
+    if not np.array_equal(K, K.T):
+        raise ModelError("coupling matrix is not exactly symmetric")
     vals, vecs = np.linalg.eigh(Ks)
     # stable, so the order is (|lambda|, lambda, index)
     pick = np.lexsort((vals, np.abs(vals)))[:r]

@@ -99,24 +99,42 @@ def greedy_select(ctx: MetricContext) -> tuple[IncrementalEvaluator, list[float]
     largest tie again (at xi = 0 this is the order a vanishing positive
     xi gives), and the lowest canonical line index wins.  So a decrease
     that differs from the largest only by rounding cannot decide a round.
+
+    A line's J-decrease depends only on the two islands it joins, so each
+    candidate keeps its end labels and its cached decrease, and each
+    label an anchored flag (its island holds a reference).  After a merge
+    only the lines with an end in the merged island are rescored, in one
+    `gains` call per round (empty if no such line is left); every other
+    cached decrease is bitwise what a rescan would give, so the picks,
+    and the trace, are the rescan's.  f-decreases are computed only for
+    the tied lines.
     """
     ev = IncrementalEvaluator(ctx)
-    ei, ej = ctx.net.ends
     omega = np.arange(ctx.net.l)
+    ends_a, ends_b = (x.copy() for x in ctx.net.ends)   # labels start as positions
+    anchored = np.zeros(ctx.net.m, dtype=bool)
+    anchored[ctx.ref_pos] = True
+    gain = np.empty(len(omega))
+    stale = np.ones(len(omega), dtype=bool)
     target = ctx.net.m - len(ctx.refs)
     trace = [ev.J()]
     while len(ev.S) < target:
-        anchored = np.zeros(ctx.net.m, dtype=bool)
-        anchored[ev.labels[ctx.ref_pos]] = True
-        root = np.where(anchored[ev.labels], -1, ev.labels)   # -1: joined to the root
-        omega = omega[root[ei[omega]] != root[ej[omega]]]
+        live = (ends_a != ends_b) & ~(anchored[ends_a] & anchored[ends_b])
+        omega, ends_a, ends_b, gain, stale = (
+            x[live] for x in (omega, ends_a, ends_b, gain, stale))
         if not len(omega):
             break
-        tied = np.flatnonzero(_ties(ev.gains(omega)))
+        gain[stale] = ev.gains(omega[stale])
+        tied = np.flatnonzero(_ties(gain))
         if len(tied) > 1:
             tied = tied[_ties(ev.f_gains(omega[tied]))]
         k = tied[0]
+        keep, gone = sorted((int(ends_a[k]), int(ends_b[k])))
         ev.add(int(omega[k]))
+        ends_a[ends_a == gone] = keep
+        ends_b[ends_b == gone] = keep
+        anchored[keep] |= anchored[gone]
+        stale = (ends_a == keep) | (ends_b == keep)
         trace.append(ev.J())
     if len(ev.S) != target:
         raise IslandingError("graph disconnected: no spanning basis exists")

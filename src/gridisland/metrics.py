@@ -19,8 +19,13 @@ T = [sqrt(xi) b0, c^1, ..., c^n]:
 Joining components a and b, with sizes n_a, n_b and target means mu_a,
 mu_b, lowers J by n_a n_b / (n_a + n_b) ||mu_a - mu_b||^2.  A line inside
 one component lowers it by exactly 0.  IncrementalEvaluator keeps the
-component labels and the per-component target sums and sizes, so every
-J-decrease is read from them.  Lines that make the same merge get
+component labels, the per-component target sums and sizes, and per
+component its J term q_C = ||sum_{b in C} T_b||^2 / |C|, so every
+J-decrease is read from the sums and J is the sum of the q_C; a merge or
+a cut recomputes the terms of the components it touches only.  A
+decrease depends only on the two components a line joins, so the greedy
+caches it and rescores after a merge only the lines with an end in the
+merged component.  Lines that make the same merge get
 bitwise-equal decreases; the greedy's tie rule (a J-decrease within a
 relative band of 1e-12 of the largest, then an f-decrease within the
 same band of the largest, then the lowest canonical line index) also
@@ -110,12 +115,15 @@ class IncrementalEvaluator:
 
     Holds the kept lines S, the component label of every bus (the
     smallest bus position in its component), and per component the sum
-    of the target rows T, the sum of b0 and the size.  Only the entries
-    at current labels are meaningful.  gains() reads the J-decrease of
-    every candidate line from these sums in one vectorized pass and
-    add() merges two components; on a forest, swap_J() reads the J of
-    every swap out of one kept bridge and cut() removes it.  Owned by
-    one logical search; the context itself is immutable and shared.
+    of the target rows T, the sum of b0, the size and the J term
+    q = ||sum||^2 / size.  Only the entries at current labels are
+    meaningful.  gains() reads the J-decrease of every candidate line
+    from these sums in one vectorized pass and add() merges two
+    components; on a forest, swap_J() reads the J of every swap out of
+    one kept bridge and cut() removes it.  add() and cut() recompute q
+    only for the labels they touch, so J() sums m terms, not the whole
+    target block, and gives the same bits as summing the block.  Owned
+    by one logical search; the context itself is immutable and shared.
     """
 
     def __init__(self, ctx: MetricContext):
@@ -126,12 +134,15 @@ class IncrementalEvaluator:
         self.sums = self.T.copy()
         self.b0_sums = ctx.b0.astype(float)
         self.sizes = np.ones(ctx.net.m, dtype=np.intp)
+        self.q = (self.sums ** 2).sum(axis=1) / self.sizes
         self.S: list[int] = []
 
+    def _term(self, c: int) -> None:
+        """Recompute the J term of label c from its sum and size."""
+        self.q[c] = (self.sums[c] ** 2).sum() / self.sizes[c]
+
     def J(self) -> float:
-        keep = self.sizes > 0
-        return float(
-            ((self.sums[keep] ** 2).sum(axis=1) / self.sizes[keep]).sum())
+        return float(self.q[self.sizes > 0].sum())
 
     def gains(self, candidates) -> np.ndarray:
         """J(S) - J(S + {e}) for each candidate edge, vectorized."""
@@ -168,6 +179,7 @@ class IncrementalEvaluator:
             for arr in (self.sums, self.b0_sums, self.sizes):
                 arr[keep] += arr[gone]
                 arr[gone] = 0
+            self._term(keep)
         self.S.append(e)
 
     def cut(self, v: int, piece) -> None:
@@ -181,6 +193,7 @@ class IncrementalEvaluator:
             self.sums[lab] = self.T[part].sum(axis=0)
             self.b0_sums[lab] = self.ctx.b0[part].sum()
             self.sizes[lab] = len(part)
+            self._term(lab)
         self.S.remove(v)
 
     def fork_without(self, v: int) -> "IncrementalEvaluator":

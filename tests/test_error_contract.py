@@ -246,3 +246,19 @@ def test_an_infinite_internal_angle_is_named(tmp_path, argv):
         "error": "ModelError",
         "message": "internal rotor angles are not finite: an input is too "
                    "large for double precision"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--case", "big-voltage", "--r", "2"],
+    ["refsel", "--case", "big-voltage"],
+])
+def test_an_overflowing_coupling_matrix_is_named(tmp_path, argv):
+    # V_0 V_0 = inf times Y_00 = 0 leaves NaN in K, which also fails the
+    # exact symmetry test; the finiteness check speaks first
+    paths = write_inputs(tmp_path)
+    code, out, err = cli_process([paths.get(a, a) for a in argv])
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "ModelError",
+        "message": "coupling matrix is not finite: an input is too large "
+                   "for double precision"}

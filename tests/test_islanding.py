@@ -115,6 +115,22 @@ def test_greedy_trace_non_increasing(pipe39, case39):
     assert ev.J() == pytest.approx(J(ctx, ev.S), abs=1e-6)
 
 
+@pytest.mark.parametrize("pipe, scored", [("pipe39", 147), ("pipe118", 2116)])
+def test_greedy_rescores_only_the_lines_a_merge_touched(pipe, scored, request,
+                                                        monkeypatch):
+    # the greedy's work, pinned without a timer: one gains call per round
+    # and, after the first, only the lines with an end in the merged
+    # island (a rescan of every feasible line scores 991 and 11,860)
+    _, _, ctx = request.getfixturevalue(pipe)
+    sizes = []
+    gains = IncrementalEvaluator.gains
+    monkeypatch.setattr(IncrementalEvaluator, "gains", lambda self, cand: (
+        sizes.append(len(cand)), gains(self, cand))[1])
+    greedy_select(ctx)
+    assert len(sizes) == ctx.net.m - len(ctx.refs)
+    assert sum(sizes) == scored
+
+
 def tied_case_doc(rng):
     """A random network built to tie: every line has one reactance, loads
     take one of three values and the generators are identical, so many

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize
 
 from gridisland.coherency import ModelError, build_model
@@ -336,6 +336,44 @@ def test_swap_values_and_cut_match_dense_oracle(seed):
     everything = list(range(net.l))
     np.testing.assert_allclose(ev.gains(everything), fresh.gains(everything),
                                rtol=0, atol=tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6),
+       st.lists(st.tuples(st.booleans(), st.integers(0, 10**6)), max_size=30))
+@example(seed=5819, steps=[(False, 0)])   # a dot product gives other bits
+def test_J_terms_sum_to_the_block_after_adds_and_cuts(seed, steps):
+    # J() sums one term per island, which add() and cut() keep up; it
+    # must give the bits of summing the whole block of island sums; with
+    # 9 or more columns numpy sums a row pairwise, unlike a dot product
+    rng = np.random.default_rng(seed)
+    n_gens = int(rng.integers(3, 13))
+    net = random_network(rng, m=int(rng.integers(n_gens + 1, 20)),
+                         extra_edges=int(rng.integers(0, 6)), n_gens=n_gens)
+    xi = float(rng.choice([0.0, 1e-7, 1e-6, 1e-5]))
+    _, _, ctx = pipeline(net, r=3, xi=xi)
+    ev = IncrementalEvaluator(ctx)
+    ei, ej = net.ends
+
+    def block_J():
+        k = ev.sizes > 0
+        return float(((ev.sums[k] ** 2).sum(axis=1) / ev.sizes[k]).sum())
+
+    assert ev.J() == block_J()
+    for cut, pick in steps:
+        bridges = []
+        for v in sorted(set(ev.S)):
+            rest = list(ev.S)
+            rest.remove(v)
+            labels = component_labels(net, rest)
+            if labels[ei[v]] != labels[ej[v]]:
+                bridges.append((v, np.flatnonzero(labels == labels[ei[v]])))
+        if cut and bridges:
+            ev.cut(*bridges[pick % len(bridges)])
+        else:
+            ev.add(pick % net.l)
+        np.testing.assert_array_equal(ev.labels, component_labels(net, ev.S))
+        assert ev.J() == block_J()
 
 
 def test_sparse_eigenvalue_matches_dense_at_full_size(pipe39):

@@ -1,6 +1,8 @@
 import importlib.util
 import json
 import os
+import sys
+import types
 
 import pytest
 
@@ -64,3 +66,21 @@ def test_compare_reports_reads_refsel_csv_and_table_reports(report_digests):
     table_b = (0, "Method xi J\nspectral 1e-06 0.4569\n", "")
     assert compare(table_a, table_b, ["run", "--format", "table"])[:2] == (
         [], [])
+
+
+def test_against_exits_with_1_only_when_a_run_differs(report_digests,
+                                                     monkeypatch, tmp_path):
+    printed = {"PARENT": "[1, 2]", "this": "[1, 2]"}
+
+    def load_cli(root):
+        text = printed["PARENT" if root == "PARENT" else "this"]
+        return types.SimpleNamespace(main=lambda argv: print(text) or 0)
+
+    monkeypatch.setattr(report_digests, "load_cli", load_cli)
+    monkeypatch.setattr(report_digests, "write_cases", lambda out_dir: {})
+    monkeypatch.setattr(report_digests, "argv_set", lambda paths: [["refsel"]])
+    monkeypatch.setattr(sys, "argv", ["report_digests.py", "--against",
+                                      "PARENT", "--cases", str(tmp_path)])
+    assert report_digests.main() == 0
+    printed["PARENT"] = "[1, 3]"
+    assert report_digests.main() == 1
