@@ -38,7 +38,14 @@ stderr.  The argv set:
   infinite: one error line each;
 - ``run --r 2`` and ``refsel --r 3`` on case39 with a machine voltage of
   1e308 p.u. on the first generator, whose products overflow K: one error
-  line each.
+  line each;
+- ``run --r 3 --xi 0`` on case39 with loads of 1.7e308 MW at buses 14
+  and 38, whose total overflows, and ``run --r 3 --xi 1e6`` on case39
+  with a 1.7e308 MW unit at bus 32, where sqrt(xi) b0 overflows: the
+  weighted targets are not finite, one error line each.
+
+A run that raises out of ``main`` is recorded as exit code 1 with the
+exception's last traceback line as stderr.
 
 The cases come from this checkout (``data/``, ``perfbench/inputs.py``
 read-only, ``tests/casekit.py``) and are written to one fixed directory,
@@ -91,6 +98,8 @@ TWIN_LINE = {"from": 25, "to": 26, "x_pu": 0.05}
 STRONG_LINE = {"from": 33, "to": 34, "x_pu": 5e-324}
 # a machine voltage on case39's first generator whose products overflow
 BIG_VOLTAGE = 1e308
+# loads on case39 whose total overflows, and a unit whose sqrt(xi) b0 does
+BIG_LOAD_BUSES, BIG_UNIT_BUS, BIG_MW = (14, 38), 32, 1.7e308
 # the report fields that record a decision rather than a value
 DECISIONS = ("kept", "cutset", "islands", "generator_groups", "refs")
 # reference buses per case and r: the greedy ones reordered, and others
@@ -154,6 +163,15 @@ def write_cases(out_dir: str) -> dict[str, str]:
     big_voltage["gens"][0]["vm_pu"] = BIG_VOLTAGE
     texts["case39-big-voltage"] = json.dumps(big_voltage, indent=1,
                                              sort_keys=True)
+    big_loads, big_unit = (json.loads(texts["case39"]) for _ in range(2))
+    for bus in big_loads["buses"]:
+        if bus["id"] in BIG_LOAD_BUSES:
+            bus["pd_mw"] = BIG_MW
+    for gen in big_unit["gens"]:
+        if gen["bus"] == BIG_UNIT_BUS:
+            gen["pg_mw"] = BIG_MW
+    texts["case39-big-loads"] = json.dumps(big_loads, indent=1, sort_keys=True)
+    texts["case39-big-unit"] = json.dumps(big_unit, indent=1, sort_keys=True)
     texts["case118-twin"] = json.dumps(
         {**case118, "branches": case118["branches"] + [TWIN_LINE]},
         indent=1, sort_keys=True)
@@ -224,15 +242,24 @@ def argv_set(paths: dict[str, str]) -> list[list[str]]:
     runs += [["run", *strong, "--r", "2"], ["refsel", *strong, "--r", "3"]]
     big = ["--case", paths["case39-big-voltage"]]
     runs += [["run", *big, "--r", "2"], ["refsel", *big, "--r", "3"]]
+    runs += [["run", "--case", paths["case39-big-loads"], "--r", "3",
+              "--xi", "0"],
+             ["run", "--case", paths["case39-big-unit"], "--r", "3",
+              "--xi", "1e6"]]
     return runs
 
 
 def capture(main, argv: list[str]) -> tuple[int, str, str]:
-    """Exit code, stdout and stderr of one in-process run."""
+    """Exit code, stdout and stderr of one in-process run; an exception
+    out of main is exit code 1 with its last traceback line."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
         warnings.simplefilter("always")   # independent of the run order
-        code = main(argv)
+        try:
+            code = main(argv)
+        except Exception as exc:
+            code = 1
+            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
     return code, out.getvalue(), err.getvalue()
 
 

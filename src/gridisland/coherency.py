@@ -44,13 +44,15 @@ def kron_reduce(net: PowerNetwork) -> tuple[OperatingPoint, np.ndarray]:
     line) is eliminated by star-mesh transforms, which give the Schur
     complement of the susceptance Laplacian.  Y holds the reduced
     network's couplings: Y_ij >= 0 is the effective susceptance between
-    generators i and j, and the diagonal is zero.  Each coupling is
-    summed in one cell, its lines first and then its fills in
-    elimination order, and mirrored, so Y is exactly symmetric.  xd'
-    enters the model only through the internal rotor angles, not this
-    reduction.  A fault of the elimination or of the operating point is
-    a CaseError, and it outranks two generators on one bus, which is a
-    ModelError.
+    generators i and j, and the diagonal is zero.  The elimination
+    records its updates to the generator pairs as one list of stars (a
+    line between two generator buses is a star of two whose one update
+    is its weight); each coupling is summed in one cell in that order,
+    kept lines first and then fills in elimination order, and mirrored,
+    so Y is exactly symmetric.  xd' enters the model only through the
+    internal rotor angles, not this reduction.  A fault of the
+    elimination or of the operating point is a CaseError, and it
+    outranks two generators on one bus, which is a ModelError.
     """
     op, Y = _reduce(net)
     if len(Y) != net.n:

@@ -60,7 +60,6 @@ class IslandingSolution:
     cutset: tuple[str, ...]
     islands: tuple[tuple[int, ...], ...]            # bus ids per island
     generator_groups: tuple[tuple[int, ...], ...]   # generator indices
-    L_g: np.ndarray
     J: float
     sqrt_f_mw: float
     H_bar: float
@@ -69,7 +68,7 @@ class IslandingSolution:
     method: str
 
     def as_dict(self) -> dict:
-        return {k: v for k, v in vars(self).items() if k != "L_g"}
+        return dict(vars(self))
 
 
 # Relative width of the greedy's tie band.  On the bundled, meshed and
@@ -101,17 +100,19 @@ def greedy_select(ctx: MetricContext) -> tuple[IncrementalEvaluator, list[float]
     that differs from the largest only by rounding cannot decide a round.
 
     A line's J-decrease depends only on the two islands it joins, so each
-    candidate keeps its end labels and its cached decrease, and each
-    label an anchored flag (its island holds a reference).  After a merge
-    only the lines with an end in the merged island are rescored, in one
+    candidate keeps its cached decrease and each label an anchored flag
+    (its island holds a reference); the candidates' end labels are read
+    from the evaluator's `labels` after each merge.  After a merge only
+    the lines with an end in the merged island are rescored, in one
     `gains` call per round (empty if no such line is left); every other
     cached decrease is bitwise what a rescan would give, so the picks,
     and the trace, are the rescan's.  f-decreases are computed only for
     the tied lines.
     """
     ev = IncrementalEvaluator(ctx)
+    ends = ctx.net.ends
     omega = np.arange(ctx.net.l)
-    ends_a, ends_b = (x.copy() for x in ctx.net.ends)   # labels start as positions
+    a, b = (ev.labels[x] for x in ends)   # the candidates' end labels
     anchored = np.zeros(ctx.net.m, dtype=bool)
     anchored[ctx.ref_pos] = True
     gain = np.empty(len(omega))
@@ -119,9 +120,9 @@ def greedy_select(ctx: MetricContext) -> tuple[IncrementalEvaluator, list[float]
     target = ctx.net.m - len(ctx.refs)
     trace = [ev.J()]
     while len(ev.S) < target:
-        live = (ends_a != ends_b) & ~(anchored[ends_a] & anchored[ends_b])
-        omega, ends_a, ends_b, gain, stale = (
-            x[live] for x in (omega, ends_a, ends_b, gain, stale))
+        live = (a != b) & ~(anchored[a] & anchored[b])
+        omega, a, b, gain, stale = (
+            x[live] for x in (omega, a, b, gain, stale))
         if not len(omega):
             break
         gain[stale] = ev.gains(omega[stale])
@@ -129,12 +130,11 @@ def greedy_select(ctx: MetricContext) -> tuple[IncrementalEvaluator, list[float]
         if len(tied) > 1:
             tied = tied[_ties(ev.f_gains(omega[tied]))]
         k = tied[0]
-        keep, gone = sorted((int(ends_a[k]), int(ends_b[k])))
         ev.add(int(omega[k]))
-        ends_a[ends_a == gone] = keep
-        ends_b[ends_b == gone] = keep
-        anchored[keep] |= anchored[gone]
-        stale = (ends_a == keep) | (ends_b == keep)
+        merged = ev.labels[ends[0][omega[k]]]
+        anchored[merged] = anchored[a[k]] | anchored[b[k]]
+        a, b = (ev.labels[x[omega]] for x in ends)
+        stale = (a == merged) | (b == merged)
         trace.append(ev.J())
     if len(ev.S) != target:
         raise IslandingError("graph disconnected: no spanning basis exists")
@@ -221,7 +221,6 @@ def partition_solution(
         cutset=cut,
         islands=islands,
         generator_groups=groups,
-        L_g=L_g,
         J=J(ctx, kept),
         sqrt_f_mw=float(np.sqrt(f(ctx, kept))),
         H_bar=noncoherency(ctx.L, L_g),

@@ -24,7 +24,8 @@ component its J term q_C = ||sum_{b in C} T_b||^2 / |C|, so every
 J-decrease is read from the sums and J is the sum of the q_C; a merge or
 a cut recomputes the terms of the components it touches only.  A
 decrease depends only on the two components a line joins, so the greedy
-caches it and rescores after a merge only the lines with an end in the
+caches it, reads the components at a line's ends from the evaluator's
+labels, and rescores after a merge only the lines with an end in the
 merged component.  Lines that make the same merge get
 bitwise-equal decreases; the greedy's tie rule (a J-decrease within a
 relative band of 1e-12 of the largest, then an f-decrease within the
@@ -68,12 +69,18 @@ class MetricContext:
     @cached_property
     def targets(self) -> np.ndarray:
         """Weighted m x (n+1) target block [sqrt(xi) * b0, c^1, ..., c^n],
-        with coherency targets c^i = e_{u_i} - sum_k L_ik e_{ref_k}."""
+        with coherency targets c^i = e_{u_i} - sum_k L_ik e_{ref_k}.
+
+        A target that is not finite is a MetricError: every merge gain
+        would read inf - inf = NaN, and no line could win a greedy round."""
         T = np.zeros((self.net.m, self.net.n + 1))
         T[:, 0] = np.sqrt(self.xi) * self.b0
         T[self.net.gen_pos, np.arange(1, self.net.n + 1)] = 1.0
         for k, sp in enumerate(self.ref_pos):
             T[sp, 1:] -= self.L[:, k]
+        if not np.isfinite(T).all():
+            raise MetricError("weighted targets are not finite: an input is "
+                              "too large for double precision")
         return T
 
 

@@ -506,7 +506,7 @@ def incidence_matrix(net: PowerNetwork, S=None) -> np.ndarray:
     return A
 
 
-def _star_mesh(net: PowerNetwork, keep, p=None):
+def _star_mesh(net: PowerNetwork, keep, p):
     """Eliminate every bus position outside keep by star-mesh transforms.
 
     The network is the Laplacian of the line weights 1/x.  Eliminating
@@ -514,24 +514,26 @@ def _star_mesh(net: PowerNetwork, keep, p=None):
     y_ki y_kj / Y_k to the weight of every neighbour pair (i, j): one step
     of Gaussian elimination, so the graph that remains is the Schur
     complement onto the kept buses.  Buses go in minimum-degree order,
-    ties to the lowest position.  When p (a per-bus list) is given, each
-    neighbour i also gains y_ki p_k / Y_k, the right-hand side of the
-    same elimination.
+    ties to the lowest position.  Each neighbour i also gains
+    y_ki p_k / Y_k in p (a per-bus list, updated in place), the
+    right-hand side of the same elimination.
 
     Only the free buses hold a row, {neighbour: weight} with kept
     neighbours included, in first-touch order; a weight between a free
     and a kept bus is kept in the free row alone.  No step reads a weight
     between two kept buses, so those are returned as their updates
-    instead, with kept buses named by their index in keep:
-
-    - lines: (a, b, y) per line between two kept buses, canonical order;
-    - stars: per eliminated bus with two or more kept neighbours, those
-      neighbours in star order as (a, y_ka / Y_k, y_ka).  Its pair s < t
-      adds frac_s * y_t to the weight between a_s and a_t.
-
-    Summed in that order, lines then stars, they give every kept weight
-    bitwise.  Also returns the pivots (k, Y_k, {j: y_kj}) in elimination
-    order.  A pivot that is not finite and positive raises CaseError.
+    instead: one list of stars, each a flat list of one triple
+    a, frac, y per kept bus (a its index in keep), whose pair s < t adds
+    frac_s * y_t to the weight between a_s and a_t.  Each line between
+    two kept buses comes first, in canonical order, as the star
+    [a, 1.0, y, b, 1.0, y]; then each eliminated bus with two or more
+    kept neighbours, with a, y_ka / Y_k, y_ka per neighbour in star
+    order.  Summed in list order, they give every kept weight bitwise.
+    Flat lists, not a tuple per kept bus: on tied x24 those tuples were
+    some 4,500 objects alive until the sum, and the garbage collector
+    passes they caused made `refsel` slower.  Also returns the pivots
+    (k, Y_k, {j: y_kj}) in elimination order.  A pivot that is not
+    finite and positive raises CaseError.
 
     The heap holds one live entry per free bus, keyed by its degree: a
     bus gets a new entry only when its degree changes, and an entry whose
@@ -550,7 +552,7 @@ def _star_mesh(net: PowerNetwork, keep, p=None):
     for a, k in enumerate(keep):
         slot[k] = a
     adj: list[dict | None] = [{} if a < 0 else None for a in slot]
-    lines = []
+    stars = []
     with np.errstate(over="ignore"):   # a tiny x gives an infinite pivot below
         weights = (1.0 / net.x).tolist()
     for a, b, y in zip(*(x.tolist() for x in net.ends), weights):
@@ -562,7 +564,7 @@ def _star_mesh(net: PowerNetwork, keep, p=None):
         elif row_b is not None:
             row_b[a] = row_b.get(a, 0.0) + y
         else:
-            lines.append((slot[a], slot[b], y))
+            stars.append([slot[a], 1.0, y, slot[b], 1.0, y])
     # the degree of each free bus's live heap entry; -1 for kept and
     # eliminated buses, which have none
     degree = [-1 if row is None else len(row) for row in adj]
@@ -570,7 +572,7 @@ def _star_mesh(net: PowerNetwork, keep, p=None):
     heap = [d * m + k for k, d in enumerate(degree) if d >= 0]
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
-    pivots, stars = [], []
+    pivots = []
     while heap:
         deg, k = divmod(pop(heap), m)
         if deg != degree[k]:   # stale entry
@@ -592,9 +594,8 @@ def _star_mesh(net: PowerNetwork, keep, p=None):
                             f"bus {int(net.bus_ids[k])}")
         if deg == 2:
             frac = y_ki / Y
-            if p is not None:
-                p[i] += frac * p[k]
-                p[j] += y_kj / Y * p[k]
+            p[i] += frac * p[k]
+            p[j] += y_kj / Y * p[k]
             row_i, row_j = adj[i], adj[j]
             if row_i is not None:
                 del row_i[k]
@@ -607,8 +608,7 @@ def _star_mesh(net: PowerNetwork, keep, p=None):
             elif row_j is not None:
                 row_j[i] = row_j.get(i, 0.0) + frac * y_kj
             else:
-                stars.append([(slot[i], frac, y_ki),
-                              (slot[j], y_kj / Y, y_kj)])
+                stars.append([slot[i], frac, y_ki, slot[j], y_kj / Y, y_kj])
             if row_j is not None:
                 del row_j[k]
                 if len(row_j) != degree[j]:
@@ -616,10 +616,9 @@ def _star_mesh(net: PowerNetwork, keep, p=None):
                     push(heap, len(row_j) * m + j)
         elif deg == 3:
             frac_i, frac_j, frac_h = y_ki / Y, y_kj / Y, y_kh / Y
-            if p is not None:
-                p[i] += frac_i * p[k]
-                p[j] += frac_j * p[k]
-                p[h] += frac_h * p[k]
+            p[i] += frac_i * p[k]
+            p[j] += frac_j * p[k]
+            p[h] += frac_h * p[k]
             row_i, row_j, row_h = adj[i], adj[j], adj[h]
             kept = []
             if row_i is not None:
@@ -634,7 +633,7 @@ def _star_mesh(net: PowerNetwork, keep, p=None):
                     degree[i] = len(row_i)
                     push(heap, len(row_i) * m + i)
             else:
-                kept.append((slot[i], frac_i, y_ki))
+                kept += slot[i], frac_i, y_ki
                 if row_j is not None:
                     row_j[i] = row_j.get(i, 0.0) + frac_i * y_kj
                 if row_h is not None:
@@ -648,7 +647,7 @@ def _star_mesh(net: PowerNetwork, keep, p=None):
                     degree[j] = len(row_j)
                     push(heap, len(row_j) * m + j)
             else:
-                kept.append((slot[j], frac_j, y_kj))
+                kept += slot[j], frac_j, y_kj
                 if row_h is not None:
                     row_h[j] = row_h.get(j, 0.0) + frac_j * y_kh
             if row_h is not None:
@@ -657,8 +656,8 @@ def _star_mesh(net: PowerNetwork, keep, p=None):
                     degree[h] = len(row_h)
                     push(heap, len(row_h) * m + h)
             else:
-                kept.append((slot[h], frac_h, y_kh))
-            if len(kept) > 1:
+                kept += slot[h], frac_h, y_kh
+            if len(kept) > 3:   # two or more kept neighbours
                 stars.append(kept)
         else:
             nbrs = [(i, y_ki, adj[i]) for i, y_ki in star.items()]
@@ -667,10 +666,9 @@ def _star_mesh(net: PowerNetwork, keep, p=None):
             f = 0   # free[f:] are the free neighbours after the current one
             for s, (i, y_ki, row) in enumerate(nbrs):
                 frac = y_ki / Y
-                if p is not None:
-                    p[i] += frac * p[k]
+                p[i] += frac * p[k]
                 if row is None:
-                    kept.append((slot[i], frac, y_ki))
+                    kept += slot[i], frac, y_ki
                     for _, y_kj, row_j in free[f:]:
                         row_j[i] = row_j.get(i, 0.0) + frac * y_kj
                 else:
@@ -685,41 +683,28 @@ def _star_mesh(net: PowerNetwork, keep, p=None):
                 if len(row) != degree[i]:
                     degree[i] = len(row)
                     push(heap, len(row) * m + i)
-            if len(kept) > 1:
+            if len(kept) > 3:   # two or more kept neighbours
                 stars.append(kept)
         pivots.append((k, Y, star))
-    return pivots, lines, stars
+    return pivots, stars
 
 
-def _kept_pair_updates(lines, stars, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The updates to the weights between kept buses, in `_star_mesh`'s
-    order: its lines, then each star's pairs s < t, whose update is
-    frac_s * y_t.  Returns the cell a * n + b (a < b) and the value of
-    each update."""
-    sizes = np.array([len(kept) for kept in stars], dtype=np.intp)
-    flat = np.fromiter(chain.from_iterable(chain.from_iterable(stars)),
-                       float).reshape(-1, 3)
+def _couplings(stars, n: int) -> np.ndarray:
+    """The n x n couplings between the kept buses of `_star_mesh`: each
+    star's pairs s < t update the cell of a_s and a_t by frac_s * y_t,
+    every cell is summed in star order, and the touched cells are
+    mirrored, so the matrix is exactly symmetric with a zero diagonal."""
+    sizes = np.array([len(kept) // 3 for kept in stars], dtype=np.intp)
+    flat = np.fromiter(chain.from_iterable(stars), float).reshape(-1, 3)
     a, frac, y = flat[:, 0].astype(np.intp), flat[:, 1], flat[:, 2]
     # per neighbour, the count of neighbours after it in its star
     later = np.repeat(np.cumsum(sizes), sizes) - np.arange(len(a)) - 1
     s = np.repeat(np.arange(len(a)), later)
     t = s + 1 + np.arange(len(s)) - np.repeat(np.cumsum(later) - later, later)
-    line = np.array(lines).reshape(-1, 3)
-    first = np.concatenate([line[:, 0].astype(np.intp), a[s]])
-    second = np.concatenate([line[:, 1].astype(np.intp), a[t]])
-    cell = np.minimum(first, second) * n + np.maximum(first, second)
-    return cell, np.concatenate([line[:, 2], frac[s] * y[t]])
-
-
-def _couplings(lines, stars, n: int) -> np.ndarray:
-    """The n x n couplings between the kept buses of `_star_mesh`: each
-    summed in one cell, its lines first and then its fills in elimination
-    order, and mirrored, so the matrix is exactly symmetric with a zero
-    diagonal."""
-    cell, values = _kept_pair_updates(lines, stars, n)
+    cell = np.minimum(a[s], a[t]) * n + np.maximum(a[s], a[t])
     Y = np.zeros((n, n))
     flat = Y.reshape(-1)
-    np.add.at(flat, cell, values)
+    np.add.at(flat, cell, frac[s] * y[t])
     # mirror only the touched cells; a whole-matrix Y + Y.T would
     # allocate a second n x n array
     flat[cell % n * n + cell // n] = flat[cell]
@@ -773,8 +758,9 @@ def _reduce(net: PowerNetwork) -> tuple[OperatingPoint, np.ndarray]:
 
     `_star_mesh` keeps the distinct generator buses in generator order,
     and the slack last if no generator sits there, and eliminates every
-    other bus, carrying the injections along; `_couplings` sums the
-    reduced network Y between the kept buses.  The kept angles solve its
+    other bus, carrying the injections along; `_couplings` sums its one
+    list of kept-pair stars, kept lines first, into the reduced network
+    Y between the kept buses.  The kept angles solve its
     grounded Laplacian (`_grounded_angles`).  The eliminated buses'
     angles follow by back substitution in reverse elimination order,
     each pivot row's terms summed left to right from 0.0 in the row's
@@ -794,9 +780,9 @@ def _reduce(net: PowerNetwork) -> tuple[OperatingPoint, np.ndarray]:
     g0[slack] += d0.sum() - g0.sum()
 
     p_inj = ((g0 - d0) / net.base_mva).tolist()
-    pivots, lines, stars = _star_mesh(net, keep, p_inj)
-    Y = _couplings(lines, stars, len(keep))
-    del lines, stars
+    pivots, stars = _star_mesh(net, keep, p_inj)
+    Y = _couplings(stars, len(keep))
+    del stars
     theta = [0.0] * net.m
     kept = _grounded_angles(Y, [p_inj[k] for k in keep], keep.index(slack))
     for k, t in zip(keep, kept):

@@ -468,7 +468,7 @@ def assert_prelude_is_bitwise_the_dict_reference(net):
     solve's; a network with two generators on one bus has an operating
     point but no reduction."""
     ref_op, ref_Y, ref_pivots = prelude_reference(net)
-    pivots = _star_mesh(net, kept_buses_reference(net))[0]
+    pivots = _star_mesh(net, kept_buses_reference(net), [0.0] * net.m)[0]
     assert [(k, Yk, list(star.items())) for k, Yk, star in pivots] == [
         (k, Yk, list(star.items())) for k, Yk, star in ref_pivots]
     op = dc_power_flow(net)

@@ -5,9 +5,9 @@ with a dynamics document), flag values and compare reports.  It also
 splices bytes that are not UTF-8 into the files, draws invalid
 ``--method`` and ``--format`` choices, and drops the required ``--case``.
 A report is valid JSON, with no NaN or Infinity, and leaves stderr empty.
-Fixed inputs cover an epsilon below the floor, results too large for
-double precision, JSON nested too deeply to parse and a bus number that
-does not fit in int64.
+Fixed inputs cover an epsilon below the floor, results and weighted
+targets too large for double precision, JSON nested too deeply to parse
+and a bus number that does not fit in int64.
 """
 
 import io
@@ -31,11 +31,12 @@ CASE39 = os.path.join(DATA, "case39.json")
 
 DELETE = object()
 VALUES = st.just(DELETE) | st.floats() | st.integers(-3, 300) | st.sampled_from(
-    [None, True, -1, 0, 3, 1e-300, 1e308, "x", [], {}])
+    [None, True, -1, 0, 3, 1e-300, 1e308, 1.7e308, "x", [], {}])
 FLAGS = st.lists(st.tuples(
     st.sampled_from(["--r", "--xi", "--epsilon", "--refs"]),
     st.sampled_from(["0", "1", "2", "3", "9", "-1", "2.5", "0.5", "1e-6",
-                     "0,1e-5", "nan", "inf", "x", ",", "1,2", "1,1"])),
+                     "1e6", "0,1e-5", "nan", "inf", "x", ",", "1,2",
+                     "1,1"])),
     max_size=3)
 # half the draws carry no deliberate mistake
 MISTAKES = [None] * 4 + ["not-utf8", "method", "format", "no-case"]
@@ -157,17 +158,25 @@ def cli_process(argv, timeout=60):
 
 
 def write_inputs(tmp_path) -> dict:
-    """Fixed bad inputs: a 1e308 MW load, a 1e308 p.u. machine voltage,
-    a 1e308 MW unit with xd' = 10 p.u. on a 1 MVA base (its internal
-    angle overflows), the same unit as the case's only generator, bus 1
-    renumbered 2**70, a line of reactance 5e-324 (weight 1/x = inf)
-    between generator buses 33 and 34, 200,000-deep JSON and a MATPOWER
-    case to pair with it as the dynamics document."""
+    """Fixed bad inputs: a 1e308 MW load, loads of 1.7e308 MW at buses
+    14 and 38 (their total overflows, so the slack's injection is
+    infinite), a 1.7e308 MW unit at bus 32, a 1e308 p.u. machine
+    voltage, a 1e308 MW unit with xd' = 10 p.u. on a 1 MVA base (its
+    internal angle overflows), the same unit as the case's only
+    generator, bus 1 renumbered 2**70, a line of reactance 5e-324
+    (weight 1/x = inf) between generator buses 33 and 34, 200,000-deep
+    JSON and a MATPOWER case to pair with it as the dynamics document."""
     with open(CASE39) as fh:
         text = fh.read()
-    big_load, big_voltage, big_angle, big_id, strong = (
-        json.loads(text) for _ in range(5))
+    big_load, big_loads, big_unit, big_voltage, big_angle, big_id, strong = (
+        json.loads(text) for _ in range(7))
     big_load["buses"][3]["pd_mw"] = 1e308
+    for bus in big_loads["buses"]:
+        if bus["id"] in (14, 38):
+            bus["pd_mw"] = 1.7e308
+    for gen in big_unit["gens"]:
+        if gen["bus"] == 32:
+            gen["pg_mw"] = 1.7e308
     big_voltage["gens"][0]["vm_pu"] = 1e308
     big_angle["base_mva"] = 1
     big_angle["gens"][0].update(pg_mw=1e308, xd_prime_pu=10)
@@ -180,6 +189,8 @@ def write_inputs(tmp_path) -> dict:
             row[key] = 2**70
     files = {
         "big-load": json.dumps(big_load),
+        "big-loads": json.dumps(big_loads),
+        "big-unit": json.dumps(big_unit),
         "big-voltage": json.dumps(big_voltage),
         "big-angle": json.dumps(big_angle),
         "lone-angle": json.dumps(lone_angle),
@@ -222,6 +233,9 @@ def write_inputs(tmp_path) -> dict:
     # a bus number must fit in int64
     (["run", "--case", "big-id"], "CaseError"),
     (["refsel", "--case", "big-id"], "CaseError"),
+    # a weighted target is NaN or infinite, so every merge gain is NaN
+    (["run", "--case", "big-loads", "--r", "3", "--xi", "0"], "MetricError"),
+    (["run", "--case", "big-unit", "--r", "3", "--xi", "1e6"], "MetricError"),
 ])
 def test_fixed_bad_inputs_end_in_one_json_error(tmp_path, argv, error):
     paths = write_inputs(tmp_path)
@@ -246,6 +260,22 @@ def test_an_infinite_internal_angle_is_named(tmp_path, argv):
         "error": "ModelError",
         "message": "internal rotor angles are not finite: an input is too "
                    "large for double precision"}
+
+
+@pytest.mark.parametrize("method", ["weak-submodular", "spectral", "both"])
+@pytest.mark.parametrize("argv", [
+    ["run", "--case", "big-loads", "--r", "3", "--xi", "0"],
+    ["run", "--case", "big-unit", "--r", "3", "--xi", "1e6"],
+])
+def test_non_finite_weighted_targets_are_named(tmp_path, argv, method):
+    paths = write_inputs(tmp_path)
+    code, out, err = cli_process([paths.get(a, a) for a in argv]
+                                 + ["--method", method])
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "MetricError",
+        "message": "weighted targets are not finite: an input is too large "
+                   "for double precision"}
 
 
 @pytest.mark.parametrize("argv", [

@@ -47,17 +47,15 @@ from matroid_oracle import (
 )
 
 
-def assert_structural(net, sol, r):
+def assert_structural(ctx, sol):
+    net, r = ctx.net, len(ctx.refs)
     assert len(sol.kept) == net.m - r
     assert len(sol.islands) == r
     covered = sorted(b for isl in sol.islands for b in isl)
     assert covered == sorted(net.bus_ids.tolist())
-    # one reference generator per island
-    gens_by_island = [set(g) for g in sol.generator_groups]
-    for k in range(r):
-        refs_here = [i for i in range(net.n) if sol.L_g[i].argmax() == k
-                     and sol.L_g[i, k] == 1.0]
-        assert len(refs_here) >= 1
+    # island k holds the k-th reference generator
+    for k, ref in enumerate(ctx.refs):
+        assert ref in sol.generator_groups[k]
     # kept edges never cross island boundaries
     island_of = {b: k for k, isl in enumerate(sol.islands) for b in isl}
     ends = line_ends(net)
@@ -262,10 +260,10 @@ def test_local_search_matches_per_line_evaluator_reference(seed, r, xi, eps):
     assert ev.J() == pytest.approx(J(ctx, ev.S), abs=1e-9 * ev.base)
 
 
-def test_solution_structure_case39(pipe39, case39):
+def test_solution_structure_case39(pipe39):
     _, model, ctx = pipe39
     sol = solve(ctx)
-    assert_structural(case39, sol, 3)
+    assert_structural(ctx, sol)
     d = sol.as_dict()
     assert set(d) >= {"cutset", "islands", "J", "sqrt_f_mw", "H_bar", "trace"}
 
@@ -287,7 +285,7 @@ def test_solution_structure_random(seed):
                          extra_edges=int(rng.integers(0, 6)), n_gens=r)
     op, model, ctx = pipeline(net, r=r)
     sol = solve(ctx)
-    assert_structural(net, sol, r)
+    assert_structural(ctx, sol)
 
 
 def path_net(n_bus, gen_buses):

@@ -84,3 +84,12 @@ def test_against_exits_with_1_only_when_a_run_differs(report_digests,
     assert report_digests.main() == 0
     printed["PARENT"] = "[1, 3]"
     assert report_digests.main() == 1
+
+
+def test_capture_records_an_uncaught_exception_as_exit_1(report_digests):
+    def main(argv):
+        print("partial")
+        raise IndexError("index 0 is out of bounds")
+
+    assert report_digests.capture(main, ["run"]) == (
+        1, "partial\n", "IndexError: index 0 is out of bounds\n")
