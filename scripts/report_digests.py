@@ -65,6 +65,13 @@ float, and the largest relative change of any float; then the count of
 runs that differ.  It exits with 1 when any run differs and with 0 when
 none does.  CSV reports are read by their header and tables as
 rows of cells.  A relative change of 0 is a zero whose sign changed.
+
+``--env VAR=VALUE`` instead reruns the set on this checkout in a
+subprocess with that environment variable set, and lists the runs whose
+reports differ from this process's in the same way.  Variables read when a library loads, such as
+``OPENBLAS_CORETYPE``, take effect only in a new process::
+
+    python scripts/report_digests.py --env OPENBLAS_CORETYPE=Prescott
 """
 
 from __future__ import annotations
@@ -76,6 +83,7 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -331,36 +339,76 @@ def load_cli(root: str):
     return cli
 
 
+def env_item(text: str) -> tuple[str, str]:
+    """A VAR=VALUE argument as (VAR, VALUE)."""
+    name, eq, value = text.partition("=")
+    if not (name and eq):
+        raise argparse.ArgumentTypeError(f"expected VAR=VALUE, got {text!r}")
+    return name, value
+
+
+def replay(root: str) -> None:
+    """Print as JSON the reports of the argv list read as JSON from stdin."""
+    main = load_cli(root).main
+    json.dump([capture(main, argv) for argv in json.load(sys.stdin)],
+              sys.stdout)
+
+
+def reports_under(env: tuple[str, str], root: str,
+                  runs: list[list[str]]) -> list[tuple[int, str, str]]:
+    """The reports of runs on root's src/, in a subprocess with the
+    environment variable env = (VAR, VALUE) set."""
+    done = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--root", root,
+         "--replay"],
+        input=json.dumps(runs), env={**os.environ, env[0]: env[1]},
+        capture_output=True, text=True, check=True)
+    return [tuple(report) for report in json.loads(done.stdout)]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--root", default=HERE,
                         help="checkout whose src/ is run (default: this one)")
-    parser.add_argument("--against", metavar="PARENT",
-                        help="list the runs whose reports differ from those "
-                             "of this checkout, and how")
+    compare = parser.add_mutually_exclusive_group()
+    compare.add_argument("--against", metavar="PARENT",
+                         help="list the runs whose reports differ from those "
+                              "of this checkout, and how")
+    compare.add_argument("--env", metavar="VAR=VALUE", type=env_item,
+                         help="list the runs whose reports differ when rerun "
+                              "in a subprocess with VAR set, and how")
+    parser.add_argument("--replay", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--cases", default=os.path.join(
         tempfile.gettempdir(), "gridisland-report-digests"),
         help="fixed directory the cases are written to")
     args = parser.parse_args()
+    if args.replay:
+        replay(args.root)
+        return 0
     cli = load_cli(args.root)   # before the cases: casekit imports it
     runs = argv_set(write_cases(args.cases))
-    if args.against is None:
+    if args.against is None and args.env is None:
         for argv in runs:
             print(f"{digest(capture(cli.main, argv))}  {' '.join(argv)}",
                   flush=True)
         return 0
     reports = [capture(cli.main, argv) for argv in runs]
-    before = load_cli(args.against).main
+    if args.env is None:
+        before = load_cli(args.against).main
+        others = [capture(before, argv) for argv in runs]
+        where = f"from {args.against}"
+    else:
+        others = reports_under(args.env, args.root, runs)
+        where = "under {}={}".format(*args.env)
     changed = 0
-    for argv, report in zip(runs, reports):
-        old = capture(before, argv)
+    for argv, old, report in zip(runs, others, reports):
         if old != report:
             changed += 1
             decisions, other, rel = compare_reports(old, report, argv)
             print(f"{' '.join(argv)}\n    decisions: {', '.join(decisions) or '-'}"
                   f"; other: {', '.join(other) or '-'}; largest relative float "
                   f"change: {'-' if rel < 0 else f'{rel:.3g}'}", flush=True)
-    print(f"{changed} of {len(runs)} runs differ from {args.against}")
+    print(f"{changed} of {len(runs)} runs differ {where}")
     return 1 if changed else 0
 
 

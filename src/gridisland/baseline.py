@@ -70,13 +70,13 @@ def generator_bipartition(W: np.ndarray) -> tuple[list[int], list[int], float]:
     best_val, best_side = np.inf, None
     for phase in range(n - 1):
         # conn keys every live vertex not yet added; the rest hold -inf
-        start = int(np.argmax(live))
+        start = int(live.argmax())
         conn = A[start].copy()
         conn[~live] = -np.inf
         conn[start] = -np.inf
         prev = last = start
         for _ in range(n - 1 - phase):
-            nxt = int(np.argmax(conn))
+            nxt = int(conn.argmax())
             phase_cut = conn[nxt]
             conn += A[nxt]
             conn[nxt] = -np.inf

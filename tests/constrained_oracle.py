@@ -13,8 +13,10 @@ lives here too: a run only needs the sum that metrics.J adds up.
 
 import numpy as np
 
-from gridisland.metrics import MetricError, _distances, island_labels
+from gridisland.metrics import MetricError, island_labels
 from gridisland.netcase import component_labels
+
+from dense_oracle import component_distances, weighted_targets
 
 
 def balanced_clip(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -46,8 +48,8 @@ def balanced_clip(v: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def h_i(ctx, S, i: int) -> float:
     """Relaxed non-coherency of generator i: the squared distance from its
     coherency target c^i to the span of the kept lines' incidence columns."""
-    c_i = ctx.targets[:, [1 + i]]
-    return float(_distances(component_labels(ctx.net, S), c_i)[0])
+    c_i = weighted_targets(ctx)[:, [1 + i]]
+    return float(component_distances(component_labels(ctx.net, S), c_i)[0])
 
 
 def box_limits(net) -> tuple[np.ndarray, np.ndarray]:
@@ -90,7 +92,7 @@ def H_i_constrained(ctx, S, i: int, model) -> float:
     net = ctx.net
     gen_pos = net.gen_pos
     allowed = {int(gen_pos[i])} | {int(gen_pos[k]) for k in ctx.refs}
-    ci = ctx.targets[:, 1 + i]
+    ci = weighted_targets(ctx)[:, 1 + i]
     total = 0.0
     for isl in range(len(ctx.refs)):
         members = np.flatnonzero(labels == isl)

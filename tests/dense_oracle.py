@@ -3,10 +3,12 @@ selections and the relaxed metrics.
 
 The DC angles and the Kron reduction as dense solves of the m x m
 susceptance Laplacian, which the library's sparse star-mesh elimination
-is checked against.  Squared distances from target vectors to the
-column span of the kept lines' incidence submatrix A(S), by Gram-Schmidt
-orthonormalization: the definition that the library's per-component
-closed form is checked against.  The two reference selections as the
+is checked against.  The weighted target block
+T = [sqrt(xi) b0, c^1, ..., c^n], m x (n+1), and squared distances from
+its columns to the column span of the kept lines' incidence submatrix
+A(S), by Gram-Schmidt orthonormalization and by the per-component sums
+of T: the definitions that the library's statistics block is checked
+against.  The two reference selections as the
 per-candidate and per-row loops that the library's residual-norm greedy
 and vectorised pivoting are checked against.  The slow modes from the
 dense diagonal inertia matrix with an explicitly symmetrised scaling,
@@ -52,10 +54,31 @@ def subspace_distance_sq(A_S: np.ndarray, v: np.ndarray) -> float:
     return float(max(v @ v - proj @ proj, 0.0))
 
 
+def weighted_targets(ctx) -> np.ndarray:
+    """Weighted m x (n+1) target block [sqrt(xi) * b0, c^1, ..., c^n],
+    with coherency targets c^i = e_{u_i} - sum_k L_ik e_{ref_k}."""
+    T = np.zeros((ctx.net.m, ctx.net.n + 1))
+    T[:, 0] = np.sqrt(ctx.xi) * ctx.b0
+    T[ctx.net.gen_pos, np.arange(1, ctx.net.n + 1)] = 1.0
+    for k, sp in enumerate(ctx.ref_pos):
+        T[sp, 1:] -= ctx.L[:, k]
+    return T
+
+
+def component_distances(labels: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Squared distance of every column of V to the vectors that sum to
+    zero over each component of the bus labelling."""
+    sums = np.zeros((len(labels), V.shape[1]))
+    np.add.at(sums, labels, V)
+    sizes = np.bincount(labels, minlength=len(labels))
+    keep = sizes > 0
+    return (sums[keep] ** 2 / sizes[keep, None]).sum(axis=0)
+
+
 def dense_J(ctx, S) -> float:
     """xi f(S) + sum_i h_i(S) as the projection residual of the targets."""
     Q = orthonormal_span(incidence_matrix(ctx.net, S))
-    T = ctx.targets
+    T = weighted_targets(ctx)
     P = Q.T @ T
     return float(max((T * T).sum() - (P * P).sum(), 0.0))
 

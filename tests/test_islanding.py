@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,8 +23,9 @@ from gridisland.baseline import two_step_partition
 from gridisland.metrics import (
     IncrementalEvaluator,
     J,
-    _distances,
+    _partition_J,
     build_context,
+    f,
     island_labels,
 )
 from gridisland.netcase import incidence_matrix, parse_case, serialize_case
@@ -127,6 +129,24 @@ def test_greedy_rescores_only_the_lines_a_merge_touched(pipe, scored, request,
     greedy_select(ctx)
     assert len(sizes) == ctx.net.m - len(ctx.refs)
     assert sum(sizes) == scored
+
+
+def test_greedy_and_metrics_stay_below_one_target_block(monkeypatch):
+    # J and f need only per-island statistics of 2r + 2 columns, so the
+    # greedy and the metrics of its result must not hold even one dense
+    # m x (n+1) float array of weighted targets: 10.35 MB on tied x24,
+    # where keeping that block and its island sums peaked near 88 MB
+    net = tied_network(monkeypatch, 24)
+    _, _, ctx = pipeline(net, r=8, xi=1e-6)
+    tracemalloc.start()
+    try:
+        ev, _ = greedy_select(ctx)
+        J(ctx, ev.S)
+        f(ctx, ev.S)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * net.m * (net.n + 1)
 
 
 def tied_case_doc(rng):
@@ -421,8 +441,7 @@ def test_case39_exact_optimum_bounds_both_methods(case39, r):
     rows = []
     for xi in XI_GRID:
         ctx = build_context(case39, op, model, xi)
-        J_star = min(float(_distances(lab, ctx.targets).sum())
-                     for lab in firsts)
+        J_star = min(_partition_J(ctx, lab) for lab in firsts)
         ours, theirs = solve(ctx).J, split.evaluate(ctx).J
         assert J_star <= ours
         rows.append(f"xi={xi:g} J*={J_star:.6g} weak-submodular "

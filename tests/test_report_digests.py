@@ -93,3 +93,37 @@ def test_capture_records_an_uncaught_exception_as_exit_1(report_digests):
 
     assert report_digests.capture(main, ["run"]) == (
         1, "partial\n", "IndexError: index 0 is out of bounds\n")
+
+
+def test_env_reruns_the_set_in_a_subprocess_with_the_variable_set(
+        report_digests, monkeypatch, tmp_path, capsys):
+    # the subprocess runs the checkout under --root: here one whose CLI
+    # prints the variable, so a run differs exactly when the rerun's value
+    # differs from this process's, where it is unset
+    package = tmp_path / "src" / "gridisland"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(
+        "import json, os\n\n\n"
+        "def main(argv):\n"
+        "    print(json.dumps([os.environ.get('DIGEST_PROBE', 'unset')]))\n"
+        "    return 0\n")
+    os.environ.pop("DIGEST_PROBE", None)
+    here = types.SimpleNamespace(main=lambda argv: print('["unset"]') or 0)
+    monkeypatch.setattr(report_digests, "load_cli", lambda root: here)
+    monkeypatch.setattr(report_digests, "write_cases", lambda out_dir: {})
+    monkeypatch.setattr(report_digests, "argv_set", lambda paths: [["refsel"]])
+    argv = ["report_digests.py", "--root", str(tmp_path), "--cases",
+            str(tmp_path / "cases"), "--env"]
+    monkeypatch.setattr(sys, "argv", argv + ["DIGEST_PROBE=unset"])
+    assert report_digests.main() == 0
+    assert capsys.readouterr().out == (
+        "0 of 1 runs differ under DIGEST_PROBE=unset\n")
+    monkeypatch.setattr(sys, "argv", argv + ["DIGEST_PROBE=Prescott"])
+    assert report_digests.main() == 1
+    assert capsys.readouterr().out == (
+        "refsel\n    decisions: refs; other: -; largest relative float "
+        "change: -\n1 of 1 runs differ under DIGEST_PROBE=Prescott\n")
+    monkeypatch.setattr(sys, "argv", argv + ["DIGEST_PROBE"])
+    with pytest.raises(SystemExit):
+        report_digests.main()
