@@ -34,6 +34,7 @@ import heapq
 import json
 import math
 import re
+from collections import deque
 from dataclasses import dataclass, fields
 from itertools import chain
 from operator import itemgetter
@@ -537,15 +538,17 @@ def _star_mesh(net: PowerNetwork, keep, p):
 
     The heap holds one live entry per free bus, keyed by its degree: a
     bus gets a new entry only when its degree changes, and an entry whose
-    degree no longer matches is stale.  Stars of two neighbours i, j and
-    of three i, j, h (in star order; the commonest) are eliminated in
-    closed form, with the same float operations in the same order as the
-    general loop: the pivot summed left to right, the pairs (i, j), (i, h),
-    (j, h) in turn, each filled with the earlier neighbour's fraction
-    times the later one's weight, new row entries in that order and kept
-    neighbours in star order.  Every sum is written out left to right,
-    so no bit depends on the builtin `sum`, which compensates from
-    Python 3.12 on.
+    degree no longer matches is stale.  A star of two neighbours i, j
+    (the commonest) is eliminated in closed form, with the same float
+    operations in the same order as the loop that takes every other
+    star: the pivot summed left to right, and each pair of neighbours
+    filled with the earlier one's fraction times the later one's weight.
+    The loop walks the star in order.  A kept neighbour fills only the
+    free neighbours after it, so no step visits a pair of kept buses; a
+    free one fills its row from every neighbour after it, after which no
+    step writes that row, so its new degree is pushed at once.  Every
+    sum is written out left to right, so no bit depends on the builtin
+    `sum`, which compensates from Python 3.12 on.
     """
     m = net.m
     slot = [-1] * m   # index in keep; -1 marks a free bus
@@ -582,9 +585,6 @@ def _star_mesh(net: PowerNetwork, keep, p):
         if deg == 2:
             (i, y_ki), (j, y_kj) = star.items()
             Y = y_ki + y_kj
-        elif deg == 3:
-            (i, y_ki), (j, y_kj), (h, y_kh) = star.items()
-            Y = y_ki + y_kj + y_kh
         else:
             Y = 0.0
             for y in star.values():
@@ -614,75 +614,30 @@ def _star_mesh(net: PowerNetwork, keep, p):
                 if len(row_j) != degree[j]:
                     degree[j] = len(row_j)
                     push(heap, len(row_j) * m + j)
-        elif deg == 3:
-            frac_i, frac_j, frac_h = y_ki / Y, y_kj / Y, y_kh / Y
-            p[i] += frac_i * p[k]
-            p[j] += frac_j * p[k]
-            p[h] += frac_h * p[k]
-            row_i, row_j, row_h = adj[i], adj[j], adj[h]
-            kept = []
-            if row_i is not None:
-                del row_i[k]
-                row_i[j] = w = row_i.get(j, 0.0) + frac_i * y_kj
-                if row_j is not None:
-                    row_j[i] = w
-                row_i[h] = w = row_i.get(h, 0.0) + frac_i * y_kh
-                if row_h is not None:
-                    row_h[i] = w
-                if len(row_i) != degree[i]:
-                    degree[i] = len(row_i)
-                    push(heap, len(row_i) * m + i)
-            else:
-                kept += slot[i], frac_i, y_ki
-                if row_j is not None:
-                    row_j[i] = row_j.get(i, 0.0) + frac_i * y_kj
-                if row_h is not None:
-                    row_h[i] = row_h.get(i, 0.0) + frac_i * y_kh
-            if row_j is not None:
-                del row_j[k]
-                row_j[h] = w = row_j.get(h, 0.0) + frac_j * y_kh
-                if row_h is not None:
-                    row_h[j] = w
-                if len(row_j) != degree[j]:
-                    degree[j] = len(row_j)
-                    push(heap, len(row_j) * m + j)
-            else:
-                kept += slot[j], frac_j, y_kj
-                if row_h is not None:
-                    row_h[j] = row_h.get(j, 0.0) + frac_j * y_kh
-            if row_h is not None:
-                del row_h[k]
-                if len(row_h) != degree[h]:
-                    degree[h] = len(row_h)
-                    push(heap, len(row_h) * m + h)
-            else:
-                kept += slot[h], frac_h, y_kh
-            if len(kept) > 3:   # two or more kept neighbours
-                stars.append(kept)
         else:
-            nbrs = [(i, y_ki, adj[i]) for i, y_ki in star.items()]
-            free = [t for t in nbrs if t[2] is not None]
+            # the neighbours not yet visited, and the free ones among them
+            rest = deque((i, y_ki, adj[i]) for i, y_ki in star.items())
+            free = deque(t for t in rest if t[2] is not None)
             kept = []
-            f = 0   # free[f:] are the free neighbours after the current one
-            for s, (i, y_ki, row) in enumerate(nbrs):
+            while rest:
+                i, y_ki, row = rest.popleft()
                 frac = y_ki / Y
                 p[i] += frac * p[k]
                 if row is None:
                     kept += slot[i], frac, y_ki
-                    for _, y_kj, row_j in free[f:]:
+                    for _, y_kj, row_j in free:
                         row_j[i] = row_j.get(i, 0.0) + frac * y_kj
                 else:
-                    f += 1
+                    free.popleft()
                     del row[k]
                     get = row.get
-                    for j, y_kj, row_j in nbrs[s + 1:]:
+                    for j, y_kj, row_j in rest:
                         row[j] = w = get(j, 0.0) + frac * y_kj
                         if row_j is not None:
                             row_j[i] = w
-            for i, _, row in free:
-                if len(row) != degree[i]:
-                    degree[i] = len(row)
-                    push(heap, len(row) * m + i)
+                    if len(row) != degree[i]:
+                        degree[i] = len(row)
+                        push(heap, len(row) * m + i)
             if len(kept) > 3:   # two or more kept neighbours
                 stars.append(kept)
         pivots.append((k, Y, star))
