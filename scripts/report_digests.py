@@ -42,7 +42,10 @@ stderr.  The argv set:
 - ``run --r 3 --xi 0`` on case39 with loads of 1.7e308 MW at buses 14
   and 38, whose total overflows, and ``run --r 3 --xi 1e6`` on case39
   with a 1.7e308 MW unit at bus 32, where sqrt(xi) b0 overflows: the
-  weighted targets are not finite, one error line each.
+  weighted targets are not finite, one error line each;
+- ``refsel --r 3`` and ``run --r 3 --method both`` on case39 at a base
+  frequency of 1e-310 Hz, whose inertias 2H/omega overflow: one error
+  line each.
 
 A run that raises out of ``main`` is recorded as exit code 1 with the
 exception's last traceback line as stderr.
@@ -108,6 +111,8 @@ STRONG_LINE = {"from": 33, "to": 34, "x_pu": 5e-324}
 BIG_VOLTAGE = 1e308
 # loads on case39 whose total overflows, and a unit whose sqrt(xi) b0 does
 BIG_LOAD_BUSES, BIG_UNIT_BUS, BIG_MW = (14, 38), 32, 1.7e308
+# a base frequency on case39 whose inertias 2H/omega overflow
+TINY_FREQ_HZ = 1e-310
 # the report fields that record a decision rather than a value
 DECISIONS = ("kept", "cutset", "islands", "generator_groups", "refs")
 # reference buses per case and r: the greedy ones reordered, and others
@@ -180,6 +185,8 @@ def write_cases(out_dir: str) -> dict[str, str]:
             gen["pg_mw"] = BIG_MW
     texts["case39-big-loads"] = json.dumps(big_loads, indent=1, sort_keys=True)
     texts["case39-big-unit"] = json.dumps(big_unit, indent=1, sort_keys=True)
+    texts["case39-tiny-freq"] = json.dumps(
+        {**case39, "base_freq_hz": TINY_FREQ_HZ}, indent=1, sort_keys=True)
     texts["case118-twin"] = json.dumps(
         {**case118, "branches": case118["branches"] + [TWIN_LINE]},
         indent=1, sort_keys=True)
@@ -254,6 +261,8 @@ def argv_set(paths: dict[str, str]) -> list[list[str]]:
               "--xi", "0"],
              ["run", "--case", paths["case39-big-unit"], "--r", "3",
               "--xi", "1e6"]]
+    tiny = ["--case", paths["case39-tiny-freq"], "--r", "3"]
+    runs += [["refsel", *tiny], ["run", *tiny, "--method", "both"]]
     return runs
 
 

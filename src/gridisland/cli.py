@@ -31,7 +31,12 @@ from .coherency import (
     kron_reduce,
     slow_modes,
 )
-from .islanding import IslandingError, check_epsilon, solve
+from .islanding import (
+    DEFAULT_EPSILON,
+    IslandingError,
+    check_epsilon,
+    solve,
+)
 from .metrics import MetricError, build_context, check_trade_off
 from .netcase import CaseError, parse_case
 from .refsel import (
@@ -304,7 +309,7 @@ def main(argv=None) -> int:
     rp = sub.add_parser("run", parents=[common], help="run one or both methods")
     rp.add_argument("--xi", default="1e-6",
                     help="trade-off weight, or comma-separated sweep list")
-    rp.add_argument("--epsilon", default="1e-3")
+    rp.add_argument("--epsilon", default=DEFAULT_EPSILON)
     rp.add_argument("--method", default="weak-submodular",
                     choices=["weak-submodular", "spectral", "both"])
     rp.add_argument("--refs", help="override reference buses, e.g. 39,34,38")

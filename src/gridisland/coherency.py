@@ -108,6 +108,11 @@ def slow_modes(m: np.ndarray, K: np.ndarray, r: int) -> tuple[np.ndarray, np.nda
     # np.outer flattens, so an n x n inertia matrix would ask for n^4 floats
     if m.shape != (n,):
         raise ModelError(f"need {n} inertias, got shape {m.shape}")
+    # an infinite inertia scales its row and column of the copy, and its
+    # row of U, to zero; the copy would then pass the finiteness check
+    if not np.isfinite(m).all():
+        raise ModelError("machine inertias are not finite: an input is too "
+                         "large for double precision")
     d = np.sqrt(m)
     Ks = np.outer(d, d)
     np.divide(K, Ks, out=Ks)

@@ -41,6 +41,8 @@ class IslandingError(Exception):
 # is can still score about 1 ulp below J, so a much smaller epsilon
 # accepts it and the search cycles (case39, r = 2, epsilon = 1e-15).
 MIN_EPSILON = 1e-6
+# The local-search epsilon of a run that names none.
+DEFAULT_EPSILON = 1e-3
 
 
 def check_epsilon(epsilon: float) -> None:
@@ -246,7 +248,8 @@ def extract_solution(
                               trace=trace, swaps=swaps)
 
 
-def solve(ctx: MetricContext, epsilon: float = 1e-3) -> IslandingSolution:
+def solve(ctx: MetricContext,
+          epsilon: float = DEFAULT_EPSILON) -> IslandingSolution:
     """Full pipeline stage: greedy selection then local search."""
     check_epsilon(epsilon)   # fail before the greedy's work, not after it
     ev, trace = greedy_select(ctx)

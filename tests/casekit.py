@@ -44,10 +44,23 @@ def tied_network(monkeypatch, copies, seed=7):
     return parse_case(inputs.tied_case(inputs.load_case118(ROOT), seed))
 
 
+def meshed_network(draw):
+    """The benchmark's meshed-120 network of the given draw."""
+    bench = os.path.join(ROOT, "perfbench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import inputs
+
+    return parse_case(json.dumps(inputs.meshed_case(draw)))
+
+
 def named_network(name, monkeypatch):
-    """A bundled case by name ("case39"), or "tied xK" for K tied copies."""
+    """A bundled case by name ("case39"), "tied xK" for K tied copies
+    or "meshed-120 D" for the meshed-120 draw D."""
     if name.startswith("tied x"):
         return tied_network(monkeypatch, int(name[len("tied x"):]))
+    if name.startswith("meshed-120 "):
+        return meshed_network(int(name[len("meshed-120 "):]))
     return load_case(f"{name}.json")
 
 

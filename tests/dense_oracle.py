@@ -8,7 +8,8 @@ T = [sqrt(xi) b0, c^1, ..., c^n], m x (n+1), and squared distances from
 its columns to the column span of the kept lines' incidence submatrix
 A(S), by Gram-Schmidt orthonormalization and by the per-component sums
 of T: the definitions that the library's statistics block is checked
-against.  The two reference selections as the
+against.  The noncoherency H_bar as a sum over generators of the
+distance from each row of L to its island's unit column.  The two reference selections as the
 per-candidate and per-row loops that the library's residual-norm greedy
 and vectorised pivoting are checked against.  The slow modes from the
 dense diagonal inertia matrix with an explicitly symmetrised scaling,
@@ -81,6 +82,18 @@ def dense_J(ctx, S) -> float:
     T = weighted_targets(ctx)
     P = Q.T @ T
     return float(max((T * T).sum() - (P * P).sum(), 0.0))
+
+
+def dense_noncoherency(L: np.ndarray, groups, cols) -> float:
+    """sum_i ||L_i - e_{c(i)}||^2 over the generators i, where c(i) is
+    cols[k] for the k-th group, the one that holds i."""
+    total = 0.0
+    for group, col in zip(groups, cols):
+        for i in group:
+            e = np.zeros(L.shape[1])
+            e[col] = 1.0
+            total += float(((L[i] - e) ** 2).sum())
+    return total
 
 
 def susceptance_laplacian(net) -> np.ndarray:

@@ -5,9 +5,9 @@ with a dynamics document), flag values and compare reports.  It also
 splices bytes that are not UTF-8 into the files, draws invalid
 ``--method`` and ``--format`` choices, and drops the required ``--case``.
 A report is valid JSON, with no NaN or Infinity, and leaves stderr empty.
-Fixed inputs cover an epsilon below the floor, results and weighted
-targets too large for double precision, JSON nested too deeply to parse
-and a bus number that does not fit in int64.
+Fixed inputs cover an epsilon below the floor, results, weighted
+targets and inertias too large for double precision, JSON nested too
+deeply to parse and a bus number that does not fit in int64.
 """
 
 import io
@@ -164,12 +164,14 @@ def write_inputs(tmp_path) -> dict:
     voltage, a 1e308 MW unit with xd' = 10 p.u. on a 1 MVA base (its
     internal angle overflows), the same unit as the case's only
     generator, bus 1 renumbered 2**70, a line of reactance 5e-324
-    (weight 1/x = inf) between generator buses 33 and 34, 200,000-deep
-    JSON and a MATPOWER case to pair with it as the dynamics document."""
+    (weight 1/x = inf) between generator buses 33 and 34, a base
+    frequency of 1e-310 Hz and a first unit of inertia 1.7e308 s at
+    0.1 Hz (both overflow the inertias 2H/omega), 200,000-deep JSON and
+    a MATPOWER case to pair with it as the dynamics document."""
     with open(CASE39) as fh:
         text = fh.read()
-    big_load, big_loads, big_unit, big_voltage, big_angle, big_id, strong = (
-        json.loads(text) for _ in range(7))
+    (big_load, big_loads, big_unit, big_voltage, big_angle, big_id, strong,
+     tiny_freq, big_inertia) = (json.loads(text) for _ in range(9))
     big_load["buses"][3]["pd_mw"] = 1e308
     for bus in big_loads["buses"]:
         if bus["id"] in (14, 38):
@@ -182,6 +184,9 @@ def write_inputs(tmp_path) -> dict:
     big_angle["gens"][0].update(pg_mw=1e308, xd_prime_pu=10)
     lone_angle = {**big_angle, "gens": big_angle["gens"][:1]}
     strong["branches"].append({"from": 33, "to": 34, "x_pu": 5e-324})
+    tiny_freq["base_freq_hz"] = 1e-310
+    big_inertia["base_freq_hz"] = 0.1
+    big_inertia["gens"][0]["inertia_s"] = 1.7e308
     for row, key in ([(b, "id") for b in big_id["buses"]]
                      + [(br, end) for br in big_id["branches"]
                         for end in ("from", "to")]):
@@ -196,6 +201,8 @@ def write_inputs(tmp_path) -> dict:
         "lone-angle": json.dumps(lone_angle),
         "big-id": json.dumps(big_id),
         "strong-line": json.dumps(strong),
+        "tiny-freq": json.dumps(tiny_freq),
+        "big-inertia": json.dumps(big_inertia),
         "deep": '{"a":' + "[" * 200_000 + "]" * 200_000 + "}",
         "matpower": "mpc.bus = [\n1 3 0\n2 1 50\n];\nmpc.gen = [\n1 50\n];\n"
                     "mpc.branch = [\n1 2 0 0.1\n];\n",
@@ -236,6 +243,13 @@ def write_inputs(tmp_path) -> dict:
     # a weighted target is NaN or infinite, so every merge gain is NaN
     (["run", "--case", "big-loads", "--r", "3", "--xi", "0"], "MetricError"),
     (["run", "--case", "big-unit", "--r", "3", "--xi", "1e6"], "MetricError"),
+    # an inertia 2H/omega overflows to inf, which scales its modes to zero
+    (["refsel", "--case", "tiny-freq", "--r", "3"], "ModelError"),
+    (["run", "--case", "tiny-freq", "--r", "3", "--method", "both"],
+     "ModelError"),
+    (["refsel", "--case", "big-inertia", "--r", "3"], "ModelError"),
+    (["run", "--case", "big-inertia", "--r", "3", "--method", "both"],
+     "ModelError"),
 ])
 def test_fixed_bad_inputs_end_in_one_json_error(tmp_path, argv, error):
     paths = write_inputs(tmp_path)
@@ -291,4 +305,22 @@ def test_an_overflowing_coupling_matrix_is_named(tmp_path, argv):
     assert json.loads(err) == {
         "error": "ModelError",
         "message": "coupling matrix is not finite: an input is too large "
+                   "for double precision"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["refsel", "--case", "tiny-freq", "--r", "3"],
+    ["run", "--case", "tiny-freq", "--r", "3", "--method", "both"],
+    ["refsel", "--case", "big-inertia", "--r", "3"],
+    ["run", "--case", "big-inertia", "--r", "3", "--method", "both"],
+])
+def test_an_overflowing_inertia_is_named(tmp_path, argv):
+    # K / (sqrt(m) sqrt(m)) is then zero, and finite, in the inf row and
+    # column, and U = vecs / inf is zero there: no reference has rank
+    paths = write_inputs(tmp_path)
+    code, out, err = cli_process([paths.get(a, a) for a in argv])
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "ModelError",
+        "message": "machine inertias are not finite: an input is too large "
                    "for double precision"}

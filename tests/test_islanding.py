@@ -34,11 +34,13 @@ from casekit import (
     DATA,
     bus_pos,
     line_ends,
+    named_network,
     pipeline,
     random_case_doc,
     random_network,
     tied_network,
 )
+from dense_oracle import dense_noncoherency
 from matroid_oracle import (
     check_greedy_bound,
     connected_partitions,
@@ -286,6 +288,22 @@ def test_solution_structure_case39(pipe39):
     assert_structural(ctx, sol)
     d = sol.as_dict()
     assert set(d) >= {"cutset", "islands", "J", "sqrt_f_mw", "H_bar", "trace"}
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+@pytest.mark.parametrize("name", ["case39", "case118", "meshed-120 1",
+                                  "meshed-120 2"])
+def test_H_bar_is_the_distance_from_L_to_the_reported_groups(name, r,
+                                                             monkeypatch):
+    # the main method's island k takes column k, the baseline's the
+    # column of its own assignment
+    net = named_network(name, monkeypatch)
+    op, model, ctx = pipeline(net, r=r)
+    split = two_step_partition(net, op, model)
+    for sol, cols in ((solve(ctx), range(r)),
+                      (split.evaluate(ctx), split.cols)):
+        assert sol.H_bar == pytest.approx(
+            dense_noncoherency(ctx.L, sol.generator_groups, cols), rel=1e-12)
 
 
 def test_solution_deterministic(pipe39, case39):

@@ -1,6 +1,4 @@
 import dataclasses
-import json
-import os
 
 import numpy as np
 import pytest
@@ -19,9 +17,9 @@ from gridisland.metrics import (
     island_labels,
     noncoherency,
 )
-from gridisland.netcase import component_labels, incidence_matrix, parse_case
+from gridisland.netcase import component_labels, incidence_matrix
 
-from casekit import ROOT, line_ends, pipeline, random_network
+from casekit import line_ends, meshed_network, pipeline, random_network
 from constrained_oracle import F, H_i_constrained, box_limits, h_i
 from dense_oracle import (
     dense_J,
@@ -89,14 +87,10 @@ def test_relaxed_metrics_match_lstsq_oracle(seed):
 
 @pytest.mark.parametrize("draw", [1, 2])
 @pytest.mark.parametrize("r", [5, 7])
-def test_relaxed_metrics_match_oracles_on_meshed_baseline_islands(
-        draw, r, monkeypatch):
+def test_relaxed_metrics_match_oracles_on_meshed_baseline_islands(draw, r):
     # the benchmark's meshed-120 draws; at these r some of the baseline's
     # islands there hold no reference and others two or three
-    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
-    import inputs
-
-    net = parse_case(json.dumps(inputs.meshed_case(draw)))
+    net = meshed_network(draw)
     op, model, ctx = pipeline(net, r=r, xi=1e-6)
     split = two_step_partition(net, op, model)
     assert (references_per_island(ctx, split.labels) != 1).any()
